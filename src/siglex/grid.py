@@ -38,13 +38,18 @@ class Grid:
     def t_end(self) -> float:
         return self.t0 + self.h * (self.n - 1)
 
-    def time_at(self, k: int) -> float:
+    def time_at(self, k):
+        """t_k; elementwise for an integer array k."""
         return self.t0 + self.h * k
 
-    def index_at_or_before(self, t: float) -> int:
-        """Largest k with t_k <= t, tolerating ~1e-9 relative time jitter."""
-        k = int(np.floor((t - self.t0) / self.h + 1e-9))
-        return min(max(k, 0), self.n - 1)
+    def index_at_or_before(self, t):
+        """Largest k with t_k <= t, tolerating ~1e-9 relative time jitter.
+
+        Elementwise for an array of times (an int64 array comes back).
+        """
+        k = np.floor((np.asarray(t) - self.t0) / self.h + 1e-9)
+        k = np.clip(k, 0, self.n - 1).astype(np.int64)
+        return k if k.ndim else int(k)
 
     def restricted(self, start: int, count: int) -> "Grid":
         """Sub-grid of `count` samples starting at index `start`."""

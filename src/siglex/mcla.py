@@ -86,11 +86,10 @@ def align_and_combine(streams: Sequence[SymbolStream],
     if k_hi < k_lo:
         raise NoOverlapError("no coarse-grid sample falls inside the overlap")
 
-    samples = []
-    for k in range(k_lo, k_hi + 1):
-        t = coarse.time_at(k)
-        samples.append("".join(
-            s.symbols[g.index_at_or_before(t)] for s, g in zip(streams, grids)))
+    t = coarse.time_at(np.arange(k_lo, k_hi + 1))
+    columns = [[s.symbols[i] for i in g.index_at_or_before(t).tolist()]
+               for s, g in zip(streams, grids)]
+    samples = list(map("".join, zip(*columns)))
     # a degenerate single-sample overlap has no representable grid
     out_grid = (Grid(len(samples), coarse.h, coarse.time_at(k_lo))
                 if len(samples) >= 2 else None)

@@ -8,14 +8,14 @@ the first/last 2w+1 grid points.  Stencil weights are computed in exact
 rational arithmetic and rounded once, so they are exact on polynomials up to
 the stated degree to within a single float rounding.
 
-The convolutional streaming path and the dense apply path both reduce each
-output sample to the same ``np.dot`` over the same 2w+1 floats, which makes
-interior outputs bitwise-identical between the two.
+Dense apply, streaming and the boundary rows share one stencil engine: each
+output is the sum over its 2w+1-sample window, accumulated left to right in
+a fixed order (no ``np.dot``, whose order is not fixed).  Streaming and dense
+outputs are therefore bitwise-identical, boundary rows included.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +23,7 @@ from math import ceil, factorial
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CoefficientLengthMismatchError,
@@ -78,6 +79,8 @@ def _rational_stencil(offsets: tuple, degree: int, order: int) -> tuple:
 
 
 def _stencil(offsets: Sequence[int], degree: int, order: int, h: float) -> np.ndarray:
+    if order == 0:  # the order-0 operator is the identity, not an LS smoother
+        return np.array([1.0 if o == 0 else 0.0 for o in offsets])
     exact = _rational_stencil(tuple(int(o) for o in offsets), degree, order)
     return np.array([float(x) for x in exact]) / h ** order
 
@@ -86,13 +89,39 @@ def _half_width(accuracy: int) -> int:
     return 0 if accuracy == 0 else ceil(accuracy / 2)
 
 
-def _row_window(n: int, w: int, r: int) -> int:
-    """Leftmost column of row r's stencil window."""
-    if r < w:
-        return 0
-    if r > n - 1 - w:
-        return n - (2 * w + 1)
-    return r - w
+@lru_cache(maxsize=256)
+def _window_stencils(order: int, accuracy: int, h: float) -> np.ndarray:
+    """Row p evaluates the derivative at position p of a 2w+1-sample window.
+
+    Row w is the central (interior) stencil; rows 0..w-1 are the one-sided
+    stencils of the first w outputs against the first window, rows w+1..2w
+    those of the last w outputs against the last window.  Read-only.
+    """
+    width = 2 * _half_width(accuracy) + 1
+    rows = np.array([_stencil([j - p for j in range(width)], accuracy, order, h)
+                     for p in range(width)])
+    rows.setflags(write=False)
+    return rows
+
+
+def _window_starts(n: int, w: int) -> np.ndarray:
+    """Leftmost column of each row's stencil window."""
+    return np.clip(np.arange(n) - w, 0, n - (2 * w + 1))
+
+
+def _stencil_sum(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """The stencil engine: out[i] = sum_j weights[.., j] * windows[i, j].
+
+    `windows[i]` holds output i's 2w+1 input samples; `weights` is one
+    stencil shared by every output, shape (2w+1,), or one per output,
+    shape (m, 2w+1).  The sum runs j = 0, 1, ..., 2w in that order for
+    every output, so equal weights and samples give equal bits whichever
+    caller (and however the stream was chunked) produced them.
+    """
+    out = weights[..., 0] * windows[:, 0]
+    for j in range(1, windows.shape[1]):
+        out += weights[..., j] * windows[:, j]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,33 +195,20 @@ def build_diff_operator(grid: Grid, order: int, accuracy: int) -> DiffOperatorMa
         raise GridTooShortError(
             f"grid n={n} too short for accuracy={accuracy} (needs n >= {2 * w + 1})")
 
+    rows, lo = np.arange(n), _window_starts(n, w)
     entries = np.zeros((n, n))
-    if order == 0:
-        np.fill_diagonal(entries, 1.0)
-        return DiffOperatorMatrix(order, accuracy, grid, entries, w)
-
-    width = 2 * w + 1
-    central = _stencil(range(-w, w + 1), accuracy, order, grid.h)
-    for r in range(n):
-        lo = _row_window(n, w, r)
-        if lo == r - w:
-            entries[r, lo:lo + width] = central
-        else:
-            offsets = [lo + j - r for j in range(width)]
-            entries[r, lo:lo + width] = _stencil(offsets, accuracy, order, grid.h)
+    entries[rows[:, None], lo[:, None] + np.arange(2 * w + 1)] = \
+        _window_stencils(order, accuracy, grid.h)[rows - lo]
     return DiffOperatorMatrix(order, accuracy, grid, entries, w)
 
 
 def _banded_apply(entries: np.ndarray, n: int, w: int, x: np.ndarray) -> np.ndarray:
+    """Row-banded L @ x through the stencil engine, one band row per output."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise LengthMismatchError(f"expected length {n}, got {x.shape}")
-    width = 2 * w + 1
-    out = np.empty(n)
-    for r in range(n):
-        lo = _row_window(n, w, r)
-        out[r] = np.dot(entries[r, lo:lo + width], x[lo:lo + width])
-    return out
+    cols = _window_starts(n, w)[:, None] + np.arange(2 * w + 1)
+    return _stencil_sum(entries[np.arange(n)[:, None], cols], x[cols])
 
 
 # ---------------------------------------------------------------------------
@@ -415,20 +431,16 @@ def extract_local_kernel(order: int, accuracy: int, h: float) -> LocalKernel:
         raise OrderExceedsAccuracyError(
             f"need 0 <= order <= accuracy, got order={order} accuracy={accuracy}")
     w = _half_width(accuracy)
-    if order == 0:
-        weights = np.zeros(2 * w + 1)
-        weights[w] = 1.0
-    else:
-        weights = _stencil(range(-w, w + 1), accuracy, order, h)
+    weights = _window_stencils(order, accuracy, float(h))[w].copy()
     return LocalKernel(weights, order, accuracy, float(h))
 
 
 class StreamingKernel:
     """Incremental convolution of a LocalKernel over a sample stream.
 
-    Keeps a ring buffer of 2w+1 samples; output j is emitted as soon as
-    inputs j-w .. j+w have arrived (latency w).  Single consumer per
-    instance; independent instances are unrelated.
+    Carries the last window of 2w+1 samples between calls; output j is
+    emitted as soon as inputs j-w .. j+w have arrived (latency w).  Single
+    consumer per instance; independent instances are unrelated.
 
     boundary="valid" emits fully-supported outputs only; "one_sided" also
     fills the first/last w outputs with the shifted boundary stencils of the
@@ -441,67 +453,36 @@ class StreamingKernel:
         self.kernel = kernel
         self.boundary = boundary
         self._w = kernel.half_width
-        self._buf = deque(maxlen=2 * self._w + 1)
-        self._seen = 0
-        if boundary == "one_sided" and self._w and kernel.order:
-            width = 2 * self._w + 1
-            self._head = [
-                _stencil([j - r for j in range(width)], kernel.accuracy,
-                         kernel.order, kernel.h)
-                for r in range(self._w)
-            ]
-        elif boundary == "one_sided" and self._w:
-            width = 2 * self._w + 1
-            self._head = []
-            for r in range(self._w):
-                row = np.zeros(width)
-                row[r] = 1.0
-                self._head.append(row)
-        else:
-            self._head = []
+        self._window = np.empty(0)
+        self._rows = _window_stencils(kernel.order, kernel.accuracy, kernel.h)
 
     def push(self, sample: float) -> list[float]:
         """Feed one sample; returns the outputs it completes, in order."""
-        self._buf.append(float(sample))
-        self._seen += 1
-        w = self._w
-        width = 2 * w + 1
-        if self._seen < width:
-            return []
-        window = np.array(self._buf)
-        out = []
-        if self._seen == width and self.boundary == "one_sided":
-            for st in self._head:
-                out.append(float(np.dot(st, window)))
-        out.append(float(np.dot(self.kernel.weights, window)))
+        return self.push_many([sample]).tolist()
+
+    def push_many(self, chunk) -> np.ndarray:
+        """Feed a 1-D block of samples; returns the outputs it completes, in order."""
+        w, width = self._w, 2 * self._w + 1
+        # a full carried window's output went out with the previous call
+        emitted = len(self._window) == width
+        x = np.concatenate((self._window, np.asarray(chunk, dtype=np.float64)))
+        self._window = x[-width:].copy()
+        if len(x) < width:
+            return np.empty(0)
+        out = _stencil_sum(self.kernel.weights,
+                           sliding_window_view(x, width)[int(emitted):])
+        if self.boundary == "one_sided" and not emitted:
+            out = np.concatenate((_stencil_sum(self._rows[:w], x[None, :width]), out))
         return out
 
     def finish(self) -> list[float]:
         """Flush trailing one-sided outputs (empty for boundary="valid")."""
-        w = self._w
-        if self.boundary != "one_sided" or not w or self._seen < 2 * w + 1:
+        if self.boundary != "one_sided" or len(self._window) < 2 * self._w + 1:
             return []
-        window = np.array(self._buf)
-        width = 2 * w + 1
-        out = []
-        for r in range(w):
-            pos = width - w + r  # row index within the trailing window
-            if self.kernel.order:
-                st = _stencil([j - pos for j in range(width)],
-                              self.kernel.accuracy, self.kernel.order,
-                              self.kernel.h)
-            else:
-                st = np.zeros(width)
-                st[pos] = 1.0
-            out.append(float(np.dot(st, window)))
-        return out
+        return _stencil_sum(self._rows[self._w + 1:], self._window[None, :]).tolist()
 
 
 def apply_streaming(kernel: LocalKernel, stream, boundary: str = "valid") -> np.ndarray:
     """Convolve a kernel over a sample sequence via the streaming path."""
     sk = StreamingKernel(kernel, boundary)
-    out: list[float] = []
-    for sample in stream:
-        out.extend(sk.push(sample))
-    out.extend(sk.finish())
-    return np.array(out)
+    return np.concatenate((sk.push_many(stream), sk.finish()))

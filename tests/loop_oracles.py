@@ -1,0 +1,118 @@
+"""Per-sample and per-row loop implementations kept as test oracles.
+
+These are the straightforward loops the vectorized code replaced: the
+per-row ``np.dot`` dense apply, the deque-based per-sample streaming kernel
+and the per-sample LOCF alignment.  They are slow and are used only to check
+the production code.  ``np.dot`` does not fix its summation order, so the
+stencil oracles agree with the stencil engine to rounding, not bitwise;
+`stencil_tolerance` gives the bound.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+import numpy as np
+
+from siglex.operators import _stencil
+
+EPS = float(np.finfo(np.float64).eps)
+
+
+def row_window(n: int, w: int, r: int) -> int:
+    """Leftmost column of row r's stencil window."""
+    if r < w:
+        return 0
+    if r > n - 1 - w:
+        return n - (2 * w + 1)
+    return r - w
+
+
+def banded_apply_loop(entries: np.ndarray, w: int, x) -> np.ndarray:
+    """Dense row-banded L @ x, one np.dot per row."""
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    width = 2 * w + 1
+    out = np.empty(n)
+    for r in range(n):
+        lo = row_window(n, w, r)
+        out[r] = np.dot(entries[r, lo:lo + width], x[lo:lo + width])
+    return out
+
+
+def banded_abs_sum(entries: np.ndarray, w: int, x) -> np.ndarray:
+    """sum_j |L[r, j] * x[j]| over each row's window (the rounding scale)."""
+    return banded_apply_loop(np.abs(entries), w, np.abs(x))
+
+
+def stencil_tolerance(width: int, abs_sum: np.ndarray) -> np.ndarray:
+    """Largest gap between two summation orders of a width-term dot product.
+
+    Each order is within gamma_width * sum|w_j x_j| of the exact value
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), so
+    two orders differ by at most 2 * gamma_width ~= width * eps of it.
+    """
+    return 1.01 * width * EPS * abs_sum
+
+
+class DequeStreamingKernel:
+    """Per-sample streaming convolution over a 2w+1-sample deque."""
+
+    def __init__(self, kernel, boundary: str = "valid"):
+        self.kernel = kernel
+        self.boundary = boundary
+        self._w = kernel.half_width
+        self._buf = deque(maxlen=2 * self._w + 1)
+        self._seen = 0
+
+    def _row(self, pos: int) -> np.ndarray:
+        width = 2 * self._w + 1
+        return _stencil([j - pos for j in range(width)], self.kernel.accuracy,
+                        self.kernel.order, self.kernel.h)
+
+    def push(self, sample: float) -> list[float]:
+        self._buf.append(float(sample))
+        self._seen += 1
+        width = 2 * self._w + 1
+        if self._seen < width:
+            return []
+        window = np.array(self._buf)
+        out = []
+        if self._seen == width and self.boundary == "one_sided":
+            out.extend(float(np.dot(self._row(r), window)) for r in range(self._w))
+        out.append(float(np.dot(self.kernel.weights, window)))
+        return out
+
+    def finish(self) -> list[float]:
+        w = self._w
+        if self.boundary != "one_sided" or self._seen < 2 * w + 1:
+            return []
+        window = np.array(self._buf)
+        return [float(np.dot(self._row(w + 1 + r), window)) for r in range(w)]
+
+
+def apply_streaming_loop(kernel, stream, boundary: str = "valid") -> np.ndarray:
+    sk = DequeStreamingKernel(kernel, boundary)
+    out: list[float] = []
+    for sample in stream:
+        out.extend(sk.push(sample))
+    out.extend(sk.finish())
+    return np.array(out)
+
+
+def align_and_combine_loop(streams, grids) -> list[str]:
+    """Per-sample LOCF combination on the coarsest grid's overlap samples."""
+    coarse = max(grids, key=lambda g: g.h)
+    start = max(g.t0 for g in grids)
+    end = min(g.t_end for g in grids)
+    k_lo = int(np.ceil((start - coarse.t0) / coarse.h - 1e-9))
+    k_hi = int(np.floor((end - coarse.t0) / coarse.h + 1e-9))
+    samples = []
+    for k in range(k_lo, k_hi + 1):
+        t = coarse.t0 + coarse.h * k
+        combo = ""
+        for s, g in zip(streams, grids):
+            i = int(np.floor((t - g.t0) / g.h + 1e-9))
+            combo += s.symbols[min(max(i, 0), g.n - 1)]
+        samples.append(combo)
+    return samples

@@ -25,6 +25,8 @@ from siglex.errors import (
 from siglex.mcla import MultiStream
 from siglex.scla import SymbolStream
 
+from loop_oracles import align_and_combine_loop
+
 ALPHA = usd_alphabet(0.5)
 
 
@@ -104,6 +106,27 @@ def test_multi_tokens():
     toks = multi_tokens(ms)
     assert [(t.symbol, t.run_length, t.start_index) for t in toks] == \
         [("ud", 2, 0), ("ss", 3, 2)]
+
+
+def test_vectorized_locf_matches_loop_oracle():
+    rng = np.random.default_rng(44)
+    jitter = 1.0 + 1e-10
+    cases = [
+        [Grid(500, 0.1, t0=0.05), Grid(170, 0.3, t0=0.0)],
+        [Grid(333, 0.25, t0=1.0), Grid(120, 0.7, t0=0.35), Grid(800, 0.1, t0=0.9)],
+        # ~1e-10 relative jitter puts coarse times just below fine sample
+        # times, some within the 1e-9 index tolerance and most beyond it
+        [Grid(900, 0.1), Grid(300, 0.3 / jitter)],
+        [Grid(300, 0.3), Grid(900, 0.1 * jitter, t0=-1e-11)],
+    ]
+    for grids in cases:
+        streams = [stream("".join(rng.choice(list("usd"), g.n)), g) for g in grids]
+        ms = align_and_combine(streams)
+        want = align_and_combine_loop(streams, grids)
+        assert ms.samples == want
+        assert all(type(c) is str for c in ms.samples)
+        coarse = max(grids, key=lambda g: g.h)
+        assert ms.source_grid.h == coarse.h and ms.source_grid.n == len(want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,13 @@ from siglex.errors import (
     SingularConstraintSystemError,
 )
 from siglex.operators import DiffOperatorMatrix
+
+from loop_oracles import (
+    apply_streaming_loop,
+    banded_abs_sum,
+    banded_apply_loop,
+    stencil_tolerance,
+)
 
 
 def sample_poly(coeffs, t):
@@ -406,3 +415,88 @@ def test_streaming_short_stream():
     k = extract_local_kernel(1, 4, 1.0)
     assert apply_streaming(k, [1.0, 2.0]).size == 0
     assert apply_streaming(k, [1.0, 2.0], boundary="one_sided").size == 0
+
+
+def _chunked(k, x, boundary, size):
+    sk = StreamingKernel(k, boundary)
+    parts = [sk.push_many(x[i:i + size]) for i in range(0, len(x), size)]
+    return np.concatenate(parts + [sk.finish()])
+
+
+def _per_sample(k, x, boundary):
+    sk = StreamingKernel(k, boundary)
+    out = [v for sample in x for v in sk.push(sample)]
+    return np.array(out + sk.finish())
+
+
+@pytest.mark.parametrize("boundary", ["valid", "one_sided"])
+@pytest.mark.parametrize("order,accuracy", [(0, 2), (1, 2), (2, 4), (3, 4), (3, 6)])
+def test_chunking_and_dense_give_identical_bytes(order, accuracy, boundary):
+    rng = np.random.default_rng(10 * order + accuracy)
+    k = extract_local_kernel(order, accuracy, 0.3)
+    w = k.half_width
+    for n in (2 * w, 2 * w + 1, 2 * w + 2, 97):
+        x = rng.standard_normal(n)
+        want = apply_streaming(k, x, boundary=boundary)
+        for size in (1, 7, n):
+            assert _chunked(k, x, boundary, size).tobytes() == want.tobytes()
+        assert _per_sample(k, x, boundary).tobytes() == want.tobytes()
+        if n < 2 * w + 1:
+            assert want.size == 0
+            continue
+        dense = build_diff_operator(Grid(n, 0.3), order, accuracy).apply(x)
+        if boundary == "valid":
+            dense = dense[w:n - w]
+        assert want.tobytes() == dense.tobytes()
+
+
+def test_push_many_returns_array_and_push_returns_floats():
+    k = extract_local_kernel(1, 2, 1.0)
+    sk = StreamingKernel(k)
+    assert sk.push_many([]).shape == (0,)
+    assert sk.push_many([0.0, 1.0]).shape == (0,)
+    out = sk.push(4.0)
+    assert out == [2.0] and type(out[0]) is float
+    assert np.array_equal(sk.push_many(np.array([9.0, 16.0])), [4.0, 6.0])
+
+
+def test_engine_matches_loop_oracles():
+    # np.dot and the engine sum in different orders: agree to rounding only
+    rng = np.random.default_rng(31)
+    n = 400
+    grid = Grid(n, 0.05)
+    x = np.cumsum(rng.standard_normal(n))
+    for order, accuracy in [(0, 2), (1, 2), (2, 4), (3, 6)]:
+        d = build_diff_operator(grid, order, accuracy)
+        w = d.support
+        tol = stencil_tolerance(2 * w + 1, banded_abs_sum(d.entries, w, x))
+        assert np.all(np.abs(d.apply(x) - banded_apply_loop(d.entries, w, x)) <= tol)
+        k = extract_local_kernel(order, accuracy, grid.h)
+        for boundary, rows in (("valid", slice(w, n - w)), ("one_sided", slice(None))):
+            got = apply_streaming(k, x, boundary=boundary)
+            want = apply_streaming_loop(k, x, boundary=boundary)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= tol[rows])
+    # row-varying LDO coefficients go through the same engine
+    t = grid.times()
+    op = assemble_ldo(LdoSpec(2, [np.sin(t), 1.0 + t, 2.0 + np.cos(t)]), grid, 4)
+    w = op.support
+    tol = stencil_tolerance(2 * w + 1, banded_abs_sum(op.entries, w, x))
+    assert np.all(np.abs(op.apply(x) - banded_apply_loop(op.entries, w, x)) <= tol)
+
+
+def test_streaming_memory_is_linear_in_samples():
+    # no n x n and no O(n*w) window matrix: the (n, 2w+1) gather alone would
+    # be 5 * 8n bytes here, the engine peaks at 3 * 8n (input copy, output,
+    # one product temporary)
+    n = 100_000
+    x = np.random.default_rng(2).standard_normal(n)
+    k = extract_local_kernel(1, 4, 0.01)
+    for boundary in ("valid", "one_sided"):
+        tracemalloc.start()
+        try:
+            apply_streaming(k, x, boundary=boundary)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * n, f"{boundary}: traced peak {peak} bytes"
