@@ -28,7 +28,6 @@ from .operators import (
     LdoSpec,
     LocalKernel,
     StreamingKernel,
-    apply_ldo,
     apply_streaming,
     assemble_ldo,
     build_diff_operator,
@@ -49,12 +48,10 @@ from .scla import (
 )
 from .uncertainty import (
     ConfidenceBand,
-    CovarianceModel,
     confidence_band,
     estimate_residual_variance,
     prediction_band,
     propagate_forward,
-    propagate_inverse,
     student_t_cdf,
     student_t_quantile,
 )
@@ -64,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet",
     "ConfidenceBand",
-    "CovarianceModel",
     "DiffOperatorMatrix",
     "FrequencyDict",
     "Grid",
@@ -80,7 +76,6 @@ __all__ = [
     "SymbolStream",
     "Token",
     "align_and_combine",
-    "apply_ldo",
     "apply_streaming",
     "assemble_ldo",
     "build_diff_operator",
@@ -101,7 +96,6 @@ __all__ = [
     "multi_tokens",
     "prediction_band",
     "propagate_forward",
-    "propagate_inverse",
     "quantize",
     "run_scla",
     "solution_operator",

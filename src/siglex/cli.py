@@ -57,6 +57,7 @@ from .operators import (
     LdoSpec,
     apply_streaming,
     assemble_ldo,
+    check_order,
     extract_local_kernel,
     solve_inverse,
     solution_operator,
@@ -65,7 +66,6 @@ from .uncertainty import (
     ConfidenceBand,
     confidence_band,
     estimate_residual_variance,
-    propagate_inverse,
 )
 
 _DATA_ERRORS = (
@@ -80,24 +80,121 @@ _DATA_ERRORS = (
 # configuration
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class OperatorConfig:
+    """Streamed derivative of a channel: its order and stencil accuracy."""
+
+    order: int
+    accuracy: int
+
+
+@dataclass
+class LdoConfig:
+    """Inverse problem of a channel: the operator, and the point constraints
+    as (index, value) pairs."""
+
+    spec: LdoSpec
+    accuracy: int
+    constraints: list
+
+
 @dataclass
 class ChannelConfig:
     name: str
     csv_column: str
-    alphabet: dict
-    operator: Optional[dict] = None
-    ldo: Optional[dict] = None
+    alphabet: scla.Alphabet
+    operator: Optional[OperatorConfig] = None
+    ldo: Optional[LdoConfig] = None
     pattern: Optional[str] = None
 
-    def build_alphabet(self) -> scla.Alphabet:
-        a = self.alphabet
-        nan_policy = a.get("nan", "reject")
-        if a.get("kind") == "usd":
-            return scla.usd_alphabet(float(a["epsilon"]), nan_policy=nan_policy)
-        rng = tuple(a["range"]) if "range" in a else None
-        return scla.Alphabet(tuple(a["symbols"]), tuple(a["boundaries"]),
-                             nan_policy=nan_policy, valid_range=rng,
-                             catch_all=a.get("catch_all"))
+
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
+          dict: "an object", (str, list): "a string or a list",
+          "numbers": "a list of numbers"}
+_REQUIRED = object()
+
+
+def _is(value, kind) -> bool:
+    """JSON type test: bools are not numbers, `float` admits ints."""
+    if kind == "numbers":
+        return isinstance(value, list) and all(_is(v, float) for v in value)
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind)
+
+
+def _get(obj: dict, key: str, kind, where: str, default=_REQUIRED):
+    """obj[key] of the given JSON kind; null counts as absent.  Numbers come
+    back as float."""
+    value = obj.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing field '{key}'")
+        return default
+    if not _is(value, kind):
+        raise ConfigError(f"{where}: '{key}' must be {_KINDS[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _check_level(level: float, what: str) -> float:
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"{what} must be in (0, 1), got {level}")
+    return level
+
+
+def _parse_alphabet(a: dict, where: str) -> scla.Alphabet:
+    nan_policy = a.get("nan", "reject")
+    if a.get("kind") == "usd":
+        return scla.usd_alphabet(_get(a, "epsilon", float, where), nan_policy=nan_policy)
+    rng = _get(a, "range", "numbers", where, None)
+    return scla.Alphabet(tuple(_get(a, "symbols", (str, list), where)),
+                         tuple(_get(a, "boundaries", "numbers", where)),
+                         nan_policy=nan_policy, catch_all=a.get("catch_all"),
+                         valid_range=None if rng is None else tuple(rng))
+
+
+def _parse_ldo(raw: dict, where: str) -> LdoConfig:
+    degree = _get(raw, "degree", int, where)
+    accuracy = _get(raw, "accuracy", int, where, 2)
+    coefficients = _get(raw, "coefficients", list, where)
+    if not all(_is(c, float) or _is(c, "numbers") for c in coefficients):
+        raise ConfigError(f"{where}: each coefficient must be a number or a list of "
+                          f"numbers (one per grid point), got {coefficients!r}")
+    constraints = _get(raw, "constraints", list, where, [])
+    for pair in constraints:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and _is(pair[0], int) and _is(pair[1], float)):
+            raise ConfigError(
+                f"{where}: constraint must be an [index, value] pair, got {pair!r}")
+    check_order(degree, accuracy)
+    return LdoConfig(LdoSpec(degree, coefficients), accuracy,
+                     [(i, float(v)) for i, v in constraints])
+
+
+def _parse_channel(ch, i: int) -> ChannelConfig:
+    if not isinstance(ch, dict):
+        raise ConfigError(f"channel {i} must be an object, got {ch!r}")
+    name = _get(ch, "name", str, f"channel {i}")
+    where = f"channel '{name}'"
+    raw_op = _get(ch, "operator", dict, where, None)
+    raw_ldo = _get(ch, "ldo", dict, where, None)
+    if raw_op is not None and raw_ldo is not None:
+        raise ConfigError(f"{where}: 'operator' and 'ldo' are exclusive")
+    try:
+        alphabet = _parse_alphabet(_get(ch, "alphabet", dict, where), f"{where} alphabet")
+        operator = ldo = None
+        if raw_op is not None:
+            w = f"{where} operator"
+            operator = OperatorConfig(_get(raw_op, "order", int, w),
+                                      _get(raw_op, "accuracy", int, w))
+            check_order(operator.order, operator.accuracy)
+        if raw_ldo is not None:
+            ldo = _parse_ldo(raw_ldo, f"{where} ldo")
+    except ConfigError:
+        raise
+    except SiglexError as exc:  # the library's own check of a parsed value
+        raise ConfigError(f"{where}: {exc}") from exc
+    return ChannelConfig(name, _get(ch, "csv_column", str, where), alphabet,
+                         operator, ldo, _get(ch, "pattern", str, where, None))
 
 
 @dataclass
@@ -108,72 +205,52 @@ class PipelineConfig:
     band_level: float = 0.95
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "PipelineConfig":
-        if not isinstance(obj, dict) or "channels" not in obj:
+    def from_json_obj(cls, obj) -> "PipelineConfig":
+        """Check a loaded config and parse it into typed channel configs."""
+        if not isinstance(obj, dict):
             raise ConfigError("config must be an object with a 'channels' list")
-        channels = []
-        for i, ch in enumerate(obj["channels"]):
-            try:
-                name = ch["name"]
-                col = ch["csv_column"]
-                alpha = ch["alphabet"]
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"channel {i}: missing field {exc}") from exc
-            if "operator" in ch and "ldo" in ch:
-                raise ConfigError(
-                    f"channel '{name}': 'operator' and 'ldo' are exclusive")
-            cc = ChannelConfig(name, col, alpha, ch.get("operator"),
-                               ch.get("ldo"), ch.get("pattern"))
-            try:
-                cc.build_alphabet()
-            except SiglexError as exc:
-                raise ConfigError(f"channel '{name}': bad alphabet: {exc}") from exc
-            channels.append(cc)
+        channels = [_parse_channel(ch, i)
+                    for i, ch in enumerate(_get(obj, "channels", list, "config"))]
         names = [c.name for c in channels]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate channel names: {names}")
-        combine = list(obj.get("combine", []))
+        combine = _get(obj, "combine", list, "config", [])
         for name in combine:
             if name not in names:
-                raise ConfigError(f"combine references unknown channel '{name}'")
-        band = obj.get("band", {})
-        return cls(channels, combine, obj.get("time_column", "t"),
-                   float(band.get("level", 0.95)))
-
-    def to_json_obj(self) -> dict:
-        out = {
-            "channels": [],
-            "combine": list(self.combine),
-            "time_column": self.time_column,
-            "band": {"level": self.band_level},
-        }
-        for ch in self.channels:
-            entry = {"name": ch.name, "csv_column": ch.csv_column,
-                     "alphabet": ch.alphabet}
-            if ch.operator is not None:
-                entry["operator"] = ch.operator
-            if ch.ldo is not None:
-                entry["ldo"] = ch.ldo
-            if ch.pattern is not None:
-                entry["pattern"] = ch.pattern
-            out["channels"].append(entry)
-        return out
+                raise ConfigError(f"combine references unknown channel {name!r}")
+        band = _get(obj, "band", dict, "config", {})
+        level = _check_level(_get(band, "level", float, "band", 0.95), "band level")
+        return cls(channels, combine, _get(obj, "time_column", str, "config", "t"),
+                   level)
 
 
-def load_config(path) -> PipelineConfig:
+def _read_json(path, what: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return PipelineConfig.from_json_obj(obj)
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def dump_config(config: PipelineConfig) -> str:
-    return json.dumps(config.to_json_obj(), indent=2, sort_keys=True) + "\n"
+def load_config(path) -> PipelineConfig:
+    return PipelineConfig.from_json_obj(_read_json(path, "config"))
+
+
+def load_references(path) -> dict:
+    """Reference histograms for classify: {label: histogram JSON object}."""
+    obj = _read_json(path, "references")
+    if not isinstance(obj, dict):
+        raise ConfigError("references must be an object {label: histogram}")
+    refs = {}
+    for label, counts in obj.items():
+        try:
+            refs[label] = mcla.FrequencyDict.from_json_obj(counts)
+        except ValueError as exc:
+            raise ConfigError(f"references '{label}': {exc}") from exc
+    return refs
 
 
 # ---------------------------------------------------------------------------
@@ -283,39 +360,28 @@ def _stage(channel: str, stage: str, fn, *args, **kwargs):
 
 def _process_channel(cc: ChannelConfig, grid: Grid, values: np.ndarray,
                      level: float) -> ChannelResult:
-    alphabet = cc.build_alphabet()
-    processed, pgrid = values, grid
-    result = None
+    processed, pgrid, sol, band = values, grid, None, None
     if cc.operator is not None:
         kernel = _stage(cc.name, "operator", extract_local_kernel,
-                        int(cc.operator["order"]), int(cc.operator["accuracy"]),
-                        grid.h)
+                        cc.operator.order, cc.operator.accuracy, grid.h)
         processed = _stage(cc.name, "operator", apply_streaming, kernel, values)
-        w = kernel.half_width
-        pgrid = grid.restricted(w, grid.n - 2 * w) if grid.n - 2 * w >= 2 else None
+        pgrid = grid.interior(kernel.half_width)
     elif cc.ldo is not None:
-        spec = _stage(cc.name, "ldo", LdoSpec, int(cc.ldo["degree"]),
-                      list(cc.ldo["coefficients"]))
-        accuracy = int(cc.ldo.get("accuracy", 2))
-        op = _stage(cc.name, "ldo", assemble_ldo, spec, grid, accuracy)
-        constraints = [(int(i), float(v)) for i, v in cc.ldo.get("constraints", [])]
-        sol = _stage(cc.name, "solve", solve_inverse, op, values, constraints)
+        ldo = cc.ldo
+        op = _stage(cc.name, "ldo", assemble_ldo, ldo.spec, grid, ldo.accuracy)
+        sol = _stage(cc.name, "solve", solve_inverse, op, values, ldo.constraints)
         processed = sol.y
         a_map = _stage(cc.name, "covariance", solution_operator,
-                       op, [i for i, _ in constraints])
-        lam_y = _stage(cc.name, "covariance", propagate_inverse,
-                       a_map, np.eye(grid.n))
+                       op, [i for i, _ in ldo.constraints])
+        lam_y = a_map @ a_map.T  # A Lambda_g A^T with Lambda_g = I
         sigma2, dof = _stage(cc.name, "covariance", estimate_residual_variance,
                              sol.residual, op.rank)
         band = _stage(cc.name, "band", confidence_band,
                       sol.y, lam_y, sigma2, dof, level)
-        result = (sol, band)
-    stream = _stage(cc.name, "quantize", scla.quantize, processed, alphabet, pgrid)
+    stream = _stage(cc.name, "quantize", scla.quantize, processed, cc.alphabet, pgrid)
     tokens = _stage(cc.name, "compress", scla.compress_runs, stream)
-    cr = ChannelResult(cc.name, grid, values, processed, pgrid, stream, tokens)
-    if result is not None:
-        cr.solution, cr.band = result
-    return cr
+    return ChannelResult(cc.name, grid, values, processed, pgrid, stream, tokens,
+                         band, sol)
 
 
 def run_pipeline(config: PipelineConfig, ingested: dict,
@@ -348,10 +414,9 @@ def run_pipeline(config: PipelineConfig, ingested: dict,
     bundle = PipelineBundle(channels)
     combine = [n for n in config.combine if n in channels]
     if len(combine) >= 2:
-        streams = [channels[n].stream for n in combine]
         try:
             bundle.multistream = mcla.align_and_combine(
-                streams, channels=combine)
+                [channels[n].stream for n in combine], channels=combine)
             bundle.histogram = mcla.histogram(bundle.multistream)
         except SiglexError as exc:
             raise PipelineError(",".join(combine), "combine", exc) from exc
@@ -369,23 +434,17 @@ def _write_series_csv(path, grid: Grid, values: np.ndarray) -> None:
             fh.write(f"{j},{grid.time_at(j):.17g},{v:.17g}\n")
 
 
-def _write_histogram_json(path, fd: mcla.FrequencyDict) -> None:
-    obj = dict(sorted(fd.counts.items()))
-    obj["total"] = fd.total
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_derive(bundle: PipelineBundle, config, outdir: Path, args) -> None:
+def _cmd_derive(bundle: PipelineBundle, outdir: Path, args) -> None:
     for name, cr in bundle.channels.items():
         _write_series_csv(outdir / f"{name}.derived.csv", cr.processed_grid,
                           cr.processed)
 
 
-def _cmd_solve(bundle: PipelineBundle, config, outdir: Path, args) -> None:
+def _cmd_solve(bundle: PipelineBundle, outdir: Path, args) -> None:
     for name, cr in bundle.channels.items():
         if cr.band is not None:
             cr.band.to_csv(outdir / f"{name}.band.csv")
@@ -393,33 +452,30 @@ def _cmd_solve(bundle: PipelineBundle, config, outdir: Path, args) -> None:
                               cr.processed_grid, cr.processed)
 
 
-def _cmd_symbolize(bundle: PipelineBundle, config, outdir: Path, args) -> None:
+def _cmd_symbolize(bundle: PipelineBundle, outdir: Path, args) -> None:
     for name, cr in bundle.channels.items():
         scla.tokens_to_csv(cr.tokens, outdir / f"{name}.tokens.csv")
 
 
-def _cmd_combine(bundle: PipelineBundle, config, outdir: Path, args) -> None:
+def _cmd_combine(bundle: PipelineBundle, outdir: Path, args) -> None:
     if bundle.multistream is None:
         raise ConfigError("combine needs a 'combine' list of >= 2 channels")
     scla.tokens_to_csv(mcla.multi_tokens(bundle.multistream),
                        outdir / "combined.tokens.csv")
 
 
-def _cmd_hist(bundle: PipelineBundle, config, outdir: Path, args) -> None:
+def _cmd_hist(bundle: PipelineBundle, outdir: Path, args) -> None:
     if bundle.histogram is None:
         raise ConfigError("hist needs a 'combine' list of >= 2 channels")
-    _write_histogram_json(outdir / "histogram.json", bundle.histogram)
+    (outdir / "histogram.json").write_text(bundle.histogram.to_json(),
+                                           encoding="utf-8")
 
 
-def _cmd_classify(bundle: PipelineBundle, config, outdir: Path, args) -> None:
+def _cmd_classify(bundle: PipelineBundle, outdir: Path, args) -> None:
     if bundle.multistream is None:
         raise ConfigError("classify needs a 'combine' list of >= 2 channels")
-    if not args.references:
+    if args.references is None:
         raise ConfigError("classify needs --references")
-    refs_obj = json.loads(Path(args.references).read_text(encoding="utf-8"))
-    references = {label: mcla.FrequencyDict.from_counts(
-        {k: v for k, v in counts.items() if k != "total"})
-        for label, counts in refs_obj.items()}
     excluded = set(args.exclude.split(",")) if args.exclude else set()
     excluded.discard("")
     total = len(bundle.multistream)
@@ -431,12 +487,12 @@ def _cmd_classify(bundle: PipelineBundle, config, outdir: Path, args) -> None:
         for start in range(0, total, size):
             stop = min(start + size, total)
             fd = mcla.histogram(bundle.multistream, (start, stop))
-            label, score = mcla.classify_operation(fd, references,
+            label, score = mcla.classify_operation(fd, args.references,
                                                    args.measure, excluded)
             fh.write(f"{start},{stop},{label},{score:.17g}\n")
 
 
-def _cmd_match(bundle: PipelineBundle, config, outdir: Path, args) -> None:
+def _cmd_match(bundle: PipelineBundle, outdir: Path, args) -> None:
     wrote = False
     for name, cr in bundle.channels.items():
         if cr.matches is not None:
@@ -471,9 +527,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--channel", default=None, help="process only this channel")
     p.add_argument("--level", type=float, default=None,
-                   help="confidence level override")
+                   help="confidence level override, in (0, 1)")
     p.add_argument("--pattern", default=None, help="symbol pattern override")
-    p.add_argument("--references", default=None,
+    p.add_argument("--references", type=load_references, default=None,
                    help="reference histograms JSON (classify)")
     p.add_argument("--window", type=int, default=None,
                    help="classification window length in samples")
@@ -485,14 +541,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"siglex: usage error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        args = _build_parser().parse_args(argv)
+        if args.level is not None:
+            _check_level(args.level, "--level")
         config = load_config(args.config)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -504,7 +556,7 @@ def main(argv=None) -> int:
         bundle = run_pipeline(config, ingested, level=args.level,
                               pattern_override=args.pattern,
                               channel_filter=args.channel)
-        _COMMANDS[args.command](bundle, config, outdir, args)
+        _COMMANDS[args.command](bundle, outdir, args)
     except ConfigError as exc:
         print(f"siglex: usage error: {exc}", file=sys.stderr)
         return 1

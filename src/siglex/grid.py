@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -51,6 +52,8 @@ class Grid:
         k = np.clip(k, 0, self.n - 1).astype(np.int64)
         return k if k.ndim else int(k)
 
-    def restricted(self, start: int, count: int) -> "Grid":
-        """Sub-grid of `count` samples starting at index `start`."""
-        return Grid(count, self.h, self.time_at(start))
+    def interior(self, w: int) -> Optional["Grid"]:
+        """Sub-grid without the first and last w samples, where a 2w+1-sample
+        stencil fits ("valid" boundary); None if fewer than 2 samples remain."""
+        n = self.n - 2 * w
+        return Grid(n, self.h, self.time_at(w)) if n >= 2 else None

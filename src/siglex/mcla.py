@@ -48,7 +48,6 @@ class MultiStream:
 
 
 def align_and_combine(streams: Sequence[SymbolStream],
-                      grids: Optional[Sequence[Grid]] = None,
                       channels: Optional[Sequence[str]] = None) -> MultiStream:
     """Resample streams onto the coarsest grid (LOCF) and zip them.
 
@@ -59,13 +58,9 @@ def align_and_combine(streams: Sequence[SymbolStream],
     """
     if len(streams) < 2:
         raise EmptyInputError(f"need at least 2 streams, got {len(streams)}")
-    if grids is None:
-        grids = [s.source_grid for s in streams]
+    grids = [s.source_grid for s in streams]
     if any(g is None for g in grids):
         raise EmptyInputError("every stream needs a grid for alignment")
-    if len(grids) != len(streams):
-        raise EmptyInputError(
-            f"{len(streams)} streams but {len(grids)} grids")
     if any(len(s.symbols) != g.n for s, g in zip(streams, grids)):
         raise EmptyInputError("stream length differs from its grid")
     if channels is None:
@@ -124,15 +119,24 @@ class FrequencyDict:
         return cls.from_counts(Counter(samples))
 
     def to_json(self) -> str:
+        """`{"<key>": count, ..., "total": N}`, keys sorted, two-space indent."""
         obj = dict(sorted(self.counts.items()))
         obj["total"] = self.total
-        return json.dumps(obj, sort_keys=False, separators=(", ", ": "))
+        return json.dumps(obj, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "FrequencyDict":
-        obj = json.loads(text)
-        obj.pop("total", None)
-        return cls.from_counts(obj)
+    def from_json_obj(cls, obj) -> "FrequencyDict":
+        """Parse a loaded `to_json` object; "total" is recomputed, not read.
+
+        Raises ValueError unless `obj` maps keys to non-negative integers.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError(f"histogram must be an object, got {type(obj).__name__}")
+        counts = {k: v for k, v in obj.items() if k != "total"}
+        for k, v in counts.items():
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"count of {k!r} is not an integer: {v!r}")
+        return cls.from_counts(counts)
 
 
 def histogram(ms: MultiStream, window: Optional[tuple] = None) -> FrequencyDict:

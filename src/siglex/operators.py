@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, factorial
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -85,6 +85,13 @@ def _stencil(offsets: Sequence[int], degree: int, order: int, h: float) -> np.nd
     return np.array([float(x) for x in exact]) / h ** order
 
 
+def check_order(order: int, accuracy: int) -> None:
+    """Raise OrderExceedsAccuracyError unless 0 <= order <= accuracy."""
+    if order < 0 or accuracy < order:
+        raise OrderExceedsAccuracyError(
+            f"need 0 <= order <= accuracy, got order={order} accuracy={accuracy}")
+
+
 def _half_width(accuracy: int) -> int:
     return 0 if accuracy == 0 else ceil(accuracy / 2)
 
@@ -145,28 +152,6 @@ class DiffOperatorMatrix:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return _banded_apply(self.entries, self.grid.n, self.support, x)
 
-    def to_csv(self, path) -> None:
-        """Row-major dump with a metadata header line `n,order,accuracy,h`."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("n,order,accuracy,h\n")
-            fh.write(f"{self.grid.n},{self.order},{self.accuracy},{self.grid.h:.17g}\n")
-            for row in self.entries:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "DiffOperatorMatrix":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "n,order,accuracy,h":
-                raise ValueError(f"unexpected header {header!r}")
-            n_s, order_s, acc_s, h_s = fh.readline().strip().split(",")
-            n, order, accuracy = int(n_s), int(order_s), int(acc_s)
-            entries = np.array(
-                [[float(v) for v in fh.readline().strip().split(",")] for _ in range(n)]
-            )
-        return cls(order, accuracy, Grid(n, float(h_s)),
-                   entries, _half_width(accuracy))
-
 
 def build_diff_operator(grid: Grid, order: int, accuracy: int) -> DiffOperatorMatrix:
     """Build the discrete derivative matrix D^(order) of the given accuracy.
@@ -186,9 +171,7 @@ def build_diff_operator(grid: Grid, order: int, accuracy: int) -> DiffOperatorMa
     GridTooShortError
         If the grid cannot host a full stencil window (n < 2w+1).
     """
-    if order < 0 or accuracy < order:
-        raise OrderExceedsAccuracyError(
-            f"need 0 <= order <= accuracy, got order={order} accuracy={accuracy}")
+    check_order(order, accuracy)
     w = _half_width(accuracy)
     n = grid.n
     if n < 2 * w + 1 or n <= accuracy:
@@ -214,9 +197,6 @@ def _banded_apply(entries: np.ndarray, n: int, w: int, x: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 # assembled linear differential operators
 # ---------------------------------------------------------------------------
-
-Coefficient = Union[float, int, np.ndarray, Sequence[float]]
-
 
 @dataclass
 class LdoSpec:
@@ -289,13 +269,11 @@ class LdoMatrix:
         return (vt[:r].T / s[:r]) @ u[:, :r].T
 
 
-def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int,
-                 rank_tolerance: Optional[float] = None) -> LdoMatrix:
+def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int) -> LdoMatrix:
     """Assemble L = sum(diag(a_i(t)) @ D^(i)) and compute its null space.
 
-    The numerical rank uses the SVD cutoff
-    ``max(n * eps, rank_tolerance_rel) * s_max`` with a relative default of
-    1e-10; pass `rank_tolerance` to override the relative cutoff.
+    The numerical rank uses the SVD cutoff ``max(n * eps, 1e-10) * s_max``,
+    kept on the result as `rank_tolerance`.
     """
     coeffs = spec.coefficient_values(grid)
     entries = np.zeros((grid.n, grid.n))
@@ -305,17 +283,11 @@ def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int,
         entries += a[:, None] * d.entries
 
     u, s, vt = np.linalg.svd(entries)
-    rel = 1e-10 if rank_tolerance is None else float(rank_tolerance)
-    cutoff = s[0] * max(grid.n * _EPS, rel) if s[0] > 0 else 0.0
+    cutoff = s[0] * max(grid.n * _EPS, 1e-10) if s[0] > 0 else 0.0
     rank = int(np.count_nonzero(s > cutoff))
     null_basis = vt[rank:].T.copy()
     return LdoMatrix(spec, grid, entries, null_basis, rank, accuracy, w,
                      cutoff, _svd=(u, s, vt))
-
-
-def apply_ldo(op: Union[LdoMatrix, DiffOperatorMatrix], x: np.ndarray) -> np.ndarray:
-    """Forward model g = L x (row-banded, deterministic summation order)."""
-    return op.apply(x)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +304,30 @@ class InverseSolution:
     residual: np.ndarray
 
 
+def _constraint_rows(op: LdoMatrix, indices: Sequence[int]) -> tuple[list, np.ndarray]:
+    """Check point-constraint indices; return them and their null-basis rows.
+
+    Exactly `null_dim` distinct indices inside the grid are required, and
+    the null basis restricted to them must be numerically full rank.
+    """
+    k, n = op.null_dim, op.grid.n
+    rows = [int(i) for i in indices]
+    if len(rows) != k:
+        raise ConstraintCountMismatchError(
+            f"operator null space has dimension {k}, got {len(rows)} constraints")
+    if len(set(rows)) != len(rows):
+        raise ConstraintCountMismatchError(f"constraint indices not distinct: {rows}")
+    if any(i < 0 or i >= n for i in rows):
+        raise ConstraintCountMismatchError(f"constraint index out of range: {rows}")
+    nb = op.null_basis[rows, :]
+    if k:
+        sv = np.linalg.svd(nb, compute_uv=False)
+        if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
+            raise SingularConstraintSystemError(
+                f"null-basis rows {rows} are numerically rank deficient")
+    return rows, nb
+
+
 def solve_inverse(op: LdoMatrix, g: np.ndarray,
                   constraints: Sequence[tuple[int, float]]) -> InverseSolution:
     """Solve L y = g with point constraints fixing the null-space modes.
@@ -344,7 +340,8 @@ def solve_inverse(op: LdoMatrix, g: np.ndarray,
     Raises
     ------
     ConstraintCountMismatchError
-        If the number of constraints differs from the null-space dimension.
+        If the number of constraints differs from the null-space dimension,
+        or an index repeats or lies outside the grid.
     SingularConstraintSystemError
         If the constraint rows of the null basis are rank deficient.
     """
@@ -352,32 +349,14 @@ def solve_inverse(op: LdoMatrix, g: np.ndarray,
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (n,):
         raise LengthMismatchError(f"g must have length {n}, got {g.shape}")
-    k = op.null_dim
     constraints = list(constraints)
-    if len(constraints) != k:
-        raise ConstraintCountMismatchError(
-            f"operator null space has dimension {k}, got {len(constraints)} constraints")
-    rows = [int(i) for i, _ in constraints]
+    rows, nb = _constraint_rows(op, [i for i, _ in constraints])
     vals = np.array([float(v) for _, v in constraints])
-    if len(set(rows)) != len(rows):
-        raise ConstraintCountMismatchError(f"constraint indices not distinct: {rows}")
-    if any(i < 0 or i >= n for i in rows):
-        raise ConstraintCountMismatchError(f"constraint index out of range: {rows}")
 
     u, s, vt = op._svd_parts()
     r = op.rank
     y_part = vt[:r].T @ ((u[:, :r].T @ g) / s[:r])
-
-    if k:
-        nb = op.null_basis[rows, :]
-        sv = np.linalg.svd(nb, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
-            raise SingularConstraintSystemError(
-                f"null-basis rows {rows} are numerically rank deficient")
-        alpha = np.linalg.solve(nb, vals - y_part[rows])
-    else:
-        alpha = np.zeros(0)
-
+    alpha = np.linalg.solve(nb, vals - y_part[rows]) if rows else np.zeros(0)
     y = y_part + op.null_basis @ alpha
     residual = op.apply(y) - g
     return InverseSolution(y_part, alpha, y, residual)
@@ -388,21 +367,12 @@ def solution_operator(op: LdoMatrix, constraint_indices: Sequence[int]) -> np.nd
 
     Point constraints make the solved y affine in g; A is the g-dependent
     part, which is what covariance propagation needs.  For k = 0 this is
-    just the pseudo-inverse.
+    just the pseudo-inverse.  The indices are checked as in solve_inverse.
     """
-    k = op.null_dim
-    rows = list(constraint_indices)
-    if len(rows) != k:
-        raise ConstraintCountMismatchError(
-            f"operator null space has dimension {k}, got {len(rows)} constraint indices")
+    rows, nb = _constraint_rows(op, constraint_indices)
     pinv = op.pseudo_inverse()
-    if k == 0:
+    if not rows:
         return pinv
-    nb = op.null_basis[rows, :]
-    sv = np.linalg.svd(nb, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
-        raise SingularConstraintSystemError(
-            f"null-basis rows {rows} are numerically rank deficient")
     proj = op.null_basis @ np.linalg.inv(nb)
     return pinv - proj @ pinv[rows, :]
 
@@ -427,9 +397,7 @@ class LocalKernel:
 
 def extract_local_kernel(order: int, accuracy: int, h: float) -> LocalKernel:
     """Central stencil of build_diff_operator for streaming convolution."""
-    if order < 0 or accuracy < order:
-        raise OrderExceedsAccuracyError(
-            f"need 0 <= order <= accuracy, got order={order} accuracy={accuracy}")
+    check_order(order, accuracy)
     w = _half_width(accuracy)
     weights = _window_stencils(order, accuracy, float(h))[w].copy()
     return LocalKernel(weights, order, accuracy, float(h))

@@ -8,10 +8,13 @@ anchors, classes, or backreferences.
 Matching is leftmost-longest and non-overlapping: the scan finds the
 earliest start with any match, takes the longest match at that start,
 emits it, and resumes at its end.  Zero-length matches are skipped.  The
-production matcher simulates a Thompson automaton over run-length tokens
-(a state-set step per symbol, with whole runs skipped once the state set
-reaches a fixed point), so patterns that blow up a backtracking engine run
-in time linear in the stream.
+production matcher simulates a Thompson automaton over run-length tokens:
+a state-set step per symbol, with the rest of a run skipped once the state
+set reaches a fixed point, so no pattern backtracks exponentially.  It is
+not linear in the stream: the scan restarts after each match and may read
+to the end of the stream before a match resolves (``s|s.*u`` over
+``sdsd...`` is quadratic), and while no match is pending fresh threads are
+injected at every sample, so runs are stepped sample by sample.
 """
 
 from __future__ import annotations
@@ -22,11 +25,10 @@ from typing import Optional, Sequence, Union
 
 from .errors import (
     AlphabetMismatchError,
-    MalformedTokensError,
     PatternSyntaxError,
     UnknownSymbolError,
 )
-from .scla import Alphabet, SymbolStream, Token, compress_runs
+from .scla import Alphabet, SymbolStream, Token, compress_runs, validate_tokens
 
 _META = set("|()*+?{}.")
 
@@ -323,22 +325,6 @@ def _scan(pattern: SymbolPattern, runs: Sequence[Token], run_starts,
     return None
 
 
-def _validate_tokens(tokens: Sequence[Token]) -> int:
-    pos = 0
-    prev = None
-    for t in tokens:
-        if t.run_length < 1:
-            raise MalformedTokensError(f"run_length must be >= 1: {t}")
-        if t.start_index != pos:
-            raise MalformedTokensError(
-                f"token {t} starts at {t.start_index}, expected {pos}")
-        if prev is not None and t.symbol == prev:
-            raise MalformedTokensError(f"adjacent tokens share symbol {t.symbol!r}")
-        prev = t.symbol
-        pos += t.run_length
-    return pos
-
-
 def _find_all_runs(pattern: SymbolPattern, runs: Sequence[Token],
                    total: int) -> list[Match]:
     run_starts = [t.start_index for t in runs]
@@ -370,7 +356,7 @@ def find_all(pattern: SymbolPattern, stream: Union[SymbolStream, str]) -> list[M
 
 def find_all_tokens(pattern: SymbolPattern, tokens: Sequence[Token]) -> list[Match]:
     """Same result as find_all on the decompressed stream, run-aware."""
-    total = _validate_tokens(tokens)
+    total = validate_tokens(tokens)
     return _find_all_runs(pattern, tokens, total)
 
 

@@ -67,13 +67,9 @@ class Alphabet:
         if self.catch_all is not None and (
                 not isinstance(self.catch_all, str) or len(self.catch_all) != 1):
             raise AlphabetError("catch_all must be a single character")
-        if self.valid_range is not None:
-            lo, hi = self.valid_range
-            if not lo < hi:
-                raise AlphabetError(f"valid_range must satisfy lo < hi, got {self.valid_range}")
-
-    def symbol_for(self, value: float) -> str:
-        return quantize([value], self).symbols[0]
+        rng = self.valid_range
+        if rng is not None and not (len(rng) == 2 and rng[0] < rng[1]):
+            raise AlphabetError(f"valid_range must be (lo, hi) with lo < hi, got {rng}")
 
 
 def usd_alphabet(epsilon: float, nan_policy: str = "reject") -> Alphabet:
@@ -146,12 +142,14 @@ def compress_runs(stream: Union[SymbolStream, str, Sequence[str]]) -> list[Token
     return tokens
 
 
-def decompress(tokens: Sequence[Token],
-               alphabet: Optional[Alphabet] = None) -> SymbolStream:
-    """Exact inverse of compress_runs; validates the token invariants."""
+def validate_tokens(tokens: Sequence[Token]) -> int:
+    """Check the run-length invariants; returns the decompressed length.
+
+    Runs are at least 1 long, each starts where the previous one ended
+    (the first at 0), and adjacent runs carry distinct symbols.
+    """
     pos = 0
     prev = None
-    parts = []
     for t in tokens:
         if t.run_length < 1:
             raise MalformedTokensError(f"run_length must be >= 1: {t}")
@@ -160,32 +158,31 @@ def decompress(tokens: Sequence[Token],
                 f"token {t} starts at {t.start_index}, expected {pos}")
         if prev is not None and t.symbol == prev:
             raise MalformedTokensError(f"adjacent tokens share symbol {t.symbol!r}")
-        parts.append(t.symbol * t.run_length)
         prev = t.symbol
         pos += t.run_length
-    return SymbolStream("".join(parts), alphabet)
+    return pos
+
+
+def decompress(tokens: Sequence[Token]) -> SymbolStream:
+    """Exact inverse of compress_runs; validates the token invariants."""
+    validate_tokens(tokens)
+    return SymbolStream("".join(t.symbol * t.run_length for t in tokens), None)
 
 
 def run_scla(raw, kernel: Optional[LocalKernel], alphabet: Alphabet,
-             grid: Optional[Grid] = None, boundary: str = "valid") -> list[Token]:
+             grid: Optional[Grid] = None) -> list[Token]:
     """Full single-channel pipeline: kernel (optional) -> quantize -> compress.
 
-    With a kernel and boundary="valid" the output covers the interior
-    samples only; the returned tokens index into that trimmed sequence.
+    With a kernel the output covers the interior samples only (boundary
+    "valid"); the returned tokens index into that trimmed sequence.
     """
     if kernel is None:
         values = np.asarray(raw, dtype=np.float64)
-        out_grid = grid
     else:
-        values = apply_streaming(kernel, raw, boundary=boundary)
-        out_grid = grid
-        if grid is not None and boundary == "valid":
-            w = kernel.half_width
-            if grid.n - 2 * w >= 2:
-                out_grid = grid.restricted(w, grid.n - 2 * w)
-            else:
-                out_grid = None
-    return compress_runs(quantize(values, alphabet, out_grid))
+        values = apply_streaming(kernel, raw)
+        if grid is not None:
+            grid = grid.interior(kernel.half_width)
+    return compress_runs(quantize(values, alphabet, grid))
 
 
 def tokens_to_csv(tokens: Sequence[Token], path) -> None:
@@ -194,17 +191,3 @@ def tokens_to_csv(tokens: Sequence[Token], path) -> None:
         for t in tokens:
             fh.write(f"{t.symbol},{t.run_length},{t.start_index}\n")
 
-
-def tokens_from_csv(path) -> list[Token]:
-    tokens = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "symbol,runLength,startIndex":
-            raise MalformedTokensError(f"unexpected header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            sym, ln, start = line.split(",")
-            tokens.append(Token(sym, int(ln), int(start)))
-    return tokens

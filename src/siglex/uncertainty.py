@@ -1,17 +1,17 @@
 """Covariance propagation, residual statistics, and Student-t bands.
 
-Covariance flows through a linear map M as M @ Lambda @ M.T; the forward
-direction uses the operator itself, the inverse direction its pseudo-inverse
-(or any constrained solution map).  Bands are pointwise: center +/- t * sqrt
-of the scaled diagonal.  The t-quantile is computed without external
-dependencies by bisecting the regularized incomplete beta CDF.
+Covariance flows through a linear map M as M @ Lambda @ M.T; one function
+serves both directions: M is the operator itself for the forward direction,
+its pseudo-inverse (or any constrained solution map) for the inverse one.
+Bands are pointwise: center +/- t * sqrt of the scaled diagonal.  The
+t-quantile is computed without external dependencies by bisecting the
+regularized incomplete beta CDF.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,18 +39,22 @@ def _as_matrix(m) -> np.ndarray:
     return m
 
 
-def _check_symmetric(lam: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _check_symmetric(lam: np.ndarray) -> np.ndarray:
     if lam.shape[0] != lam.shape[1]:
         raise DimensionMismatchError(f"covariance must be square, got {lam.shape}")
     scale = np.abs(lam).max()
-    if scale > 0 and np.abs(lam - lam.T).max() > tol * scale:
+    if scale > 0 and np.abs(lam - lam.T).max() > 1e-8 * scale:
         raise NotSymmetricError(
-            f"asymmetry {np.abs(lam - lam.T).max():.3e} exceeds {tol:.0e} relative")
+            f"asymmetry {np.abs(lam - lam.T).max():.3e} exceeds 1e-08 relative")
     return lam
 
 
 def propagate_forward(L, lambda_x) -> np.ndarray:
-    """Lambda_y = L Lambda_x L^T, symmetrized as (M + M^T)/2."""
+    """Lambda_y = L Lambda_x L^T, symmetrized as (M + M^T)/2.
+
+    For the inverse direction pass the pseudo-inverse or a solution map
+    (see `solution_operator`) as L.
+    """
     L = _as_matrix(L)
     lam = _check_symmetric(_as_matrix(lambda_x))
     if L.shape[1] != lam.shape[0]:
@@ -58,27 +62,6 @@ def propagate_forward(L, lambda_x) -> np.ndarray:
             f"cannot propagate {lam.shape} through {L.shape}")
     out = L @ lam @ L.T
     return 0.5 * (out + out.T)
-
-
-def propagate_inverse(L_pinv, lambda_g) -> np.ndarray:
-    """Lambda_y = L+ Lambda_g (L+)^T for the pseudo-inverse (or any solution map)."""
-    return propagate_forward(L_pinv, lambda_g)
-
-
-@dataclass
-class CovarianceModel:
-    """Input covariance, its propagated image, and residual statistics."""
-
-    lambda_in: np.ndarray
-    lambda_out: np.ndarray
-    dof: int
-    sigma2: float
-
-    def __post_init__(self):
-        _check_symmetric(np.asarray(self.lambda_in), tol=1e-12)
-        _check_symmetric(np.asarray(self.lambda_out), tol=1e-12)
-        if self.sigma2 is not None and self.dof < 1:
-            raise InsufficientDofError("dof must be >= 1 when sigma2 is set")
 
 
 def estimate_residual_variance(residual: np.ndarray, rank: int) -> tuple[float, int]:
@@ -210,11 +193,11 @@ class ConfidenceBand:
     def upper(self) -> np.ndarray:
         return self.center + self.half_width
 
-    def to_csv(self, path, start_index: int = 0) -> None:
+    def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("index,center,lower,upper\n")
             for j, (c, lo, up) in enumerate(zip(self.center, self.lower, self.upper)):
-                fh.write(f"{start_index + j},{c:.17g},{lo:.17g},{up:.17g}\n")
+                fh.write(f"{j},{c:.17g},{lo:.17g},{up:.17g}\n")
 
 
 def confidence_band(y: np.ndarray, lambda_y: np.ndarray, sigma2: float,
@@ -241,21 +224,24 @@ def confidence_band(y: np.ndarray, lambda_y: np.ndarray, sigma2: float,
     return ConfidenceBand(y.copy(), t * np.sqrt(sigma2 * diag), level)
 
 
+# share of the solution's samples the prediction fit uses, and the longest
+# horizon it may extrapolate, in tail windows
+_TAIL_FRACTION = 0.25
+_MAX_HORIZON_FACTOR = 10
+
+
 def prediction_band(solution: InverseSolution, op: LdoMatrix,
-                    lambda_g: Optional[np.ndarray] = None,
-                    horizon: int = 1, level: float = 0.95,
-                    tail_fraction: float = 0.25,
-                    max_horizon_factor: int = 10) -> ConfidenceBand:
+                    horizon: int = 1, level: float = 0.95) -> ConfidenceBand:
     """Extrapolate the solution `horizon` steps and band the prediction.
 
     The null-space modes of the operator rebuilt on the extended grid are
-    least-squares fitted to the tail window of the solution (default: last
-    25% of samples) and evaluated on the future points.  The half width is
-    the Student-t quantile times the prediction standard error of that fit,
-    observation noise included, and is made non-decreasing in the horizon
-    index.  Noise variance comes from the tail-fit residuals; `lambda_g` is
-    validated for shape when given but the fit itself is ordinary least
-    squares.
+    ordinary-least-squares fitted to the tail window of the solution (the
+    last `_TAIL_FRACTION` of samples) and evaluated on the future points.
+    The half width is the Student-t quantile times the prediction standard
+    error of that fit, observation noise included, and is made
+    non-decreasing in the horizon index.  Noise variance comes from the
+    tail-fit residuals.  The horizon may not exceed `_MAX_HORIZON_FACTOR`
+    tail windows.
 
     Requires a spec with constant coefficients (value vectors cannot be
     extended past the grid).
@@ -265,22 +251,17 @@ def prediction_band(solution: InverseSolution, op: LdoMatrix,
     if not 0.0 < level < 1.0:
         raise InvalidProbabilityError(f"level must be in (0, 1), got {level}")
     n = op.grid.n
-    if lambda_g is not None:
-        lam = _check_symmetric(_as_matrix(lambda_g))
-        if lam.shape[0] != n:
-            raise DimensionMismatchError(
-                f"lambda_g is {lam.shape}, grid has n={n}")
     for i, c in enumerate(op.spec.coefficients):
         if np.asarray(c).ndim != 0:
             raise ValueError(
                 f"prediction needs constant coefficients, coefficient {i} is a vector")
 
     k = op.null_dim
-    m = max(int(round(tail_fraction * n)), k + 1, 2)
+    m = max(int(round(_TAIL_FRACTION * n)), k + 1, 2)
     m = min(m, n)
-    if horizon > max_horizon_factor * m:
+    if horizon > _MAX_HORIZON_FACTOR * m:
         raise HorizonTooLargeError(
-            f"horizon {horizon} exceeds {max_horizon_factor} x tail window ({m})")
+            f"horizon {horizon} exceeds {_MAX_HORIZON_FACTOR} x tail window ({m})")
 
     ext_grid = Grid(n + horizon, op.grid.h, op.grid.t0)
     ext = assemble_ldo(op.spec, ext_grid, op.accuracy)

@@ -20,7 +20,6 @@ from siglex import (
     LdoSpec,
     Match,
     Token,
-    apply_ldo,
     apply_streaming,
     assemble_ldo,
     build_diff_operator,
@@ -35,7 +34,7 @@ from siglex import (
     frequency_dictionary,
     histogram,
     prediction_band,
-    propagate_inverse,
+    propagate_forward,
     quantize,
     solution_operator,
     solve_inverse,
@@ -144,7 +143,7 @@ def test_criterion_4_covariance_monte_carlo():
     op = assemble_ldo(LdoSpec(1, [0.0, 1.0]), grid, 2)
     pinv = op.pseudo_inverse()
     sigma = 0.25
-    lam = propagate_inverse(pinv, sigma ** 2 * np.eye(101))
+    lam = propagate_forward(pinv, sigma ** 2 * np.eye(101))
     noise = sigma * rng.standard_normal((20000, 101))
     samples = noise @ pinv.T
     sample_var = samples.var(axis=0, ddof=1)
@@ -168,9 +167,9 @@ def test_criterion_5_band_coverage():
     op = assemble_ldo(LdoSpec(1, [0.0, 1.0]), grid, 2)
     t = grid.times()
     y_true = 0.5 + 2.0 * t
-    g_true = apply_ldo(op, y_true)
+    g_true = op.apply(y_true)
     a_map = solution_operator(op, [0])
-    lam_unit = propagate_inverse(a_map, np.eye(101))
+    lam_unit = propagate_forward(a_map, np.eye(101))
     sigma = 0.2
     j_star = 50
     hits = 0
@@ -195,7 +194,7 @@ def test_criterion_5_band_coverage():
     hits2 = 0
     for _ in range(trials):
         y = trend + sigma2 * rng.standard_normal(80)
-        sol = solve_inverse(op2, apply_ldo(op2, y), [(0, y[0]), (79, y[79])])
+        sol = solve_inverse(op2, op2.apply(y), [(0, y[0]), (79, y[79])])
         band = prediction_band(sol, op2, horizon=5, level=0.95)
         future_obs = (1.0 + 0.3 * t_future[4]) + sigma2 * rng.standard_normal()
         if abs(future_obs - band.center[4]) <= band.half_width[4]:

@@ -1,14 +1,18 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import siglex
+from siglex import usd_alphabet
 from siglex.cli import (
+    OperatorConfig,
     PipelineConfig,
-    dump_config,
     ingest_csv,
     load_config,
     main,
@@ -20,6 +24,8 @@ from siglex.errors import (
     NonMonotoneTimeError,
     NonUniformGridError,
 )
+
+SRC = str(Path(siglex.__file__).resolve().parents[1])
 
 
 def write(path, text):
@@ -110,12 +116,14 @@ def test_ingest_generator_round_trip(tmp_path):
 # config
 # ---------------------------------------------------------------------------
 
-def test_config_round_trip_idempotent(tmp_path):
+def test_config_parses_typed_fields(tmp_path):
     path = write(tmp_path / "c.json", json.dumps(TWO_CHANNEL_CONFIG))
     cfg = load_config(path)
-    dumped = dump_config(cfg)
-    cfg2 = PipelineConfig.from_json_obj(json.loads(dumped))
-    assert dump_config(cfg2) == dumped
+    assert cfg == PipelineConfig.from_json_obj(TWO_CHANNEL_CONFIG)
+    ramp = cfg.channels[0]
+    assert ramp.alphabet == usd_alphabet(0.5)
+    assert ramp.operator == OperatorConfig(1, 2) and ramp.ldo is None
+    assert (cfg.combine, cfg.time_column, cfg.band_level) == (["ramp", "flat"], "t", 0.95)
 
 
 def test_config_rejects_operator_and_ldo(tmp_path):
@@ -290,7 +298,9 @@ def test_cli_subprocess_hash_seed_independence(tmp_path):
     blobs = []
     for seed in ("1", "271828"):
         out = tmp_path / f"seed{seed}"
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        # the child imports the same siglex as this process, installed or not
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         res = subprocess.run(
             [sys.executable, "-m", "siglex.cli", "hist", "--config", str(cfg),
              "--input", str(data), "--out", str(out)],
@@ -310,6 +320,10 @@ def test_cli_exit_codes(tmp_path):
     # usage: unknown channel filter
     assert main(["symbolize", "--config", str(cfg), "--input", str(data),
                  "--out", str(tmp_path / "e2"), "--channel", "nope"]) == 1
+    # usage: band level override outside (0, 1), even with no ldo channel
+    for level in ("1.5", "0", "x"):
+        assert main(["symbolize", "--config", str(cfg), "--input", str(data),
+                     "--out", str(tmp_path / "e5"), "--level", level]) == 1
     # data: non-monotone timestamps
     bad = write(tmp_path / "bad.csv", "t,a,b\n0,1,1\n2,2,2\n1,3,3\n")
     assert main(["symbolize", "--config", str(cfg), "--input", str(bad),
@@ -337,3 +351,159 @@ def test_cli_error_names_channel_and_stage(tmp_path, capsys):
           "--out", str(tmp_path / "e")])
     err = capsys.readouterr().err
     assert "pos" in err and "solve" in err
+
+
+# ---------------------------------------------------------------------------
+# corrupted inputs: exit 1 or 2 with one stderr line, never a traceback
+# ---------------------------------------------------------------------------
+
+MUTATION_CONFIG = {
+    "time_column": "t",
+    "channels": [
+        {"name": "ramp", "csv_column": "a",
+         "alphabet": {"kind": "usd", "epsilon": 0.5},
+         "operator": {"order": 1, "accuracy": 2}, "pattern": "u+"},
+        {"name": "level", "csv_column": "b",
+         "alphabet": {"symbols": "lmh", "boundaries": [1.0, 3.0], "nan": "gap",
+                      "range": [-10.0, 10.0], "catch_all": "x"}},
+        {"name": "pos", "csv_column": "a",
+         "alphabet": {"kind": "usd", "epsilon": 0.05},
+         "ldo": {"degree": 1, "coefficients": [0.0, 1.0], "accuracy": 2,
+                 "constraints": [[0, 0.0]]}},
+    ],
+    "combine": ["ramp", "level"],
+    "band": {"level": 0.95},
+}
+MUTATION_REFERENCES = {"moving": {"um": 10, "total": 10}, "idle": {"sm": 4, "um": 1}}
+
+# (path into the config, required key, out-of-range values); every site is
+# also given a value of the wrong JSON type.  Constraint indices keep their
+# value: a bad index is found only after assembly and exits 3, as
+# test_cli_exit_codes pins for a constraint count mismatch.
+CONFIG_SITES = [
+    (("channels",), True, []),
+    (("channels", 0), False, []),
+    (("channels", 0, "name"), True, []),
+    (("channels", 0, "csv_column"), True, []),
+    (("channels", 0, "alphabet"), True, []),
+    (("channels", 0, "alphabet", "epsilon"), True, [0.0, -0.5, float("nan")]),
+    (("channels", 0, "operator"), False, []),
+    (("channels", 0, "operator", "order"), True, [-1, 3]),
+    (("channels", 0, "operator", "accuracy"), True, [0, -2]),
+    (("channels", 0, "pattern"), False, []),
+    (("channels", 1, "alphabet", "symbols"), True, ["lm", "lmhh"]),
+    (("channels", 1, "alphabet", "boundaries"), True, [[3.0, 1.0], [1.0]]),
+    (("channels", 1, "alphabet", "nan"), False, []),
+    (("channels", 1, "alphabet", "range"), False, [[10.0, -10.0], [0.0]]),
+    (("channels", 1, "alphabet", "catch_all"), False, []),
+    (("channels", 2, "ldo"), False, []),
+    (("channels", 2, "ldo", "degree"), True, [-1, 3]),
+    (("channels", 2, "ldo", "coefficients"), True, [[0.0, 0.0], [1.0]]),
+    (("channels", 2, "ldo", "coefficients", 1), False, []),
+    (("channels", 2, "ldo", "accuracy"), False, [0, -1]),
+    (("channels", 2, "ldo", "constraints"), False, []),
+    (("channels", 2, "ldo", "constraints", 0), False, []),
+    (("channels", 2, "ldo", "constraints", 0, 0), False, []),
+    (("channels", 2, "ldo", "constraints", 0, 1), False, []),
+    (("combine",), False, []),
+    (("band",), False, []),
+    (("band", "level"), False, [0.0, 1.0, 1.5, -0.25]),
+    (("time_column",), False, []),
+]
+
+
+def _wrong_types(value) -> list:
+    if isinstance(value, str):
+        return [5, {"x": 1}, ["x", 1]]
+    if isinstance(value, int):
+        return [1.5, "1", True, [1]]
+    if isinstance(value, float):
+        return ["x", [0.5], True, {}]
+    if isinstance(value, list):
+        return ["x", 5, {"x": 1}]
+    return [5, "x", [1]]
+
+
+def _config_mutations(rng) -> list:
+    out = []
+    for path, required, out_of_range in CONFIG_SITES:
+        node = MUTATION_CONFIG
+        for key in path:
+            node = node[key]
+        values = [rng.choice(_wrong_types(node))]
+        if out_of_range:
+            values.append(rng.choice(out_of_range))
+        for value in values:
+            out.append((f"{path} = {value!r}", path, value))
+        if required:
+            out.append((f"drop {path}", path, None))
+    return out
+
+
+def _mutated_config(path, value) -> dict:
+    cfg = json.loads(json.dumps(MUTATION_CONFIG))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+def _csv_mutations(rng, text: str) -> list:
+    header, *rows = text.splitlines()
+    out = []
+    for _ in range(3):
+        j = rng.randrange(len(rows))
+        cut = rows[:j] + [rows[j][:rows[j].rindex(",")]] + rows[j + 1:]
+        out.append((f"truncated row {j}", [header] + cut))
+        j, col = rng.randrange(len(rows)), rng.randrange(3)
+        cells = rows[j].split(",")
+        cells[col] = rng.choice(["abc", "1.2.3", "--"])
+        out.append((f"bad cell {j},{col}", [header] + rows[:j] + [",".join(cells)]
+                    + rows[j + 1:]))
+    out.append(("header without column b", ["t,a"] + [r[:r.rindex(",")] for r in rows]))
+    return [(desc, "\n".join(lines) + "\n") for desc, lines in out]
+
+
+def _references_mutations(rng) -> list:
+    text = json.dumps(MUTATION_REFERENCES)
+    label = rng.choice(sorted(MUTATION_REFERENCES))
+    key = rng.choice(sorted(MUTATION_REFERENCES[label]))
+    out = [("truncated JSON", text[:rng.randrange(1, len(text) - 1)]),
+           ("top-level list", json.dumps(list(MUTATION_REFERENCES.items()))),
+           ("histogram is a list", json.dumps({label: [1, 2]}))]
+    for value in (-rng.randint(1, 9), str(rng.randint(1, 9)), 2.5, None):
+        refs = json.loads(text)
+        refs[label][key] = value
+        out.append((f"{label}.{key} = {value!r}", json.dumps(refs)))
+    return out
+
+
+def test_cli_rejects_corrupted_inputs(tmp_path, capsys):
+    rng = random.Random(20240611)
+    csv_text = ramp_csv_text()
+    refs_text = json.dumps(MUTATION_REFERENCES)
+    cases = [(desc, _mutated_config(path, value), csv_text, refs_text)
+             for desc, path, value in _config_mutations(rng)]
+    cases += [(desc, MUTATION_CONFIG, text, refs_text)
+              for desc, text in _csv_mutations(rng, csv_text)]
+    cases += [(desc, MUTATION_CONFIG, csv_text, text)
+              for desc, text in _references_mutations(rng)]
+
+    def run(config, csv_body, refs_body):
+        cfg = write(tmp_path / "config.json", json.dumps(config))
+        data = write(tmp_path / "data.csv", csv_body)
+        refs = write(tmp_path / "refs.json", refs_body)
+        code = main(["classify", "--config", str(cfg), "--input", str(data),
+                     "--out", str(tmp_path / "out"), "--references", str(refs),
+                     "--window", "11"])
+        return code, capsys.readouterr().err
+
+    assert run(MUTATION_CONFIG, csv_text, refs_text) == (0, "")
+    for desc, config, csv_body, refs_body in cases:
+        code, err = run(config, csv_body, refs_body)
+        assert code in (1, 2), (desc, code, err)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, (desc, err)

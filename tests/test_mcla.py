@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -216,9 +217,12 @@ def test_exclude_symbols():
 
 def test_frequency_dict_json_round_trip():
     fd = FrequencyDict.from_counts({"ud": 2, "ss": 5})
-    back = FrequencyDict.from_json(fd.to_json())
+    back = FrequencyDict.from_json_obj(json.loads(fd.to_json()))
     assert back == fd
     assert '"total": 7' in fd.to_json()
+    for bad in ([["ud", 2]], {"ud": -1}, {"ud": "2"}, {"ud": 1.5}, {"ud": True}):
+        with pytest.raises(ValueError):
+            FrequencyDict.from_json_obj(bad)
 
 
 def test_frequency_dictionary_json():

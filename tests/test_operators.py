@@ -7,11 +7,11 @@ from siglex import (
     Grid,
     LdoSpec,
     StreamingKernel,
-    apply_ldo,
     apply_streaming,
     assemble_ldo,
     build_diff_operator,
     extract_local_kernel,
+    solution_operator,
     solve_inverse,
 )
 from siglex.errors import (
@@ -23,7 +23,6 @@ from siglex.errors import (
     OrderExceedsAccuracyError,
     SingularConstraintSystemError,
 )
-from siglex.operators import DiffOperatorMatrix
 
 from loop_oracles import (
     apply_streaming_loop,
@@ -137,21 +136,6 @@ def test_build_errors():
         build_diff_operator(Grid(6, 1.0), 2, 6)
 
 
-def test_csv_round_trip(tmp_path):
-    # the layout carries n/order/accuracy/h only; entries are origin-free
-    d = build_diff_operator(Grid(12, 0.125, t0=3.0), 2, 4)
-    path = tmp_path / "d2.csv"
-    d.to_csv(path)
-    back = DiffOperatorMatrix.from_csv(path)
-    assert back.order == 2 and back.accuracy == 4
-    assert (back.grid.n, back.grid.h) == (d.grid.n, d.grid.h)
-    assert np.array_equal(back.entries, d.entries)
-
-
-# ---------------------------------------------------------------------------
-# local kernels
-# ---------------------------------------------------------------------------
-
 def test_central_difference_kernel():
     k = extract_local_kernel(1, 2, 1.0)
     assert np.allclose(k.weights, [-0.5, 0.0, 0.5], atol=0)
@@ -241,21 +225,21 @@ def test_spec_validation():
 
 def test_apply_identity():
     op = assemble_ldo(LdoSpec(0, [1.0]), Grid(3, 1.0), 0)
-    assert np.array_equal(apply_ldo(op, [3.0, 1.0, 4.0]), [3.0, 1.0, 4.0])
+    assert np.array_equal(op.apply([3.0, 1.0, 4.0]), [3.0, 1.0, 4.0])
 
 
 def test_apply_first_derivative_quadratic():
     grid = Grid(5, 1.0)
     d = build_diff_operator(grid, 1, 2)
     t = grid.times()
-    assert np.allclose(apply_ldo(d, t ** 2), [0.0, 2.0, 4.0, 6.0, 8.0], atol=1e-12)
+    assert np.allclose(d.apply(t ** 2), [0.0, 2.0, 4.0, 6.0, 8.0], atol=1e-12)
 
 
 def test_apply_decaying_exponential():
     grid = Grid(2001, 0.001)
     op = assemble_ldo(LdoSpec(1, [2.0, 1.0]), grid, 2)
     y = np.exp(-2.0 * grid.times())
-    assert np.abs(apply_ldo(op, y)).max() <= 1e-4
+    assert np.abs(op.apply(y)).max() <= 1e-4
 
 
 def test_apply_linearity():
@@ -265,15 +249,15 @@ def test_apply_linearity():
     op = assemble_ldo(LdoSpec(1, [np.cos(t), 1.0]), grid, 2)
     x1, x2 = rng.standard_normal(30), rng.standard_normal(30)
     a, b = 1.7, -0.4
-    lhs = apply_ldo(op, a * x1 + b * x2)
-    rhs = a * apply_ldo(op, x1) + b * apply_ldo(op, x2)
+    lhs = op.apply(a * x1 + b * x2)
+    rhs = a * op.apply(x1) + b * op.apply(x2)
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1.0)
 
 
 def test_apply_length_check():
     d = build_diff_operator(Grid(10, 1.0), 1, 2)
     with pytest.raises(LengthMismatchError):
-        apply_ldo(d, np.zeros(9))
+        d.apply(np.zeros(9))
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +323,11 @@ def test_constraint_count_mismatch():
         solve_inverse(op, np.ones(20), [(0, 0.0), (1, 1.0)])
     with pytest.raises(ConstraintCountMismatchError):
         solve_inverse(op, np.ones(20), [(25, 0.0)])
+    with pytest.raises(ConstraintCountMismatchError):
+        solve_inverse(op, np.ones(20), [(-1, 0.0)])
+    for rows in ([], [0, 1], [-1], [20]):
+        with pytest.raises(ConstraintCountMismatchError):
+            solution_operator(op, rows)
 
 
 def test_singular_constraint_system():

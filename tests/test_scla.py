@@ -20,7 +20,7 @@ from siglex.errors import (
     NonpositiveEpsilonError,
     OutOfRangeError,
 )
-from siglex.scla import tokens_from_csv, tokens_to_csv
+from siglex.scla import tokens_to_csv
 
 
 # ---------------------------------------------------------------------------
@@ -29,10 +29,8 @@ from siglex.scla import tokens_from_csv, tokens_to_csv
 
 def test_usd_mapping():
     a = usd_alphabet(0.1)
-    assert a.symbol_for(-0.5) == "d"
-    assert a.symbol_for(0.0) == "s"
-    assert a.symbol_for(0.1) == "u"  # boundary belongs upward
-    assert a.symbol_for(-0.1) == "s"
+    # the 0.1 boundary belongs upward, -0.1 to the stationary interval
+    assert quantize([-0.5, 0.0, 0.1, -0.1], a).symbols == "dsus"
 
 
 def test_usd_epsilon_validation():
@@ -188,8 +186,9 @@ def test_tokens_csv_round_trip(tmp_path):
     toks = compress_runs("uuddss")
     path = tmp_path / "tokens.csv"
     tokens_to_csv(toks, path)
-    assert path.read_text().splitlines()[0] == "symbol,runLength,startIndex"
-    assert tokens_from_csv(path) == toks
+    header, *rows = path.read_text().splitlines()
+    assert header == "symbol,runLength,startIndex"
+    assert [Token(s, int(n), int(i)) for s, n, i in (r.split(",") for r in rows)] == toks
 
 
 # ---------------------------------------------------------------------------

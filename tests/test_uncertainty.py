@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from siglex import (
-    CovarianceModel,
     Grid,
     LdoSpec,
-    apply_ldo,
     assemble_ldo,
     build_diff_operator,
     confidence_band,
     estimate_residual_variance,
     prediction_band,
     propagate_forward,
-    propagate_inverse,
     solution_operator,
     solve_inverse,
     student_t_cdf,
@@ -91,7 +88,7 @@ def test_propagate_inverse_diagonal():
     d = np.array([1.0, 2.0, 4.0, 0.5])
     op = assemble_ldo(LdoSpec(0, [d]), Grid(4, 1.0), 0)
     sigma2 = 2.25
-    lam = propagate_inverse(op.pseudo_inverse(), sigma2 * np.eye(4))
+    lam = propagate_forward(op.pseudo_inverse(), sigma2 * np.eye(4))
     assert np.allclose(np.diag(lam), sigma2 / d ** 2, atol=1e-12)
 
 
@@ -101,20 +98,13 @@ def test_propagate_inverse_monte_carlo_constrained():
     op = assemble_ldo(LdoSpec(1, [0.0, 1.0]), grid, 2)
     a_map = solution_operator(op, [0])
     sigma = 0.3
-    lam = propagate_inverse(a_map, sigma ** 2 * np.eye(101))
+    lam = propagate_forward(a_map, sigma ** 2 * np.eye(101))
     noise = sigma * rng.standard_normal((20000, 101))
     prop = noise @ a_map.T
     sample_var = prop.var(axis=0, ddof=1)
     diag = np.diag(lam)
     keep = diag > 1e-3 * diag.max()  # constrained point has ~zero variance
     assert np.abs(sample_var[keep] / diag[keep] - 1.0).max() < 0.10
-
-
-def test_covariance_model_validation():
-    with pytest.raises(InsufficientDofError):
-        CovarianceModel(np.eye(3), np.eye(3), dof=0, sigma2=1.0)
-    m = CovarianceModel(np.eye(3), 2 * np.eye(3), dof=2, sigma2=0.5)
-    assert m.dof == 2
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +224,7 @@ def test_prediction_noiseless_line():
     op = assemble_ldo(LdoSpec(2, [0.0, 0.0, 1.0]), grid, 2)
     t = grid.times()
     y = 2.0 * t + 1.0
-    sol = solve_inverse(op, apply_ldo(op, y), [(0, y[0]), (59, y[59])])
+    sol = solve_inverse(op, op.apply(y), [(0, y[0]), (59, y[59])])
     band = prediction_band(sol, op, horizon=10, level=0.95)
     t_future = grid.t0 + grid.h * np.arange(60, 70)
     assert np.abs(band.center - (2.0 * t_future + 1.0)).max() <= 1e-7
@@ -247,7 +237,7 @@ def test_prediction_constant_plus_noise():
     op = assemble_ldo(LdoSpec(1, [0.0, 1.0]), grid, 2)
     sigma = 0.5
     y = 3.0 + sigma * rng.standard_normal(200)
-    sol = solve_inverse(op, apply_ldo(op, y), [(0, y[0])])
+    sol = solve_inverse(op, op.apply(y), [(0, y[0])])
     band = prediction_band(sol, op, horizon=4, level=0.95)
     window = 50  # last 25% of samples
     assert np.abs(band.center - 3.0).max() <= 3.0 * sigma / np.sqrt(window)
@@ -260,7 +250,7 @@ def test_prediction_halfwidth_monotone():
     op = assemble_ldo(LdoSpec(2, [0.0, 0.0, 1.0]), grid, 2)
     t = grid.times()
     y = 0.3 * t + rng.standard_normal(80)
-    sol = solve_inverse(op, apply_ldo(op, y), [(0, y[0]), (79, y[79])])
+    sol = solve_inverse(op, op.apply(y), [(0, y[0]), (79, y[79])])
     band = prediction_band(sol, op, horizon=20, level=0.9)
     assert np.all(np.diff(band.half_width) >= 0)
 
