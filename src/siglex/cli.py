@@ -36,7 +36,9 @@ from .errors import (
     AlphabetError,
     AlphabetMismatchError,
     ConfigError,
+    ConstraintIndexError,
     EmptyInputError,
+    GridTooShortError,
     InvalidWindowError,
     MalformedCsvError,
     MalformedTokensError,
@@ -73,6 +75,7 @@ _DATA_ERRORS = (
     NonFiniteSampleError, OutOfRangeError, AlphabetError, UnknownSymbolError,
     PatternSyntaxError, AlphabetMismatchError, MalformedTokensError,
     NoOverlapError, EmptyInputError, InvalidWindowError, NoReferencesError,
+    ConstraintIndexError, GridTooShortError,
 )
 
 

@@ -16,6 +16,10 @@ class OrderExceedsAccuracyError(SiglexError):
     """Derivative order is larger than the stencil polynomial degree."""
 
 
+class AccuracyTooHighError(SiglexError):
+    """Stencil accuracy above the supported maximum (exact LS cost grows ~a^4)."""
+
+
 class GridTooShortError(SiglexError):
     """Grid has too few samples to host the requested stencil."""
 
@@ -34,6 +38,10 @@ class LengthMismatchError(SiglexError):
 
 class ConstraintCountMismatchError(SiglexError):
     """Number of point constraints differs from the null-space dimension."""
+
+
+class ConstraintIndexError(ConstraintCountMismatchError):
+    """A point constraint's index lies outside the grid."""
 
 
 class SingularConstraintSystemError(SiglexError):

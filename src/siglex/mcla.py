@@ -176,8 +176,10 @@ def compare_histograms(a: FrequencyDict, b: FrequencyDict,
     l1: sum |p_a - p_b| of normalized frequencies over the key union, in
     [0, 2] (0 identical, 2 disjoint).  cosine: normalized count dot product
     in [0, 1] (1 identical, 0 disjoint); undefined for two empty histograms.
+    Keys are summed in sorted order, so the result does not depend on string
+    hashing.
     """
-    keys = set(a.counts) | set(b.counts)
+    keys = sorted(set(a.counts) | set(b.counts))
     if measure == "l1":
         if not keys:
             return 0.0

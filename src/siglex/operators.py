@@ -26,8 +26,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    AccuracyTooHighError,
     CoefficientLengthMismatchError,
     ConstraintCountMismatchError,
+    ConstraintIndexError,
     GridTooShortError,
     LeadingCoefficientZeroError,
     LengthMismatchError,
@@ -85,11 +87,21 @@ def _stencil(offsets: Sequence[int], degree: int, order: int, h: float) -> np.nd
     return np.array([float(x) for x in exact]) / h ** order
 
 
+MAX_ACCURACY = 12
+
+
 def check_order(order: int, accuracy: int) -> None:
-    """Raise OrderExceedsAccuracyError unless 0 <= order <= accuracy."""
+    """Require 0 <= order <= accuracy <= MAX_ACCURACY.
+
+    The exact rational stencils cost about accuracy**4, so accuracy is
+    capped: 12 takes a fraction of a second, 100 would take minutes.
+    """
     if order < 0 or accuracy < order:
         raise OrderExceedsAccuracyError(
             f"need 0 <= order <= accuracy, got order={order} accuracy={accuracy}")
+    if accuracy > MAX_ACCURACY:
+        raise AccuracyTooHighError(
+            f"accuracy={accuracy} exceeds the maximum {MAX_ACCURACY}")
 
 
 def _half_width(accuracy: int) -> int:
@@ -312,13 +324,13 @@ def _constraint_rows(op: LdoMatrix, indices: Sequence[int]) -> tuple[list, np.nd
     """
     k, n = op.null_dim, op.grid.n
     rows = [int(i) for i in indices]
+    if any(i < 0 or i >= n for i in rows):
+        raise ConstraintIndexError(f"constraint index outside the grid of {n}: {rows}")
     if len(rows) != k:
         raise ConstraintCountMismatchError(
             f"operator null space has dimension {k}, got {len(rows)} constraints")
     if len(set(rows)) != len(rows):
         raise ConstraintCountMismatchError(f"constraint indices not distinct: {rows}")
-    if any(i < 0 or i >= n for i in rows):
-        raise ConstraintCountMismatchError(f"constraint index out of range: {rows}")
     nb = op.null_basis[rows, :]
     if k:
         sv = np.linalg.svd(nb, compute_uv=False)
@@ -340,8 +352,9 @@ def solve_inverse(op: LdoMatrix, g: np.ndarray,
     Raises
     ------
     ConstraintCountMismatchError
-        If the number of constraints differs from the null-space dimension,
-        or an index repeats or lies outside the grid.
+        If the number of constraints differs from the null-space dimension
+        or an index repeats; its subclass ConstraintIndexError if an index
+        lies outside the grid.
     SingularConstraintSystemError
         If the constraint rows of the null basis are rank deficient.
     """

@@ -310,7 +310,38 @@ def test_cli_subprocess_hash_seed_independence(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_subprocess_hash_seed_independence_classify(tmp_path):
+    # l1 scores sum over many combined keys, so the summation order shows
+    # in the last digits unless it is fixed
+    rng = random.Random(5)
+    lines = ["t,a,b"] + [f"{k},{rng.choice((-1, 0, 1))},{rng.choice((-1, 0, 1))}"
+                         for k in range(400)]
+    data = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+    usd = {"kind": "usd", "epsilon": 0.5}
+    cfg = write(tmp_path / "c.json", json.dumps({
+        "time_column": "t",
+        "channels": [{"name": "x", "csv_column": "a", "alphabet": usd},
+                     {"name": "y", "csv_column": "b", "alphabet": usd}],
+        "combine": ["x", "y"]}))
+    refs = {label: {a + b: rng.randint(1, 97) for a in "dsu" for b in "dsu"}
+            for label in ("one", "two", "three")}
+    ref_path = write(tmp_path / "refs.json", json.dumps(refs))
+    blobs = []
+    for seed in ("1", "2", "271828"):
+        out = tmp_path / f"seed{seed}"
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        res = subprocess.run(
+            [sys.executable, "-m", "siglex.cli", "classify", "--config", str(cfg),
+             "--input", str(data), "--out", str(out), "--references", str(ref_path),
+             "--window", "7"],
+            env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        blobs.append((out / "classify.csv").read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_cli_exit_codes(tmp_path, capsys):
     cfg = write(tmp_path / "c.json", json.dumps(TWO_CHANNEL_CONFIG))
     data = write(tmp_path / "d.csv", ramp_csv_text())
 
@@ -337,6 +368,30 @@ def test_cli_exit_codes(tmp_path):
     }))
     assert main(["solve", "--config", str(ncfg), "--input", str(data),
                  "--out", str(tmp_path / "e4")]) == 3
+    # data: a constraint index past the log's end, and a log too short for
+    # the LDO stencil; one stderr line each
+    capsys.readouterr()
+    icfg = write(tmp_path / "i.json", json.dumps({
+        "channels": [{"name": "pos", "csv_column": "a",
+                      "alphabet": {"kind": "usd", "epsilon": 0.05},
+                      "ldo": {"degree": 1, "coefficients": [0.0, 1.0],
+                              "accuracy": 2, "constraints": [[500, 0.0]]}}],
+    }))
+    short = write(tmp_path / "short.csv", "t,a,b\n0,1,1\n1,2,2\n")
+    for inp in (data, short):
+        assert main(["solve", "--config", str(icfg), "--input", str(inp),
+                     "--out", str(tmp_path / "e6")]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+    # usage: stencil accuracy above the supported maximum, operator and ldo
+    for channel in ({"operator": {"order": 1, "accuracy": 100}},
+                    {"ldo": {"degree": 1, "coefficients": [0.0, 1.0], "accuracy": 13,
+                             "constraints": [[0, 0.0]]}}):
+        acfg = write(tmp_path / "a.json", json.dumps({"channels": [dict(
+            {"name": "pos", "csv_column": "a",
+             "alphabet": {"kind": "usd", "epsilon": 0.05}}, **channel)]}))
+        assert main(["solve", "--config", str(acfg), "--input", str(data),
+                     "--out", str(tmp_path / "e7")]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_cli_error_names_channel_and_stage(tmp_path, capsys):
@@ -378,8 +433,8 @@ MUTATION_REFERENCES = {"moving": {"um": 10, "total": 10}, "idle": {"sm": 4, "um"
 
 # (path into the config, required key, out-of-range values); every site is
 # also given a value of the wrong JSON type.  Constraint indices keep their
-# value: a bad index is found only after assembly and exits 3, as
-# test_cli_exit_codes pins for a constraint count mismatch.
+# value: a bad index is found only after assembly (test_cli_exit_codes pins
+# exit 2 for an index outside the log, 3 for a constraint count mismatch).
 CONFIG_SITES = [
     (("channels",), True, []),
     (("channels", 0), False, []),

@@ -15,6 +15,7 @@ from siglex import (
     solve_inverse,
 )
 from siglex.errors import (
+    AccuracyTooHighError,
     CoefficientLengthMismatchError,
     ConstraintCountMismatchError,
     GridTooShortError,
@@ -134,6 +135,10 @@ def test_build_errors():
         build_diff_operator(Grid(4, 1.0), 1, 4)
     with pytest.raises(GridTooShortError):
         build_diff_operator(Grid(6, 1.0), 2, 6)
+    with pytest.raises(AccuracyTooHighError):
+        build_diff_operator(Grid(40, 1.0), 1, 13)
+    with pytest.raises(AccuracyTooHighError):
+        extract_local_kernel(1, 100, 1.0)
 
 
 def test_central_difference_kernel():

@@ -19,9 +19,10 @@ from siglex.errors import (
     PatternSyntaxError,
     UnknownSymbolError,
 )
+from siglex.pattern import _find_all_runs
 from siglex.scla import SymbolStream
 
-from naive_match import match_ends, naive_find_all, random_pattern
+from naive_match import match_ends, naive_find_all, random_pattern, render
 
 ALPHA = usd_alphabet(0.5)
 
@@ -218,6 +219,66 @@ def test_tokens_equal_decompressed_long_runs():
     for text in ("u+d", "u{100,}", "(u|s)+d", "u{3}s{2}", "d+"):
         p = compile_pattern(text, ALPHA)
         assert find_all_tokens(p, toks) == find_all(p, s(stream)), text
+
+
+# ---------------------------------------------------------------------------
+# step counts: linear in runs and matches, except periodic runs
+# ---------------------------------------------------------------------------
+
+def _linear_bound(p, tokens, matches) -> int:
+    return (p.n_states + 2) * len(tokens) + len(matches)
+
+
+def test_steps_linear_when_a_match_resolves_late():
+    # s|s.*u over sdsd...: every s opens an `s.*u` candidate that no u ever
+    # closes, so a scan that waits for it to resolve reads to the end
+    p = compile_pattern("s|s.*u", ALPHA)
+    for n in (1000, 4000):
+        toks = compress_runs("sd" * (n // 2))
+        matches, steps = _find_all_runs(p, toks, n)
+        assert matches == [Match(i, i + 1) for i in range(0, n, 2)]
+        assert steps <= _linear_bound(p, toks, matches), (n, steps)
+
+
+def test_steps_linear_over_long_runs():
+    p = compile_pattern("u{3,}d+", ALPHA)
+    n = 100000
+    toks = [Token("u", n, 0), Token("d", n, n), Token("s", n, 2 * n)]
+    matches, steps = _find_all_runs(p, toks, 3 * n)
+    assert matches == [Match(0, 2 * n)]
+    assert steps <= _linear_bound(p, toks, matches), steps
+
+
+U, D, S = ("char", "u"), ("char", "d"), ("char", "s")
+# patterns whose state map inside a long run reaches a fixed point, or
+# cycles with period 2 or 3 (then the run is stepped sample by sample)
+PERIODIC_ASTS = [("plus", ("cat", [U, U])), ("rep", U, 2, 5),
+                 ("cat", [("rep", ("dot",), 3, 3), D]),
+                 ("cat", [("star", ("cat", [U, U, U])), S])]
+
+
+def test_tokens_long_runs_periodic_fuzz():
+    rng = np.random.default_rng(46)
+    paths = set()
+    for trial in range(12):
+        toks, pos, prev = [], 0, None
+        while len(toks) < 6:
+            sym = str(rng.choice(list("usd")))
+            if sym == prev:
+                continue
+            longest = 2000 if rng.random() < 0.3 else 12
+            ln = int(rng.integers(1, longest + 1))
+            toks.append(Token(sym, ln, pos))
+            pos, prev = pos + ln, sym
+        stream = decompress(toks).symbols
+        for ast in PERIODIC_ASTS:
+            p = compile_pattern(render(ast), ALPHA)
+            matches, steps = _find_all_runs(p, toks, pos)
+            assert find_all_tokens(p, toks) == matches
+            assert [(m.start, m.end) for m in matches] == naive_find_all(ast, stream), \
+                (render(ast), toks)
+            paths.add("stepped" if steps > _linear_bound(p, toks, matches) else "fixed")
+    assert paths == {"stepped", "fixed"}
 
 
 # ---------------------------------------------------------------------------
