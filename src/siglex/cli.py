@@ -24,14 +24,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import mcla, pattern, scla
+from .csvout import write_csv
 from .errors import (
     AlphabetError,
     AlphabetMismatchError,
@@ -48,10 +51,8 @@ from .errors import (
     NoOverlapError,
     NoReferencesError,
     OutOfRangeError,
-    PatternSyntaxError,
     PipelineError,
     SiglexError,
-    UnknownSymbolError,
 )
 from .grid import Grid
 from .operators import (
@@ -72,8 +73,8 @@ from .uncertainty import (
 
 _DATA_ERRORS = (
     MalformedCsvError, NonMonotoneTimeError, NonUniformGridError,
-    NonFiniteSampleError, OutOfRangeError, AlphabetError, UnknownSymbolError,
-    PatternSyntaxError, AlphabetMismatchError, MalformedTokensError,
+    NonFiniteSampleError, OutOfRangeError, AlphabetError,
+    AlphabetMismatchError, MalformedTokensError,
     NoOverlapError, EmptyInputError, InvalidWindowError, NoReferencesError,
     ConstraintIndexError, GridTooShortError,
 )
@@ -108,7 +109,7 @@ class ChannelConfig:
     alphabet: scla.Alphabet
     operator: Optional[OperatorConfig] = None
     ldo: Optional[LdoConfig] = None
-    pattern: Optional[str] = None
+    pattern: Optional[pattern.SymbolPattern] = None
 
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
@@ -173,6 +174,14 @@ def _parse_ldo(raw: dict, where: str) -> LdoConfig:
                      [(i, float(v)) for i, v in constraints])
 
 
+def _compile_pattern(text: str, alphabet: scla.Alphabet,
+                     where: str) -> pattern.SymbolPattern:
+    try:
+        return pattern.compile_pattern(text, alphabet)
+    except SiglexError as exc:
+        raise ConfigError(f"{where}: pattern {text!r}: {exc}") from exc
+
+
 def _parse_channel(ch, i: int) -> ChannelConfig:
     if not isinstance(ch, dict):
         raise ConfigError(f"channel {i} must be an object, got {ch!r}")
@@ -196,8 +205,10 @@ def _parse_channel(ch, i: int) -> ChannelConfig:
         raise
     except SiglexError as exc:  # the library's own check of a parsed value
         raise ConfigError(f"{where}: {exc}") from exc
+    text = _get(ch, "pattern", str, where, None)
+    compiled = None if text is None else _compile_pattern(text, alphabet, where)
     return ChannelConfig(name, _get(ch, "csv_column", str, where), alphabet,
-                         operator, ldo, _get(ch, "pattern", str, where, None))
+                         operator, ldo, compiled)
 
 
 @dataclass
@@ -260,73 +271,197 @@ def load_references(path) -> dict:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+_CHUNK_LINES = 8192
+# A blank line, and an empty or whitespace-only cell (quoted or not), as
+# `csv` reads them; applied to text whose every line ends in a newline.
+_BLANK_LINE = re.compile(r'^(?:[^\S\n]*|"[^\S\n"]*"[^\S\n]*)\n', re.M)
+_BLANK_CELL = re.compile(r'(?<![^,\n])(?:[^\S\n]*|"[^\S\n"]*"[^\S\n]*)(?=[,\n])')
+# ASCII whitespace but the newline (text mode turns CR into it), and the quote
+_SPACE_OR_QUOTE = ' \t\x0b\x0c\x1c\x1d\x1e\x1f"'
+
+
+def _blank_to_nan(text: str) -> str:
+    """Drop blank lines and write NaN into empty and whitespace-only cells."""
+    if not text.endswith("\n"):
+        text += "\n"
+    if text.isascii() and not any(c in text for c in _SPACE_OR_QUOTE):
+        # only empty cells can be blank; str.replace is ~8x faster than the regexes
+        text = text.replace(",,", ",NaN,").replace(",,", ",NaN,")
+        text = text.replace("\n,", "\nNaN,").replace(",\n", ",NaN\n")
+        return "NaN" + text if text.startswith(",") else text
+    return _BLANK_CELL.sub("NaN", _BLANK_LINE.sub("", text))
+
+
+def _load(lines, dtype, usecols=None) -> np.ndarray:
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+                      comments=None, usecols=usecols, ndmin=1)
+
+
+def _parse(lines: list, dtype: np.dtype) -> np.ndarray:
+    """Data rows of whole body lines, one structured record per row.
+
+    A whitespace-only line or a blank cell of a requested column makes
+    numpy's C tokenizer fail, so the lines go to it as they are, and only if
+    that fails are blank lines dropped, blank cells set to NaN and the text
+    parsed again.  Raises ValueError.
+    """
+    text = "".join(lines)
+    if not text or text.isspace():
+        return np.empty(0, dtype)
+    try:
+        return _load(lines, dtype)
+    except ValueError:
+        text = _blank_to_nan(text)
+    return _load(text.split("\n"), dtype) if text else np.empty(0, dtype)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Header of a log: field count, time column and requested columns."""
+
+    width: int
+    time: int
+    columns: dict  # value column -> field index
+
+    @property
+    def dtype(self) -> np.dtype:
+        used = {self.time, *self.columns.values()}
+        return np.dtype([(f"f{j}", np.float64 if j in used else "U1")
+                         for j in range(self.width)])
+
+
+def _data_lines(lines: list, first: int, layout: _Layout):
+    """(line number, row or None if it fails to parse) per non-blank line."""
+    dtype = layout.dtype
+    for line_no, text in enumerate(lines, first):
+        try:
+            row = _parse([text], dtype)
+        except ValueError:
+            yield line_no, None
+            continue
+        if row.size:
+            yield line_no, row
+
+
+def _row_error(line_no: int, text: str, layout: _Layout) -> MalformedCsvError:
+    """Name the field that makes one line fail to parse."""
+    fields = next(csv.reader([text]), [])
+    if len(fields) != layout.width:
+        return MalformedCsvError(
+            line_no, f"expected {layout.width} fields, got {len(fields)}")
+    clean = _blank_to_nan(text).split("\n")
+    for name, j in [(None, layout.time), *layout.columns.items()]:
+        try:
+            _load(clean, np.float64, [j])
+        except ValueError:
+            if name is None:
+                return MalformedCsvError(line_no, f"bad timestamp {fields[j]!r}")
+            return MalformedCsvError(
+                line_no, f"bad value {fields[j].strip()!r} in column '{name}'")
+    return MalformedCsvError(line_no, f"cannot parse row {text.rstrip()!r}")
+
+
+def _first_bad_line(lines: list, first: int, layout: _Layout) -> MalformedCsvError:
+    """The error of the first line that fails to parse or has a non-finite
+    timestamp, in a chunk known to hold one."""
+    for line_no, row in _data_lines(lines, first, layout):
+        if row is None:
+            return _row_error(line_no, lines[line_no - first], layout)
+        t = float(row[f"f{layout.time}"][0])
+        if not np.isfinite(t):
+            return MalformedCsvError(line_no, f"non-finite timestamp {t!r}")
+    # every line parses alone, so a quoted field spans lines
+    return MalformedCsvError(first, "cannot parse the lines from here on")
+
+
 def ingest_csv(path, time_column: str, value_columns) -> dict:
     """Read a uniform-grid sensor log; returns {column: (Grid, values)}.
 
-    The header row must name `time_column` and every requested value column.
-    Timestamps must be strictly increasing with successive deltas within
-    1e-6 relative of uniform.  Empty cells and the literal `NaN` become NaN
-    (handled downstream by the alphabet's NaN policy).
+    Input grammar: UTF-8 text (a leading byte-order mark is ignored), lines
+    ended by LF, CRLF or CR.  The first line is a header row naming
+    `time_column` and every requested value column; names are stripped.
+    Each later line is a row with exactly as many comma-separated fields as
+    the header; blank lines (empty or whitespace only) are skipped, and
+    there are no comment lines.  A field may be quoted with `"` (`""`
+    inside stands for one quote); a quoted field ends on its own line.
+    Requested cells are decimal or exponent numbers with optional sign and
+    surrounding whitespace, or `nan`/`inf`/`infinity` in any case; digit
+    separators (`1_0`) and non-ASCII digits are rejected.  An empty or
+    whitespace-only value cell and `NaN` become NaN (handled downstream by
+    the alphabet's NaN policy).  Other columns are not checked.
+    Timestamps must be finite and strictly increasing with successive
+    deltas within 1e-6 relative of uniform.
+
+    The body goes through numpy's C tokenizer in chunks of 8192 lines; only
+    when a check fails is a chunk read again line by line to name the
+    1-based line in the MalformedCsvError.
     """
-    times: list[float] = []
-    line_nos: list[int] = []
-    cols: dict[str, list[float]] = {c: [] for c in value_columns}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsvError(1, "empty file") from None
-        header = [h.strip() for h in header]
-        if time_column not in header:
-            raise MalformedCsvError(1, f"missing time column '{time_column}'")
-        t_idx = header.index(time_column)
-        idx = {}
-        for c in value_columns:
-            if c not in header:
-                raise MalformedCsvError(1, f"missing value column '{c}'")
-            idx[c] = header.index(c)
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise MalformedCsvError(
-                    line_no, f"expected {len(header)} fields, got {len(row)}")
-            try:
-                t = float(row[t_idx])
-            except ValueError:
-                raise MalformedCsvError(
-                    line_no, f"bad timestamp {row[t_idx]!r}") from None
-            if not np.isfinite(t):
-                raise MalformedCsvError(line_no, f"non-finite timestamp {t!r}")
-            times.append(t)
-            line_nos.append(line_no)
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            head = fh.readline()
+            if not head:
+                raise MalformedCsvError(1, "empty file")
+            header = [h.strip() for h in next(csv.reader([head]), [])]
+            if time_column not in header:
+                raise MalformedCsvError(1, f"missing time column '{time_column}'")
             for c in value_columns:
-                cell = row[idx[c]].strip()
-                if cell == "" or cell == "NaN":
-                    cols[c].append(np.nan)
-                else:
-                    try:
-                        cols[c].append(float(cell))
-                    except ValueError:
-                        raise MalformedCsvError(
-                            line_no, f"bad value {cell!r} in column '{c}'") from None
-    n = len(times)
+                if c not in header:
+                    raise MalformedCsvError(1, f"missing value column '{c}'")
+            layout = _Layout(len(header), header.index(time_column),
+                             {c: header.index(c) for c in value_columns})
+            blocks, not_increasing = _read_body(fh, layout)
+    except UnicodeDecodeError:
+        raise MalformedCsvError(_undecodable_line(path), "not UTF-8 text") from None
+    n = sum(len(b) for b in blocks)
     if n < 2:
         raise MalformedCsvError(n + 1, f"need at least 2 data rows, got {n}")
-    t_arr = np.array(times)
+    if not_increasing is not None:
+        raise not_increasing
+    t_arr = np.concatenate([b[f"f{layout.time}"] for b in blocks])
     deltas = np.diff(t_arr)
-    if np.any(deltas <= 0):
-        bad = int(np.argmax(deltas <= 0))
-        raise NonMonotoneTimeError(
-            f"timestamps not strictly increasing at line {line_nos[bad + 1]}")
     h = float(t_arr[-1] - t_arr[0]) / (n - 1)
     if np.abs(deltas - h).max() > 1e-6 * h:
         raise NonUniformGridError(
             f"time deltas deviate by {np.abs(deltas - h).max():.3e} "
             f"from uniform step {h:.6g} (tolerance 1e-6 relative)")
     grid = Grid(n, h, float(t_arr[0]))
-    return {c: (grid, np.array(cols[c])) for c in value_columns}
+    return {c: (grid, np.concatenate([b[f"f{j}"] for b in blocks]))
+            for c, j in layout.columns.items()}
+
+
+def _read_body(fh, layout: _Layout) -> tuple:
+    """Parsed row blocks of the body, and the error for the first timestamp
+    that does not increase (raised only if the whole body parses)."""
+    t_field, dtype = f"f{layout.time}", layout.dtype
+    blocks, first, last, not_increasing = [], 2, None, None
+    while lines := list(islice(fh, _CHUNK_LINES)):
+        try:
+            block = _parse(lines, dtype)
+        except ValueError:
+            block = None
+        if block is None or not np.isfinite(block[t_field]).all():
+            raise _first_bad_line(lines, first, layout)
+        if block.size:
+            t = block[t_field] if last is None else np.r_[last, block[t_field]]
+            bad = np.flatnonzero(np.diff(t) <= 0)
+            if bad.size and not_increasing is None:
+                row = bad[0] + (1 if last is None else 0)
+                line_no = next(islice(_data_lines(lines, first, layout), row, None))[0]
+                not_increasing = NonMonotoneTimeError(
+                    f"timestamps not strictly increasing at line {line_no}")
+            blocks.append(block)
+            last = t[-1]
+        first += len(lines)
+    return blocks, not_increasing
+
+
+def _undecodable_line(path) -> int:
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +524,6 @@ def _process_channel(cc: ChannelConfig, grid: Grid, values: np.ndarray,
 
 def run_pipeline(config: PipelineConfig, ingested: dict,
                  level: Optional[float] = None,
-                 pattern_override: Optional[str] = None,
                  channel_filter: Optional[str] = None) -> PipelineBundle:
     """Run every configured channel and the combine stage.
 
@@ -406,12 +540,9 @@ def run_pipeline(config: PipelineConfig, ingested: dict,
                               "not found in ingested data")
         grid, values = ingested[cc.csv_column]
         cr = _process_channel(cc, grid, values, level)
-        pat_text = pattern_override if pattern_override is not None else cc.pattern
-        if pat_text is not None:
-            compiled = _stage(cc.name, "pattern", pattern.compile_pattern,
-                              pat_text, cr.stream.alphabet)
+        if cc.pattern is not None:
             cr.matches = _stage(cc.name, "match", pattern.find_all,
-                                compiled, cr.stream)
+                                cc.pattern, cr.stream)
         channels[cc.name] = cr
 
     bundle = PipelineBundle(channels)
@@ -431,10 +562,8 @@ def run_pipeline(config: PipelineConfig, ingested: dict,
 # ---------------------------------------------------------------------------
 
 def _write_series_csv(path, grid: Grid, values: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,time,value\n")
-        for j, v in enumerate(values):
-            fh.write(f"{j},{grid.time_at(j):.17g},{v:.17g}\n")
+    write_csv(path, "index,time,value\n", "{},{:.17g},{:.17g}\n", len(values),
+              lambda a, b: (range(a, b), grid.time_at(np.arange(a, b)), values[a:b]))
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +684,13 @@ def main(argv=None) -> int:
                    if args.channel is None or cc.name == args.channel}
         if args.channel is not None and not columns:
             raise ConfigError(f"unknown channel '{args.channel}'")
+        if args.pattern is not None:
+            for cc in config.channels:
+                if args.channel is None or cc.name == args.channel:
+                    cc.pattern = _compile_pattern(args.pattern, cc.alphabet,
+                                                  f"--pattern for channel '{cc.name}'")
         ingested = ingest_csv(args.input, config.time_column, sorted(columns))
         bundle = run_pipeline(config, ingested, level=args.level,
-                              pattern_override=args.pattern,
                               channel_filter=args.channel)
         _COMMANDS[args.command](bundle, outdir, args)
     except ConfigError as exc:

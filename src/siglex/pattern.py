@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from .csvout import write_csv
 from .errors import (
     AlphabetMismatchError,
     PatternSyntaxError,
@@ -359,7 +360,6 @@ def find_all_tokens(pattern: SymbolPattern, tokens: Sequence[Token]) -> list[Mat
 
 
 def matches_to_csv(matches: Sequence[Match], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("start,end\n")
-        for m in matches:
-            fh.write(f"{m.start},{m.end}\n")
+    write_csv(path, "start,end\n", "{},{}\n", len(matches),
+              lambda a, b: ([m.start for m in matches[a:b]],
+                            [m.end for m in matches[a:b]]))

@@ -13,6 +13,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .csvout import write_csv
 from .errors import (
     AlphabetError,
     MalformedTokensError,
@@ -186,8 +187,8 @@ def run_scla(raw, kernel: Optional[LocalKernel], alphabet: Alphabet,
 
 
 def tokens_to_csv(tokens: Sequence[Token], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("symbol,runLength,startIndex\n")
-        for t in tokens:
-            fh.write(f"{t.symbol},{t.run_length},{t.start_index}\n")
+    write_csv(path, "symbol,runLength,startIndex\n", "{},{},{}\n", len(tokens),
+              lambda a, b: ([t.symbol for t in tokens[a:b]],
+                            [t.run_length for t in tokens[a:b]],
+                            [t.start_index for t in tokens[a:b]]))
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvout import write_csv
 from .errors import (
     DimensionMismatchError,
     HorizonTooLargeError,
@@ -194,10 +195,10 @@ class ConfidenceBand:
         return self.center + self.half_width
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("index,center,lower,upper\n")
-            for j, (c, lo, up) in enumerate(zip(self.center, self.lower, self.upper)):
-                fh.write(f"{j},{c:.17g},{lo:.17g},{up:.17g}\n")
+        c, hw = self.center, self.half_width
+        write_csv(path, "index,center,lower,upper\n", "{},{:.17g},{:.17g},{:.17g}\n",
+                  len(c), lambda a, b: (range(a, b), c[a:b], c[a:b] - hw[a:b],
+                                        c[a:b] + hw[a:b]))
 
 
 def confidence_band(y: np.ndarray, lambda_y: np.ndarray, sigma2: float,

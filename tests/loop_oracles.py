@@ -1,19 +1,22 @@
 """Per-sample and per-row loop implementations kept as test oracles.
 
 These are the straightforward loops the vectorized code replaced: the
-per-row ``np.dot`` dense apply, the deque-based per-sample streaming kernel
-and the per-sample LOCF alignment.  They are slow and are used only to check
-the production code.  ``np.dot`` does not fix its summation order, so the
+per-row ``np.dot`` dense apply, the deque-based per-sample streaming kernel,
+the per-sample LOCF alignment and the ``csv.reader`` / ``float()`` CSV
+ingest.  They are slow and are used only to check the production code.  ``np.dot`` does not fix its summation order, so the
 stencil oracles agree with the stencil engine to rounding, not bitwise;
 `stencil_tolerance` gives the bound.
 """
 
 from __future__ import annotations
 
+import csv
 from collections import deque
 
 import numpy as np
 
+from siglex.errors import MalformedCsvError, NonMonotoneTimeError, NonUniformGridError
+from siglex.grid import Grid
 from siglex.operators import _stencil
 
 EPS = float(np.finfo(np.float64).eps)
@@ -116,3 +119,66 @@ def align_and_combine_loop(streams, grids) -> list[str]:
             combo += s.symbols[min(max(i, 0), g.n - 1)]
         samples.append(combo)
     return samples
+
+
+def ingest_csv_loop(path, time_column: str, value_columns) -> dict:
+    """Row-by-row ``csv.reader`` ingest with ``float()`` per cell."""
+    times: list[float] = []
+    line_nos: list[int] = []
+    cols: dict[str, list[float]] = {c: [] for c in value_columns}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedCsvError(1, "empty file") from None
+        header = [h.strip() for h in header]
+        if time_column not in header:
+            raise MalformedCsvError(1, f"missing time column '{time_column}'")
+        t_idx = header.index(time_column)
+        idx = {}
+        for c in value_columns:
+            if c not in header:
+                raise MalformedCsvError(1, f"missing value column '{c}'")
+            idx[c] = header.index(c)
+        for line_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise MalformedCsvError(
+                    line_no, f"expected {len(header)} fields, got {len(row)}")
+            try:
+                t = float(row[t_idx])
+            except ValueError:
+                raise MalformedCsvError(
+                    line_no, f"bad timestamp {row[t_idx]!r}") from None
+            if not np.isfinite(t):
+                raise MalformedCsvError(line_no, f"non-finite timestamp {t!r}")
+            times.append(t)
+            line_nos.append(line_no)
+            for c in value_columns:
+                cell = row[idx[c]].strip()
+                if cell == "" or cell == "NaN":
+                    cols[c].append(np.nan)
+                else:
+                    try:
+                        cols[c].append(float(cell))
+                    except ValueError:
+                        raise MalformedCsvError(
+                            line_no, f"bad value {cell!r} in column '{c}'") from None
+    n = len(times)
+    if n < 2:
+        raise MalformedCsvError(n + 1, f"need at least 2 data rows, got {n}")
+    t_arr = np.array(times)
+    deltas = np.diff(t_arr)
+    if np.any(deltas <= 0):
+        bad = int(np.argmax(deltas <= 0))
+        raise NonMonotoneTimeError(
+            f"timestamps not strictly increasing at line {line_nos[bad + 1]}")
+    h = float(t_arr[-1] - t_arr[0]) / (n - 1)
+    if np.abs(deltas - h).max() > 1e-6 * h:
+        raise NonUniformGridError(
+            f"time deltas deviate by {np.abs(deltas - h).max():.3e} "
+            f"from uniform step {h:.6g} (tolerance 1e-6 relative)")
+    grid = Grid(n, h, float(t_arr[0]))
+    return {c: (grid, np.array(cols[c])) for c in value_columns}

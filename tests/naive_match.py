@@ -15,6 +15,18 @@ from itertools import product
 #   ("star", a) ("plus", a) ("opt", a) ("rep", a, lo, hi|None) ("eps",)
 
 
+def _star_of(body, memo: dict):
+    """The node ("star", body), built once per body.
+
+    Memo keys hold id() of nodes, so a derived node must stay alive for as
+    long as the memo does: a freed one's id can be reused by another node.
+    """
+    key = ("star of", id(body))
+    if key not in memo:
+        memo[key] = ("star", body)
+    return memo[key]
+
+
 def match_ends(node, s: str, i: int, memo: dict) -> frozenset:
     """All j >= i such that node matches s[i:j)."""
     key = (id(node), i)
@@ -50,7 +62,7 @@ def match_ends(node, s: str, i: int, memo: dict) -> frozenset:
         out = frozenset(seen)
     elif kind == "plus":
         out = frozenset(e for m in match_ends(node[1], s, i, memo)
-                        for e in match_ends(("star", node[1]), s, m, memo))
+                        for e in match_ends(_star_of(node[1], memo), s, m, memo))
     elif kind == "opt":
         out = frozenset([i]) | match_ends(node[1], s, i, memo)
     elif kind == "rep":
@@ -62,7 +74,7 @@ def match_ends(node, s: str, i: int, memo: dict) -> frozenset:
                 break
         if hi is None:
             out = frozenset(e for m in cur
-                            for e in match_ends(("star", body), s, m, memo))
+                            for e in match_ends(_star_of(body, memo), s, m, memo))
         else:
             acc = set(cur)
             for _ in range(hi - lo):

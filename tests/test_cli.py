@@ -394,6 +394,20 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def test_cli_bad_pattern_exits_1_before_reading_the_log(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    for text, flag in (("u{", None), ("x+", None), ("u+", "d{2,1}"), (None, "q")):
+        channel = dict(TWO_CHANNEL_CONFIG["channels"][0])
+        if text is not None:
+            channel["pattern"] = text
+        cfg = write(tmp_path / "c.json", json.dumps({"channels": [channel]}))
+        argv = ["derive", "--config", str(cfg), "--input", missing,
+                "--out", str(tmp_path / "out")]
+        assert main(argv + (["--pattern", flag] if flag else [])) == 1, (text, flag)
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "pattern" in err, err
+
+
 def test_cli_error_names_channel_and_stage(tmp_path, capsys):
     ncfg = write(tmp_path / "n.json", json.dumps({
         "channels": [{"name": "pos", "csv_column": "a",
@@ -445,7 +459,7 @@ CONFIG_SITES = [
     (("channels", 0, "operator"), False, []),
     (("channels", 0, "operator", "order"), True, [-1, 3]),
     (("channels", 0, "operator", "accuracy"), True, [0, -2]),
-    (("channels", 0, "pattern"), False, []),
+    (("channels", 0, "pattern"), False, ["u{", "x+"]),
     (("channels", 1, "alphabet", "symbols"), True, ["lm", "lmhh"]),
     (("channels", 1, "alphabet", "boundaries"), True, [[3.0, 1.0], [1.0]]),
     (("channels", 1, "alphabet", "nan"), False, []),
