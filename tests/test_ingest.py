@@ -2,7 +2,7 @@
 
 `ingest_csv_loop` in loop_oracles.py is the reader this one replaced.  On
 every input of the fuzz both must give bitwise-equal columns and grids, or
-errors of the same class at the same line.
+errors of the same class at the same line with the same message.
 """
 
 import random
@@ -32,7 +32,7 @@ def outcome(reader, path, columns=("a", "b")):
     try:
         out = reader(path, "t", list(columns))
     except MalformedCsvError as exc:
-        return ("MalformedCsvError", exc.line)
+        return ("MalformedCsvError", exc.line, exc.message)
     except Exception as exc:  # the other classes say where in the message
         return (type(exc).__name__, str(exc))
     grid = next(iter(out.values()))[0]
@@ -97,6 +97,10 @@ def random_log(rng) -> str:
     return text + eol if rng.random() < 0.8 else text
 
 
+def unclosed_quote(text: str, line_no: int) -> bool:
+    return text.splitlines()[line_no - 1].count('"') % 2 == 1
+
+
 @pytest.mark.parametrize("chunk_lines", [3, cli._CHUNK_LINES])
 def test_ingest_matches_csv_loop_fuzz(tmp_path, monkeypatch, chunk_lines):
     monkeypatch.setattr(cli, "_CHUNK_LINES", chunk_lines)
@@ -107,6 +111,10 @@ def test_ingest_matches_csv_loop_fuzz(tmp_path, monkeypatch, chunk_lines):
         path = write(tmp_path / "log.csv", text)
         want = outcome(ingest_csv_loop, path)
         got = outcome(ingest_csv, path)
+        if want[0] == "MalformedCsvError" and unclosed_quote(text, want[1]):
+            # the old loop read the record on past the line end, so its field
+            # count there depends on later lines; only the line is pinned
+            got, want = got[:2], want[:2]
         assert got == want, (case, text)
         kinds.add(want[0])
     assert kinds == {"ok", "MalformedCsvError", "NonMonotoneTimeError",
@@ -139,7 +147,7 @@ def test_ingest_width_traps(tmp_path, row, line):
     with pytest.raises(MalformedCsvError) as exc:
         ingest_csv(path, "t", ["v"])
     assert exc.value.line == line
-    assert outcome(ingest_csv_loop, path, ["v"]) == ("MalformedCsvError", line)
+    assert outcome(ingest_csv, path, ["v"]) == outcome(ingest_csv_loop, path, ["v"])
 
 
 def test_ingest_skips_blank_lines_and_reads_empty_cells_as_nan(tmp_path):
@@ -170,6 +178,9 @@ def test_ingest_error_messages(tmp_path):
     cases = {"t,v\n0,1\n1\n": "line 3: expected 2 fields, got 1",
              "t,v\n0,1\nx,2\n": "line 3: bad timestamp 'x'",
              "t,v\n0,1\ninf,2\n": "line 3: non-finite timestamp inf",
+             "t,v\n0,1\n,2\n": "line 3: bad timestamp ''",
+             "t,v\n0,1\n  ,2\n": "line 3: bad timestamp '  '",
+             't,v\n0,1\n" ",2\n': "line 3: bad timestamp ' '",
              "t,v\n0,1\n1, abc \n": "line 3: bad value 'abc' in column 'v'",
              "t,v\n0,1\n\n1,2\n0.5,3\n": "timestamps not strictly increasing at line 5",
              "": "line 1: empty file",
