@@ -574,11 +574,15 @@ def _cmd_derive(bundle: PipelineBundle, outdir: Path, args) -> None:
 
 
 def _cmd_solve(bundle: PipelineBundle, outdir: Path, args) -> None:
+    wrote = False
     for name, cr in bundle.channels.items():
         if cr.band is not None:
             cr.band.to_csv(outdir / f"{name}.band.csv")
             _write_series_csv(outdir / f"{name}.solution.csv",
                               cr.processed_grid, cr.processed)
+            wrote = True
+    if not wrote:
+        raise ConfigError("solve needs a channel with an 'ldo' entry")
 
 
 def _cmd_symbolize(bundle: PipelineBundle, outdir: Path, args) -> None:
@@ -608,9 +612,7 @@ def _cmd_classify(bundle: PipelineBundle, outdir: Path, args) -> None:
     excluded = set(args.exclude.split(",")) if args.exclude else set()
     excluded.discard("")
     total = len(bundle.multistream)
-    size = args.window or total
-    if size < 1:
-        raise ConfigError(f"--window must be >= 1, got {size}")
+    size = total if args.window is None else args.window
     with open(outdir / "classify.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("start,end,label,score\n")
         for start in range(0, total, size):
@@ -674,6 +676,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.level is not None:
             _check_level(args.level, "--level")
+        if args.window is not None and args.window < 1:
+            raise ConfigError(f"--window must be >= 1, got {args.window}")
         config = load_config(args.config)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,6 @@
 """Discrete differential operators, operator assembly, and inverse solving.
 
-Derivative matrices are built from local polynomial least-squares stencils:
+Derivative operators are built from local polynomial least-squares stencils:
 a window of 2w+1 samples is fitted with a degree-`accuracy` polynomial and
 the fit's derivative at the evaluation point gives the row weights.  Interior
 rows use a symmetric window, the first/last w rows use the shifted window of
@@ -8,10 +8,12 @@ the first/last 2w+1 grid points.  Stencil weights are computed in exact
 rational arithmetic and rounded once, so they are exact on polynomials up to
 the stated degree to within a single float rounding.
 
-Dense apply, streaming and the boundary rows share one stencil engine: each
-output is the sum over its 2w+1-sample window, accumulated left to right in
-a fixed order (no ``np.dot``, whose order is not fixed).  Streaming and dense
-outputs are therefore bitwise-identical, boundary rows included.
+Operators are stored as their (n, 2w+1) row bands; the dense n x n matrix
+is built only on request (`entries`) and once, as the SVD input, in
+`assemble_ldo`.  Band apply, streaming and the boundary rows share one
+stencil engine: each output sums its 2w+1-sample window left to right in a
+fixed order (no ``np.dot``, whose order is not fixed), so streaming and band
+outputs are bitwise-identical, boundary rows included.
 """
 
 from __future__ import annotations
@@ -123,9 +125,10 @@ def _window_stencils(order: int, accuracy: int, h: float) -> np.ndarray:
     return rows
 
 
-def _window_starts(n: int, w: int) -> np.ndarray:
-    """Leftmost column of each row's stencil window."""
-    return np.clip(np.arange(n) - w, 0, n - (2 * w + 1))
+def _band_columns(n: int, w: int) -> np.ndarray:
+    """Column indices of each row's 2w+1-sample stencil window, shape (n, 2w+1)."""
+    starts = np.clip(np.arange(n) - w, 0, n - (2 * w + 1))
+    return starts[:, None] + np.arange(2 * w + 1)
 
 
 def _stencil_sum(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -144,25 +147,47 @@ def _stencil_sum(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# derivative operator matrices
+# banded operators
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DiffOperatorMatrix:
-    """Dense n x n realization of the i-th derivative on a uniform grid.
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The n x n matrix whose row i holds band[i] in its window columns."""
+    n, width = band.shape
+    out = np.zeros((n, n))
+    out[np.arange(n)[:, None], _band_columns(n, width // 2)] = band
+    return out
 
-    `support` is the stencil half-width w; every row has at most 2w+1
-    nonzero entries confined to its stencil window.
-    """
+
+class _BandedOperator:
+    """An n x n operator stored as `band`, whose row i holds matrix row i
+    over the columns `_band_columns(n, w)[i]`; other entries are zero."""
+
+    @property
+    def support(self) -> int:
+        """Stencil half-width w."""
+        return self.band.shape[1] // 2
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense n x n matrix, built anew on every access."""
+        return _dense(self.band)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """L @ x through the stencil engine, one band row per output."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (len(self.band),):
+            raise LengthMismatchError(f"expected length {len(self.band)}, got {x.shape}")
+        return _stencil_sum(self.band, x[_band_columns(len(x), self.support)])
+
+
+@dataclass
+class DiffOperatorMatrix(_BandedOperator):
+    """The order-th derivative on a uniform grid, as its row band."""
 
     order: int
     accuracy: int
     grid: Grid
-    entries: np.ndarray
-    support: int
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return _banded_apply(self.entries, self.grid.n, self.support, x)
+    band: np.ndarray
 
 
 def build_diff_operator(grid: Grid, order: int, accuracy: int) -> DiffOperatorMatrix:
@@ -184,26 +209,14 @@ def build_diff_operator(grid: Grid, order: int, accuracy: int) -> DiffOperatorMa
         If the grid cannot host a full stencil window (n < 2w+1).
     """
     check_order(order, accuracy)
-    w = _half_width(accuracy)
-    n = grid.n
+    w, n = _half_width(accuracy), grid.n
     if n < 2 * w + 1 or n <= accuracy:
         raise GridTooShortError(
             f"grid n={n} too short for accuracy={accuracy} (needs n >= {2 * w + 1})")
 
-    rows, lo = np.arange(n), _window_starts(n, w)
-    entries = np.zeros((n, n))
-    entries[rows[:, None], lo[:, None] + np.arange(2 * w + 1)] = \
-        _window_stencils(order, accuracy, grid.h)[rows - lo]
-    return DiffOperatorMatrix(order, accuracy, grid, entries, w)
-
-
-def _banded_apply(entries: np.ndarray, n: int, w: int, x: np.ndarray) -> np.ndarray:
-    """Row-banded L @ x through the stencil engine, one band row per output."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n,):
-        raise LengthMismatchError(f"expected length {n}, got {x.shape}")
-    cols = _window_starts(n, w)[:, None] + np.arange(2 * w + 1)
-    return _stencil_sum(entries[np.arange(n)[:, None], cols], x[cols])
+    position = np.arange(n) - _band_columns(n, w)[:, 0]  # of row i in its window
+    band = _window_stencils(order, accuracy, grid.h)[position]
+    return DiffOperatorMatrix(order, accuracy, grid, band)
 
 
 # ---------------------------------------------------------------------------
@@ -245,61 +258,48 @@ class LdoSpec:
 
 
 @dataclass
-class LdoMatrix:
-    """Assembled operator L = sum(diag(a_i) @ D^(i)) with its null space.
+class LdoMatrix(_BandedOperator):
+    """Assembled operator L = sum(diag(a_i) @ D^(i)), as its row band.
 
-    `null_basis` has orthonormal columns spanning the numerical null space
-    (the discrete homogeneous solutions); `rank + null_basis.shape[1] == n`.
+    `svd` holds the factors (u, s, vt) of the dense matrix.  `null_basis`
+    has orthonormal columns spanning the numerical null space (the discrete
+    homogeneous solutions); `rank + null_basis.shape[1] == n`.
     """
 
     spec: LdoSpec
     grid: Grid
-    entries: np.ndarray
+    band: np.ndarray
     null_basis: np.ndarray
     rank: int
     accuracy: int
-    support: int
     rank_tolerance: float
-    _svd: tuple = field(default=None, repr=False, compare=False)
+    svd: tuple = field(repr=False, compare=False)
 
     @property
     def null_dim(self) -> int:
         return self.null_basis.shape[1]
 
-    def _svd_parts(self):
-        if self._svd is None:
-            self._svd = np.linalg.svd(self.entries)
-        return self._svd
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return _banded_apply(self.entries, self.grid.n, self.support, x)
-
     def pseudo_inverse(self) -> np.ndarray:
         """Moore-Penrose inverse with the operator's rank tolerance."""
-        u, s, vt = self._svd_parts()
-        r = self.rank
+        (u, s, vt), r = self.svd, self.rank
         return (vt[:r].T / s[:r]) @ u[:, :r].T
 
 
 def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int) -> LdoMatrix:
     """Assemble L = sum(diag(a_i(t)) @ D^(i)) and compute its null space.
 
-    The numerical rank uses the SVD cutoff ``max(n * eps, 1e-10) * s_max``,
-    kept on the result as `rank_tolerance`.
+    The band is summed from zero, term by term, bitwise equal to the dense
+    sum; the dense matrix is built once, as the SVD input.  The numerical
+    rank uses the SVD cutoff ``max(n * eps, 1e-10) * s_max`` (`rank_tolerance`).
     """
-    coeffs = spec.coefficient_values(grid)
-    entries = np.zeros((grid.n, grid.n))
-    w = _half_width(accuracy)
-    for i, a in enumerate(coeffs):
-        d = build_diff_operator(grid, i, accuracy)
-        entries += a[:, None] * d.entries
-
-    u, s, vt = np.linalg.svd(entries)
+    band = np.zeros((grid.n, 2 * _half_width(accuracy) + 1))
+    for i, a in enumerate(spec.coefficient_values(grid)):
+        band += a[:, None] * build_diff_operator(grid, i, accuracy).band
+    u, s, vt = np.linalg.svd(_dense(band))
     cutoff = s[0] * max(grid.n * _EPS, 1e-10) if s[0] > 0 else 0.0
     rank = int(np.count_nonzero(s > cutoff))
     null_basis = vt[rank:].T.copy()
-    return LdoMatrix(spec, grid, entries, null_basis, rank, accuracy, w,
-                     cutoff, _svd=(u, s, vt))
+    return LdoMatrix(spec, grid, band, null_basis, rank, accuracy, cutoff, (u, s, vt))
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +366,7 @@ def solve_inverse(op: LdoMatrix, g: np.ndarray,
     rows, nb = _constraint_rows(op, [i for i, _ in constraints])
     vals = np.array([float(v) for _, v in constraints])
 
-    u, s, vt = op._svd_parts()
-    r = op.rank
+    (u, s, vt), r = op.svd, op.rank
     y_part = vt[:r].T @ ((u[:, :r].T @ g) / s[:r])
     alpha = np.linalg.solve(nb, vals - y_part[rows]) if rows else np.zeros(0)
     y = y_part + op.null_basis @ alpha

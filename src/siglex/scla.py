@@ -68,6 +68,8 @@ class Alphabet:
         if self.catch_all is not None and (
                 not isinstance(self.catch_all, str) or len(self.catch_all) != 1):
             raise AlphabetError("catch_all must be a single character")
+        if self.catch_all == GAP_SYMBOL:
+            raise AlphabetError(f"catch_all {GAP_SYMBOL!r} is reserved for gaps")
         rng = self.valid_range
         if rng is not None and not (len(rng) == 2 and rng[0] < rng[1]):
             raise AlphabetError(f"valid_range must be (lo, hi) with lo < hi, got {rng}")

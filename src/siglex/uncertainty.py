@@ -1,8 +1,9 @@
 """Covariance propagation, residual statistics, and Student-t bands.
 
 Covariance flows through a linear map M as M @ Lambda @ M.T; one function
-serves both directions: M is the operator itself for the forward direction,
-its pseudo-inverse (or any constrained solution map) for the inverse one.
+serves both directions: M is the operator's matrix (`entries`) for the
+forward direction, its pseudo-inverse (or any constrained solution map) for
+the inverse one.  Maps and covariances are passed as arrays.
 Bands are pointwise: center +/- t * sqrt of the scaled diagonal.  The
 t-quantile is computed without external dependencies by bisecting the
 regularized incomplete beta CDF.
@@ -34,7 +35,7 @@ from .operators import InverseSolution, LdoMatrix, assemble_ldo
 # ---------------------------------------------------------------------------
 
 def _as_matrix(m) -> np.ndarray:
-    m = np.asarray(getattr(m, "entries", m), dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
     return m

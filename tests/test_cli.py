@@ -392,6 +392,31 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["solve", "--config", str(acfg), "--input", str(data),
                      "--out", str(tmp_path / "e7")]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
+    # usage: a classify window below 1, rejected before the log is read
+    for window in ("0", "-1"):
+        assert main(["classify", "--config", str(cfg),
+                     "--input", str(tmp_path / "missing.csv"),
+                     "--out", str(tmp_path / "e8"), "--window", window]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--window" in err, err
+
+
+def test_cli_solve_needs_an_ldo_channel(tmp_path, capsys):
+    config = {"channels": [
+        dict(TWO_CHANNEL_CONFIG["channels"][0]),
+        {"name": "pos", "csv_column": "b",
+         "alphabet": {"kind": "usd", "epsilon": 0.05},
+         "ldo": {"degree": 1, "coefficients": [0.0, 1.0], "accuracy": 2,
+                 "constraints": [[0, 0.0]]}}]}
+    # no ldo channel in the config, or --channel names one without it
+    for cfg, extra in ((TWO_CHANNEL_CONFIG, ()), (config, ("--channel", "ramp"))):
+        code, out = run_cli(tmp_path, "solve", cfg, ramp_csv_text(), "o", extra)
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.splitlines()) == 1 and "'ldo'" in err, err
+        assert list(out.iterdir()) == []
+    code, out = run_cli(tmp_path, "solve", config, ramp_csv_text(), "o")
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["pos.band.csv", "pos.solution.csv"]
 
 
 def test_cli_bad_pattern_exits_1_before_reading_the_log(tmp_path, capsys):

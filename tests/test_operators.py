@@ -494,3 +494,35 @@ def test_streaming_memory_is_linear_in_samples():
         finally:
             tracemalloc.stop()
         assert peak < 4 * 8 * n, f"{boundary}: traced peak {peak} bytes"
+
+
+def test_band_apply_memory_is_linear_in_samples():
+    # the operator is stored as its (n, 2w+1) band; an n x n matrix here
+    # would be 128 MB, the band is 160 kB
+    n, w = 4000, 2
+    x = np.random.default_rng(4).standard_normal(n)
+    tracemalloc.start()
+    try:
+        build_diff_operator(Grid(n, 0.1), 1, 4).apply(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n * (2 * w + 1) * 8, f"traced peak {peak} bytes"
+
+
+def test_assembled_ldo_holds_band_and_svd_factors_only():
+    grid = Grid(60, 0.1)
+    t = grid.times()
+    spec = LdoSpec(2, [np.sin(t), -1.0, 2.0 + np.cos(t)])
+    op = assemble_ldo(spec, grid, 4)
+    assert op.band.shape == (60, 5) and op.support == 2
+    u, s, vt = op.svd
+    square = [v for v in list(vars(op).values()) + list(op.svd)
+              if isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] == grid.n]
+    assert len(square) == 2 and square[0] is u and square[1] is vt
+    # the band holds, bit for bit, the weights of the dense sum
+    dense = np.zeros((grid.n, grid.n))
+    for i, a in enumerate(spec.coefficient_values(grid)):
+        dense += a[:, None] * build_diff_operator(grid, i, 4).entries
+    assert np.array_equal(op.entries.view(np.int64), dense.view(np.int64))
+    assert op.entries is not op.entries

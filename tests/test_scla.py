@@ -49,6 +49,8 @@ def test_alphabet_validation():
         Alphabet(("a", "b", "c"), (1.0, 1.0))
     with pytest.raises(AlphabetError):
         Alphabet(("a", "bb"), (0.0,))
+    with pytest.raises(AlphabetError):  # '_' would merge with gap runs
+        Alphabet(("l", "h"), (0.5,), "gap", (0.0, 1.0), catch_all="_")
 
 
 def test_quantize_basic():
