@@ -32,7 +32,6 @@ from .operators import (
     assemble_ldo,
     build_diff_operator,
     extract_local_kernel,
-    solution_operator,
     solve_inverse,
 )
 from .pattern import Match, SymbolPattern, compile_pattern, find_all, find_all_tokens
@@ -98,7 +97,6 @@ __all__ = [
     "propagate_forward",
     "quantize",
     "run_scla",
-    "solution_operator",
     "solve_inverse",
     "student_t_cdf",
     "student_t_quantile",

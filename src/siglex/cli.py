@@ -63,7 +63,6 @@ from .operators import (
     check_order,
     extract_local_kernel,
     solve_inverse,
-    solution_operator,
 )
 from .uncertainty import (
     ConfidenceBand,
@@ -499,20 +498,21 @@ def _process_channel(cc: ChannelConfig, grid: Grid, values: np.ndarray,
     if cc.operator is not None:
         kernel = _stage(cc.name, "operator", extract_local_kernel,
                         cc.operator.order, cc.operator.accuracy, grid.h)
-        processed = _stage(cc.name, "operator", apply_streaming, kernel, values)
         pgrid = grid.interior(kernel.half_width)
+        if pgrid is None:
+            raise PipelineError(cc.name, "operator", GridTooShortError(
+                f"log has {grid.n} rows, a streamed derivative of accuracy "
+                f"{cc.operator.accuracy} needs at least {2 * kernel.half_width + 2}"))
+        processed = _stage(cc.name, "operator", apply_streaming, kernel, values)
     elif cc.ldo is not None:
         ldo = cc.ldo
         op = _stage(cc.name, "ldo", assemble_ldo, ldo.spec, grid, ldo.accuracy)
         sol = _stage(cc.name, "solve", solve_inverse, op, values, ldo.constraints)
         processed = sol.y
-        a_map = _stage(cc.name, "covariance", solution_operator,
-                       op, [i for i, _ in ldo.constraints])
-        lam_y = a_map @ a_map.T  # A Lambda_g A^T with Lambda_g = I
         sigma2, dof = _stage(cc.name, "covariance", estimate_residual_variance,
                              sol.residual, op.rank)
         band = _stage(cc.name, "band", confidence_band,
-                      sol.y, lam_y, sigma2, dof, level)
+                      sol.y, sol.variance, sigma2, dof, level)
     stream = _stage(cc.name, "quantize", scla.quantize, processed, cc.alphabet, pgrid)
     tokens = _stage(cc.name, "compress", scla.compress_runs, stream)
     return ChannelResult(cc.name, grid, values, processed, pgrid, stream, tokens,

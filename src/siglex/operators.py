@@ -9,16 +9,25 @@ rational arithmetic and rounded once, so they are exact on polynomials up to
 the stated degree to within a single float rounding.
 
 Operators are stored as their (n, 2w+1) row bands; the dense n x n matrix
-is built only on request (`entries`) and once, as the SVD input, in
-`assemble_ldo`.  Band apply, streaming and the boundary rows share one
-stencil engine: each output sums its 2w+1-sample window left to right in a
-fixed order (no ``np.dot``, whose order is not fixed), so streaming and band
-outputs are bitwise-identical, boundary rows included.
+is built only on request (`entries`).  Band apply, streaming and the
+boundary rows share one stencil engine: each output sums its 2w+1-sample
+window left to right in a fixed order (no ``np.dot``, whose order is not
+fixed), so streaming and band outputs are bitwise-identical, boundary rows
+included.
+
+The LDO path works on the band alone.  A blocked Householder QR of the
+band (`_qr_sweep`) gives R, banded upper with 2w superdiagonals.  The rank
+and null space come from inverse subspace iteration with R
+(`assemble_ldo`); the constrained solve and the diagonal of its covariance
+come from the QR of the free columns and the Takahashi recursion on its R
+(`solve_inverse`).  Time is O(n (b + 2w)^2) and memory O(n (b + 2w)) for
+blocks of b = 64 rows; no n x n matrix and no SVD larger than the null
+space's block are formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, factorial
@@ -220,6 +229,151 @@ def build_diff_operator(grid: Grid, order: int, accuracy: int) -> DiffOperatorMa
 
 
 # ---------------------------------------------------------------------------
+# banded least squares
+# ---------------------------------------------------------------------------
+
+# Columns per QR window and rows per block of R.  A window holds the 2w rows
+# carried from the previous one and the rows that start in its b columns, so
+# its shape, and the work per window, does not depend on n.
+_BLOCK = 64
+
+
+def _staircase(band: np.ndarray, fixed: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The banded matrix without the columns `fixed`, as (weights, starts).
+
+    Row i keeps the weights of band row i whose columns are not fixed,
+    left-aligned and zero-padded; the first lies in column `starts[i]` of the
+    reduced matrix.  `starts` is nondecreasing.
+    """
+    n, width = band.shape
+    cols = _band_columns(n, width // 2)
+    removed = np.zeros(n, dtype=bool)
+    removed[list(fixed)] = True
+    before = np.cumsum(removed) - removed  # fixed columns left of each column
+    keep = ~removed[cols]
+    order = np.argsort(~keep, axis=1, kind="stable")
+    weights = np.take_along_axis(np.where(keep, band, 0.0), order, axis=1)
+    return weights, cols[:, 0] - before[cols[:, 0]]
+
+
+def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
+              rhs: np.ndarray | None = None) -> tuple[_BlockR, np.ndarray | None]:
+    """Blocked Householder QR of an m-column staircase matrix A = Q R.
+
+    Row i of A holds `weights[i]` from column `starts[i]` on (see
+    `_staircase`).  Window t factors, with ``np.linalg.qr(mode="r")``, the
+    2w rows carried from window t-1 and the rows starting in columns
+    t*b .. t*b+b-1, over columns t*b .. t*b+b+2w-1 and `rhs`.  Its first b
+    rows are rows of R, the next 2w are carried, the rest hold only
+    residual.  Returns R and the first m entries of Q^T rhs (None without
+    `rhs`).  O(m (b+2w)^2) time, O(m (b+2w)) memory.
+    """
+    n, width = weights.shape
+    b, w2 = _BLOCK, width - 1
+    nblocks = -(-m // b)
+    blocks = np.zeros((nblocks, b, b + w2))
+    extra = 0 if rhs is None else 1
+    qtr = np.zeros(m)
+    bounds = np.searchsorted(starts, b * np.arange(nblocks + 1))
+    bounds[-1] = n
+    carry = np.zeros((0, w2 + extra))
+    for t in range(nblocks):
+        j0, lo, hi = t * b, bounds[t], bounds[t + 1]
+        nb, ncols, c = min(b, m - j0), min(b + w2, m - j0), len(carry)
+        win = np.zeros((c + hi - lo, ncols + extra))
+        win[:c, :min(w2, ncols)] = carry[:, :min(w2, ncols)]
+        cols = (starts[lo:hi] - j0)[:, None] + np.arange(width)
+        i, d = np.nonzero(cols < ncols)
+        win[c + i, cols[i, d]] = weights[lo + i, d]
+        if extra:
+            win[:c, -1] = carry[:, -1]
+            win[c:, -1] = rhs[lo:hi]
+        r = np.linalg.qr(win, mode="r")
+        if len(r) < ncols:  # fewer rows than columns: the missing pivots are 0
+            r = np.concatenate((r, np.zeros((ncols - len(r), r.shape[1]))))
+        blocks[t, :nb, :ncols] = r[:nb, :ncols]
+        carry = np.zeros((ncols - nb, w2 + extra))
+        carry[:, :ncols - nb] = r[nb:ncols, nb:ncols]
+        if extra:
+            qtr[j0:j0 + nb] = r[:nb, -1]
+            carry[:, -1] = r[nb:ncols, -1]
+    pad = np.arange(m - (nblocks - 1) * b, b)
+    blocks[-1, pad, pad] = 1.0
+    return _BlockR(blocks, m), (qtr if extra else None)
+
+
+class _BlockR:
+    """Upper-triangular R of bandwidth 2w <= b, in row blocks of b rows.
+
+    `blocks[t]` holds rows t*b .. t*b+b-1 over columns t*b .. t*b+b+2w-1, so
+    block t couples only to the first 2w unknowns of block t+1.  Rows past
+    the m columns are identity rows.  Pivots below eps * max|pivot| are
+    raised to it, a backward error of the QR's own size, so a singular R
+    (as for an L with a null space) still has nonsingular blocks.  The
+    substitutions solve each block with LAPACK (backward stable, which
+    inverse iteration with a nearly singular R relies on; a product with an
+    explicit block inverse is not), O(m * b^2) per call.
+    """
+
+    def __init__(self, blocks: np.ndarray, m: int):
+        self.blocks, self.m = blocks, m
+        d = np.arange(blocks.shape[1])
+        pivots = blocks[:, d, d]
+        floor = _EPS * np.abs(pivots.ravel()[:m]).max()
+        blocks[:, d, d] = np.where(np.abs(pivots) < floor, floor, pivots)
+
+    def _blocked(self, x: np.ndarray) -> np.ndarray:
+        nblocks, b, _ = self.blocks.shape
+        out = np.zeros((nblocks * b,) + x.shape[1:])
+        out[:self.m] = x
+        return out.reshape((nblocks, b) + x.shape[1:])
+
+    def _flat(self, x: np.ndarray) -> np.ndarray:
+        return x.reshape((-1,) + x.shape[2:])[:self.m]
+
+    def solve(self, c: np.ndarray) -> np.ndarray:
+        """x with R x = c: back substitution, one block at a time."""
+        nblocks, b, width = self.blocks.shape
+        c = self._blocked(c)
+        for t in range(nblocks - 1, -1, -1):
+            if t + 1 < nblocks:
+                c[t] -= self.blocks[t, :, b:] @ c[t + 1, :width - b]
+            c[t] = np.linalg.solve(self.blocks[t, :, :b], c[t])
+        return self._flat(c)
+
+    def solve_transposed(self, c: np.ndarray) -> np.ndarray:
+        """z with R^T z = c: forward substitution, one block at a time."""
+        nblocks, b, width = self.blocks.shape
+        c = self._blocked(c)
+        for t in range(nblocks):
+            if t:
+                c[t, :width - b] -= self.blocks[t - 1, :, b:].T @ c[t - 1]
+            c[t] = np.linalg.solve(self.blocks[t, :, :b].T, c[t])
+        return self._flat(c)
+
+    def gram_inverse_diagonal(self) -> np.ndarray:
+        """diag((R^T R)^-1) by the block form of the Takahashi recursion.
+
+        With Z_t = R_tt^-1 R_t,t+1 (block t's 2w coupling columns), the
+        diagonal block of the inverse is S_t = R_tt^-1 R_tt^-T + Z_t C Z_t^T,
+        where C is the leading 2w x 2w corner of S_t+1 (Takahashi, Fagan &
+        Chin 1973).  Both terms are semidefinite, so nothing cancels, and
+        R^T R, whose condition is squared, is never formed.
+        """
+        nblocks, b, width = self.blocks.shape
+        w2 = width - b
+        inv = np.linalg.inv(self.blocks[:, :, :b])
+        z = inv @ self.blocks[:, :, b:]
+        diag = np.einsum("tij,tij->ti", inv, inv)
+        corner = np.zeros((w2, w2))
+        for t in range(nblocks - 1, -1, -1):
+            zc = z[t] @ corner
+            diag[t] += np.einsum("ij,ij->i", zc, z[t])
+            corner = inv[t, :w2] @ inv[t, :w2].T + zc[:w2] @ z[t, :w2].T
+        return self._flat(diag)
+
+
+# ---------------------------------------------------------------------------
 # assembled linear differential operators
 # ---------------------------------------------------------------------------
 
@@ -261,9 +415,9 @@ class LdoSpec:
 class LdoMatrix(_BandedOperator):
     """Assembled operator L = sum(diag(a_i) @ D^(i)), as its row band.
 
-    `svd` holds the factors (u, s, vt) of the dense matrix.  `null_basis`
-    has orthonormal columns spanning the numerical null space (the discrete
-    homogeneous solutions); `rank + null_basis.shape[1] == n`.
+    `null_basis` has orthonormal columns spanning the numerical null space
+    (the discrete homogeneous solutions); `rank + null_basis.shape[1] == n`.
+    Singular values at or below `rank_tolerance` count as null.
     """
 
     spec: LdoSpec
@@ -273,33 +427,76 @@ class LdoMatrix(_BandedOperator):
     rank: int
     accuracy: int
     rank_tolerance: float
-    svd: tuple = field(repr=False, compare=False)
 
     @property
     def null_dim(self) -> int:
         return self.null_basis.shape[1]
 
-    def pseudo_inverse(self) -> np.ndarray:
-        """Moore-Penrose inverse with the operator's rank tolerance."""
-        (u, s, vt), r = self.svd, self.rank
-        return (vt[:r].T / s[:r]) @ u[:, :r].T
+
+_POWER_STEPS = 20
+_INVERSE_STEPS = 8
+
+
+def _smallest_singular(band: np.ndarray, cols: np.ndarray, r: _BlockR, p: int,
+                       rng) -> tuple[np.ndarray, np.ndarray]:
+    """The p smallest singular values of L = QR, ascending, and their right
+    vectors.
+
+    Inverse subspace iteration with (R^T R)^-1 = (L^T L)^-1, then
+    Rayleigh-Ritz on the p x p triangle of L x (T. F. Chan, Rank revealing
+    QR factorizations, 1987).  A Ritz value is never below the singular
+    value it estimates.
+    """
+    x = rng.standard_normal((r.m, p))
+    for _ in range(_INVERSE_STEPS):
+        # orthonormal after each solve: one solve may grow the smallest
+        # direction past the next by more than 1/eps, and then a whole
+        # step would round the next one away
+        z = np.linalg.qr(r.solve_transposed(np.linalg.qr(x)[0]))[0]
+        x = r.solve(z)
+    x = np.linalg.qr(x)[0]
+    lx = np.einsum("ij,ijk->ik", band, x[cols])
+    _, sigma, vt = np.linalg.svd(np.linalg.qr(lx, mode="r"))
+    return sigma[::-1], x @ vt[::-1].T
 
 
 def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int) -> LdoMatrix:
     """Assemble L = sum(diag(a_i(t)) @ D^(i)) and compute its null space.
 
     The band is summed from zero, term by term, bitwise equal to the dense
-    sum; the dense matrix is built once, as the SVD input.  The numerical
-    rank uses the SVD cutoff ``max(n * eps, 1e-10) * s_max`` (`rank_tolerance`).
+    sum.  The rank rule is the SVD's: singular values at or below
+    ``max(n * eps, 1e-10) * s_max`` (`rank_tolerance`) are null.  s_max
+    comes from power steps with the band.  The smallest singular values and
+    their vectors come from inverse subspace iteration with the banded R of
+    L = QR, on a block of degree + 2 vectors, doubled while every value in
+    it is null; the null ones give `null_basis`.  Tiny pivots of R are not
+    counted: without column pivoting they do not reveal the rank.  Seeded,
+    so reruns are bitwise equal; O(n * w^2) per step, no n x n matrix.
     """
-    band = np.zeros((grid.n, 2 * _half_width(accuracy) + 1))
+    n, w = grid.n, _half_width(accuracy)
+    band = np.zeros((n, 2 * w + 1))
     for i, a in enumerate(spec.coefficient_values(grid)):
         band += a[:, None] * build_diff_operator(grid, i, accuracy).band
-    u, s, vt = np.linalg.svd(_dense(band))
-    cutoff = s[0] * max(grid.n * _EPS, 1e-10) if s[0] > 0 else 0.0
-    rank = int(np.count_nonzero(s > cutoff))
-    null_basis = vt[rank:].T.copy()
-    return LdoMatrix(spec, grid, band, null_basis, rank, accuracy, cutoff, (u, s, vt))
+    rng = np.random.default_rng(0)
+    cols = _band_columns(n, w)
+    x = rng.standard_normal(n)
+    for _ in range(_POWER_STEPS):  # x <- L^T L x
+        lx = _stencil_sum(band, x[cols])
+        x = np.bincount(cols.ravel(), weights=(band * lx[:, None]).ravel(), minlength=n)
+        x /= np.sqrt(np.sum(x * x))
+    s_max = float(np.sqrt(np.sum(_stencil_sum(band, x[cols]) ** 2)))
+    cutoff = s_max * max(n * _EPS, 1e-10)
+
+    r, _ = _qr_sweep(band, cols[:, 0], n)
+    p = min(spec.degree + 2, n)
+    while True:
+        sigma, vectors = _smallest_singular(band, cols, r, p, rng)
+        null = int(np.count_nonzero(sigma <= cutoff))
+        if null < p or p == n:
+            break
+        p = min(2 * p, n)
+    return LdoMatrix(spec, grid, band, vectors[:, :null].copy(), n - null, accuracy,
+                     cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +505,26 @@ def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int) -> LdoMatrix:
 
 @dataclass
 class InverseSolution:
-    """Solution of L y = g: minimum-norm particular part plus null modes."""
+    """Solution of L y = g under point constraints.
 
-    y_particular: np.ndarray
-    alpha: np.ndarray
+    `variance` is the variance of each y_j under unit white noise on g,
+    diag(A A^T) for the linear map A from g to y; it is 0 at pinned points.
+    """
+
     y: np.ndarray
     residual: np.ndarray
+    variance: np.ndarray
 
 
 def _constraint_rows(op: LdoMatrix, indices: Sequence[int]) -> tuple[list, np.ndarray]:
     """Check point-constraint indices; return them and their null-basis rows.
 
     Exactly `null_dim` distinct indices inside the grid are required, and
-    the null basis restricted to them must be numerically full rank.
+    the null basis restricted to them must be numerically full rank.  Its
+    columns are orthonormal, so the singular values of those rows lie in
+    [0, 1]; one below 1e-10 is a homogeneous solution that the constraint
+    points barely see.  (Relative to the largest, the test would be vacuous
+    for k = 1.)
     """
     k, n = op.null_dim, op.grid.n
     rows = [int(i) for i in indices]
@@ -334,7 +538,7 @@ def _constraint_rows(op: LdoMatrix, indices: Sequence[int]) -> tuple[list, np.nd
     nb = op.null_basis[rows, :]
     if k:
         sv = np.linalg.svd(nb, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
+        if sv[-1] < 1e-10:
             raise SingularConstraintSystemError(
                 f"null-basis rows {rows} are numerically rank deficient")
     return rows, nb
@@ -342,12 +546,14 @@ def _constraint_rows(op: LdoMatrix, indices: Sequence[int]) -> tuple[list, np.nd
 
 def solve_inverse(op: LdoMatrix, g: np.ndarray,
                   constraints: Sequence[tuple[int, float]]) -> InverseSolution:
-    """Solve L y = g with point constraints fixing the null-space modes.
+    """Least-squares solve of L y = g with point constraints fixing the null modes.
 
-    The particular solution is the pseudo-inverse image of g; the null-space
-    coefficients solve the k x k system pinning y at the constraint indices.
-    Exactly `k = null_dim` constraints with distinct in-range indices are
-    required.
+    The pinned values move to the right-hand side, and the free columns L_f
+    solve min ||L_f y_f - (g - L_c y_c)|| by one banded QR sweep of L_f and
+    back substitution.  The variance is diag((L_f^T L_f)^-1), from the
+    Takahashi recursion on R.  Exactly `k = null_dim` constraints with
+    distinct in-range indices are required.  O(n * (b + 2w)^2) time and
+    O(n * (b + 2w)) memory for blocks of b = 64 rows.
 
     Raises
     ------
@@ -363,30 +569,17 @@ def solve_inverse(op: LdoMatrix, g: np.ndarray,
     if g.shape != (n,):
         raise LengthMismatchError(f"g must have length {n}, got {g.shape}")
     constraints = list(constraints)
-    rows, nb = _constraint_rows(op, [i for i, _ in constraints])
-    vals = np.array([float(v) for _, v in constraints])
-
-    (u, s, vt), r = op.svd, op.rank
-    y_part = vt[:r].T @ ((u[:, :r].T @ g) / s[:r])
-    alpha = np.linalg.solve(nb, vals - y_part[rows]) if rows else np.zeros(0)
-    y = y_part + op.null_basis @ alpha
-    residual = op.apply(y) - g
-    return InverseSolution(y_part, alpha, y, residual)
-
-
-def solution_operator(op: LdoMatrix, constraint_indices: Sequence[int]) -> np.ndarray:
-    """Linear map A with y = A g + (terms from the constraint values).
-
-    Point constraints make the solved y affine in g; A is the g-dependent
-    part, which is what covariance propagation needs.  For k = 0 this is
-    just the pseudo-inverse.  The indices are checked as in solve_inverse.
-    """
-    rows, nb = _constraint_rows(op, constraint_indices)
-    pinv = op.pseudo_inverse()
-    if not rows:
-        return pinv
-    proj = op.null_basis @ np.linalg.inv(nb)
-    return pinv - proj @ pinv[rows, :]
+    rows, _ = _constraint_rows(op, [i for i, _ in constraints])
+    y = np.zeros(n)
+    y[rows] = [float(v) for _, v in constraints]
+    weights, starts = _staircase(op.band, rows)
+    r, qtr = _qr_sweep(weights, starts, n - len(rows), g - op.apply(y))
+    free = np.ones(n, dtype=bool)
+    free[rows] = False
+    y[free] = r.solve(qtr)
+    variance = np.zeros(n)
+    variance[free] = r.gram_inverse_diagonal()
+    return InverseSolution(y, op.apply(y) - g, variance)
 
 
 # ---------------------------------------------------------------------------

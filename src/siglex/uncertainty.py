@@ -1,11 +1,11 @@
 """Covariance propagation, residual statistics, and Student-t bands.
 
-Covariance flows through a linear map M as M @ Lambda @ M.T; one function
-serves both directions: M is the operator's matrix (`entries`) for the
-forward direction, its pseudo-inverse (or any constrained solution map) for
-the inverse one.  Maps and covariances are passed as arrays.
-Bands are pointwise: center +/- t * sqrt of the scaled diagonal.  The
-t-quantile is computed without external dependencies by bisecting the
+Covariance flows through a linear map M as M @ Lambda @ M.T
+(`propagate_forward`, dense, for small maps such as the operator's
+`entries`).  The inverse solve does not form its n x n map: `solve_inverse`
+returns the diagonal of A A^T for the map A from g to y, which is all a
+pointwise band needs.  Bands are center +/- t * sqrt(sigma2 * variance).
+The t-quantile is computed without external dependencies by bisecting the
 regularized incomplete beta CDF.
 """
 
@@ -54,8 +54,8 @@ def _check_symmetric(lam: np.ndarray) -> np.ndarray:
 def propagate_forward(L, lambda_x) -> np.ndarray:
     """Lambda_y = L Lambda_x L^T, symmetrized as (M + M^T)/2.
 
-    For the inverse direction pass the pseudo-inverse or a solution map
-    (see `solution_operator`) as L.
+    Dense: L and Lambda_x are 2-D arrays.  For the inverse solve's band use
+    `InverseSolution.variance` instead of an n x n map.
     """
     L = _as_matrix(L)
     lam = _check_symmetric(_as_matrix(lambda_x))
@@ -202,28 +202,28 @@ class ConfidenceBand:
                                         c[a:b] + hw[a:b]))
 
 
-def confidence_band(y: np.ndarray, lambda_y: np.ndarray, sigma2: float,
+def confidence_band(y: np.ndarray, variance: np.ndarray, sigma2: float,
                     dof: int, level: float) -> ConfidenceBand:
-    """Pointwise band y_j +/- t_{1-(1-level)/2, dof} * sqrt(sigma2 * Lambda_y[j,j]).
+    """Pointwise band y_j +/- t_{1-(1-level)/2, dof} * sqrt(sigma2 * variance[j]).
 
-    Small negative diagonal entries (within -1e-10 * trace) are clamped to
-    zero; anything more negative raises NegativeDiagonalError.
+    `variance` is the unit-noise variance of each y_j, the diagonal of
+    Lambda_y (`InverseSolution.variance`).  Small negative entries (within
+    -1e-10 * sum(variance)) are clamped to zero; anything more negative
+    raises NegativeDiagonalError.
     """
     if not 0.0 < level < 1.0:
         raise InvalidProbabilityError(f"level must be in (0, 1), got {level}")
     y = np.asarray(y, dtype=np.float64)
-    lam = _as_matrix(lambda_y)
-    if lam.shape[0] != y.shape[0]:
+    var = np.asarray(variance, dtype=np.float64)
+    if var.shape != y.shape or y.ndim != 1:
         raise DimensionMismatchError(
-            f"y has length {y.shape[0]}, covariance is {lam.shape}")
-    diag = np.diag(lam).copy()
-    floor = -1e-10 * max(np.trace(lam), 0.0)
-    if np.any(diag < floor):
+            f"y has shape {y.shape}, variance has shape {var.shape}")
+    floor = -1e-10 * max(var.sum(), 0.0)
+    if np.any(var < floor):
         raise NegativeDiagonalError(
-            f"diagonal minimum {diag.min():.3e} below tolerance {floor:.3e}")
-    diag = np.clip(diag, 0.0, None)
+            f"variance minimum {var.min():.3e} below tolerance {floor:.3e}")
     t = student_t_quantile(1.0 - (1.0 - level) / 2.0, dof)
-    return ConfidenceBand(y.copy(), t * np.sqrt(sigma2 * diag), level)
+    return ConfidenceBand(y.copy(), t * np.sqrt(sigma2 * np.clip(var, 0.0, None)), level)
 
 
 # share of the solution's samples the prediction fit uses, and the longest

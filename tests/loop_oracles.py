@@ -31,21 +31,20 @@ def row_window(n: int, w: int, r: int) -> int:
     return r - w
 
 
-def banded_apply_loop(entries: np.ndarray, w: int, x) -> np.ndarray:
-    """Dense row-banded L @ x, one np.dot per row."""
+def banded_apply_loop(band: np.ndarray, x) -> np.ndarray:
+    """Row-banded L @ x from the (n, 2w+1) band, one np.dot per row."""
     x = np.asarray(x, dtype=np.float64)
-    n = len(x)
-    width = 2 * w + 1
+    n, width = band.shape
     out = np.empty(n)
     for r in range(n):
-        lo = row_window(n, w, r)
-        out[r] = np.dot(entries[r, lo:lo + width], x[lo:lo + width])
+        lo = row_window(n, width // 2, r)
+        out[r] = np.dot(band[r], x[lo:lo + width])
     return out
 
 
-def banded_abs_sum(entries: np.ndarray, w: int, x) -> np.ndarray:
+def banded_abs_sum(band: np.ndarray, x) -> np.ndarray:
     """sum_j |L[r, j] * x[j]| over each row's window (the rounding scale)."""
-    return banded_apply_loop(np.abs(entries), w, np.abs(x))
+    return banded_apply_loop(np.abs(band), np.abs(x))
 
 
 def stencil_tolerance(width: int, abs_sum: np.ndarray) -> np.ndarray:

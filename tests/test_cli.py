@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -445,6 +446,47 @@ def test_cli_error_names_channel_and_stage(tmp_path, capsys):
           "--out", str(tmp_path / "e")])
     err = capsys.readouterr().err
     assert "pos" in err and "solve" in err
+
+
+def test_cli_short_log_blames_the_operator_stage(tmp_path, capsys):
+    # a streamed accuracy-2 derivative (w = 1) needs 2w + 2 = 4 rows
+    cfg = write(tmp_path / "c.json", json.dumps(TWO_CHANNEL_CONFIG))
+    for command in ("derive", "hist"):
+        out = tmp_path / command
+        argv = [command, "--config", str(cfg), "--input",
+                str(two_channel_csv(tmp_path, n=3)), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "channel 'ramp', stage 'operator'" in err, err
+        assert "3 rows" in err and "at least 4" in err, err
+        assert list(out.iterdir()) == []
+        argv[4] = str(two_channel_csv(tmp_path, n=4))
+        assert main(argv) == 0
+
+
+def test_cli_solve_memory_is_linear_in_n(tmp_path):
+    # y'' = g at n = 4000, where one n x n float64 array is 128 MB; the
+    # banded path keeps O(n (w + k + b)) floats for blocks of b = 64 rows
+    n, w, k, b = 4000, 1, 2, 64
+    config = {"channels": [
+        {"name": "y", "csv_column": "g",
+         "alphabet": {"symbols": "lmh", "boundaries": [-0.5, 0.5]},
+         "ldo": {"degree": 2, "coefficients": [0.0, 0.0, 1.0], "accuracy": 2,
+                 "constraints": [[0, 0.0], [n - 1, 1.0]]}}]}
+    t = 0.01 * np.arange(n)
+    cfg = write(tmp_path / "c.json", json.dumps(config))
+    data = write(tmp_path / "log.csv", "t,g\n" + "".join(
+        f"{a:.17g},{v:.17g}\n" for a, v in zip(t, np.sin(t))))
+    tracemalloc.start()
+    try:
+        code = main(["solve", "--config", str(cfg), "--input", str(data),
+                     "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 8 * n * (w + k + b), f"traced peak {peak} bytes"
 
 
 # ---------------------------------------------------------------------------

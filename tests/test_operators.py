@@ -11,7 +11,6 @@ from siglex import (
     assemble_ldo,
     build_diff_operator,
     extract_local_kernel,
-    solution_operator,
     solve_inverse,
 )
 from siglex.errors import (
@@ -22,10 +21,13 @@ from siglex.errors import (
     LeadingCoefficientZeroError,
     LengthMismatchError,
     OrderExceedsAccuracyError,
+    SiglexError,
     SingularConstraintSystemError,
 )
 
+from dense_ldo import DenseLdo, solution_operator
 from loop_oracles import (
+    EPS,
     apply_streaming_loop,
     banded_abs_sum,
     banded_apply_loop,
@@ -274,7 +276,7 @@ def test_integrate_constant():
     op = assemble_ldo(LdoSpec(1, [0.0, 1.0]), grid, 2)
     sol = solve_inverse(op, np.ones(101), [(0, 0.0)])
     assert np.abs(sol.y - grid.times()).max() <= 1e-8
-    assert np.array_equal(sol.y, sol.y_particular + op.null_basis @ sol.alpha)
+    assert sol.y[0] == 0.0 and sol.variance[0] == 0.0
 
 
 def test_identity_inverse_no_constraints():
@@ -304,7 +306,7 @@ def test_normal_equation_residual_fuzz():
         op = assemble_ldo(spec, grid, 2)
         g = rng.standard_normal(60)
         sol = solve_inverse(op, g, [(0, 0.0), (59, 0.0)][:op.null_dim])
-        lhs = op.entries.T @ (op.entries @ sol.y_particular - g)
+        lhs = op.entries.T @ (op.entries @ sol.y - g)
         bound = 1e-8 * np.linalg.norm(op.entries) * np.linalg.norm(g)
         assert np.abs(lhs).max() <= bound
 
@@ -343,6 +345,114 @@ def test_singular_constraint_system():
     assert op.null_dim == 1
     with pytest.raises(SingularConstraintSystemError):
         solve_inverse(op, np.zeros(40), [(0, 1.0)])
+
+
+# ---------------------------------------------------------------------------
+# banded path against the dense SVD oracle
+# ---------------------------------------------------------------------------
+
+def _random_ldo(rng):
+    """A random spec: degree 0-3, accuracy <= 8, n 20-300, constant or
+    smooth variable coefficients (which may cross zero)."""
+    degree = int(rng.integers(0, 4))
+    accuracy = int(rng.integers(max(degree, 1), 9))
+    w = -(-accuracy // 2)
+    grid = Grid(int(rng.integers(max(20, 2 * w + 2), 301)),
+                float(rng.choice([0.01, 0.1, 1.0])), float(rng.uniform(-1, 1)))
+    s = (grid.times() - grid.t0) / (grid.t_end - grid.t0)
+    if rng.random() < 0.5:
+        coeffs = [a + b * np.sin(3 * c * s + 6 * d)
+                  for a, b, c, d in rng.uniform(-1, 1, (degree + 1, 4))]
+    else:
+        coeffs = [float(a) if rng.random() < 0.8 else 0.0 for a in rng.uniform(-1, 1, degree + 1)]
+        coeffs[-1] = coeffs[-1] or 1.0
+    return assemble_ldo(LdoSpec(degree, coeffs), grid, accuracy)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SiglexError as exc:
+        return type(exc)
+
+
+def test_banded_path_agrees_with_dense_oracle_fuzz():
+    # Both paths solve min ||L y - g|| with y pinned at the constraints.  The
+    # oracle drops the null singular values (relative size delta <= the
+    # rank cutoff) and both round at eps, so by least-squares perturbation
+    # theory (Golub & Van Loan sec. 5.3) y and diag((L_f^T L_f)^-1) move by
+    # a small multiple of delta * kappa^2 relative, kappa = cond(L_f).  The
+    # largest ratio seen over 600 draws was about 10.
+    rng = np.random.default_rng(4242)
+    compared = sharp = 0
+    for _ in range(300):
+        op = _random_ldo(rng)
+        n, dense = op.grid.n, DenseLdo(op)
+        assert op.null_dim == dense.op.null_dim
+        k = op.null_dim
+        for size in (k - 1, k + 1):
+            if size >= 0:
+                rows = [(int(i), 0.0) for i in rng.choice(n, size, replace=False)]
+                assert _outcome(solve_inverse, op, np.zeros(n), rows) \
+                    is _outcome(dense.solve, np.zeros(n), rows) \
+                    is ConstraintCountMismatchError
+        g = rng.standard_normal(n)
+        cons = [(int(i), float(rng.standard_normal()))
+                for i in np.sort(rng.choice(n, k, replace=False))]
+        want = _outcome(dense.solve, g, cons)
+        got = _outcome(solve_inverse, op, g, cons)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        (y, var), free = want, np.setdiff1d(np.arange(n), [i for i, _ in cons])
+        sf = np.linalg.svd(op.entries[:, free], compute_uv=False)
+        delta = max(EPS, dense.s[n - k] / dense.s[0] if k else 0.0)
+        tol = 100 * delta * (sf[0] / sf[-1]) ** 2
+        assert np.abs(got.y - y).max() <= tol * np.abs(y).max()
+        assert np.abs(got.variance - var).max() <= tol * var.max()
+        compared += 1
+        sharp += tol < 1e-6
+    # most draws are well conditioned, so the tolerance has teeth
+    assert compared >= 250 and sharp >= 100, (compared, sharp)
+
+
+def test_pin_where_the_null_mode_vanishes_raises_like_the_oracle():
+    # t*y' - y = g has the null mode y = t, which vanishes at t = 0
+    for n, accuracy in ((40, 2), (97, 4), (250, 8)):
+        grid = Grid(n, 0.1, t0=0.0)
+        op = assemble_ldo(LdoSpec(1, [-1.0, grid.times()]), grid, accuracy)
+        assert op.null_dim == 1
+        with pytest.raises(SingularConstraintSystemError):
+            solve_inverse(op, np.zeros(n), [(0, 1.0)])
+        with pytest.raises(SingularConstraintSystemError):
+            DenseLdo(op).solve(np.zeros(n), [(0, 1.0)])
+
+
+def _window_shapes(monkeypatch, n):
+    shapes = []
+    qr = np.linalg.qr
+
+    def counted(a, mode="reduced"):
+        if mode == "r":
+            shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    grid = Grid(n, 0.01)
+    op = assemble_ldo(LdoSpec(2, [0.0, 0.0, 1.0]), grid, 2)
+    shapes.clear()
+    solve_inverse(op, np.sin(grid.times()), [(0, 0.0), (n - 1, 1.0)])
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    return shapes
+
+
+def test_solve_factorizes_fixed_size_windows_linear_in_n(monkeypatch):
+    # linear cost by count: the number of QR windows scales with n, and no
+    # window grows with n
+    small, large = (_window_shapes(monkeypatch, n) for n in (640, 8 * 640))
+    assert abs(len(large) - 8 * len(small)) <= 1
+    assert max(small) == max(large)
+    assert max(max(small)) < 80
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +573,8 @@ def test_engine_matches_loop_oracles():
     for order, accuracy in [(0, 2), (1, 2), (2, 4), (3, 6)]:
         d = build_diff_operator(grid, order, accuracy)
         w = d.support
-        tol = stencil_tolerance(2 * w + 1, banded_abs_sum(d.entries, w, x))
-        assert np.all(np.abs(d.apply(x) - banded_apply_loop(d.entries, w, x)) <= tol)
+        tol = stencil_tolerance(2 * w + 1, banded_abs_sum(d.band, x))
+        assert np.all(np.abs(d.apply(x) - banded_apply_loop(d.band, x)) <= tol)
         k = extract_local_kernel(order, accuracy, grid.h)
         for boundary, rows in (("valid", slice(w, n - w)), ("one_sided", slice(None))):
             got = apply_streaming(k, x, boundary=boundary)
@@ -475,8 +585,8 @@ def test_engine_matches_loop_oracles():
     t = grid.times()
     op = assemble_ldo(LdoSpec(2, [np.sin(t), 1.0 + t, 2.0 + np.cos(t)]), grid, 4)
     w = op.support
-    tol = stencil_tolerance(2 * w + 1, banded_abs_sum(op.entries, w, x))
-    assert np.all(np.abs(op.apply(x) - banded_apply_loop(op.entries, w, x)) <= tol)
+    tol = stencil_tolerance(2 * w + 1, banded_abs_sum(op.band, x))
+    assert np.all(np.abs(op.apply(x) - banded_apply_loop(op.band, x)) <= tol)
 
 
 def test_streaming_memory_is_linear_in_samples():
@@ -510,16 +620,15 @@ def test_band_apply_memory_is_linear_in_samples():
     assert peak < 6 * n * (2 * w + 1) * 8, f"traced peak {peak} bytes"
 
 
-def test_assembled_ldo_holds_band_and_svd_factors_only():
+def test_assembled_ldo_holds_band_and_null_basis_only():
     grid = Grid(60, 0.1)
     t = grid.times()
     spec = LdoSpec(2, [np.sin(t), -1.0, 2.0 + np.cos(t)])
     op = assemble_ldo(spec, grid, 4)
     assert op.band.shape == (60, 5) and op.support == 2
-    u, s, vt = op.svd
-    square = [v for v in list(vars(op).values()) + list(op.svd)
-              if isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] == grid.n]
-    assert len(square) == 2 and square[0] is u and square[1] is vt
+    arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 2 and arrays[0] is op.band and arrays[1] is op.null_basis
+    assert op.null_basis.shape == (60, op.null_dim) and op.null_dim < grid.n
     # the band holds, bit for bit, the weights of the dense sum
     dense = np.zeros((grid.n, grid.n))
     for i, a in enumerate(spec.coefficient_values(grid)):

@@ -10,7 +10,6 @@ from siglex import (
     estimate_residual_variance,
     prediction_band,
     propagate_forward,
-    solution_operator,
     solve_inverse,
     student_t_cdf,
     student_t_quantile,
@@ -25,6 +24,7 @@ from siglex.errors import (
     NotSymmetricError,
 )
 
+from dense_ldo import pseudo_inverse, solution_operator
 from frozen_tables import NORMAL_Q975, T_TABLE
 
 
@@ -88,7 +88,7 @@ def test_propagate_inverse_diagonal():
     d = np.array([1.0, 2.0, 4.0, 0.5])
     op = assemble_ldo(LdoSpec(0, [d]), Grid(4, 1.0), 0)
     sigma2 = 2.25
-    lam = propagate_forward(op.pseudo_inverse(), sigma2 * np.eye(4))
+    lam = propagate_forward(pseudo_inverse(op), sigma2 * np.eye(4))
     assert np.allclose(np.diag(lam), sigma2 / d ** 2, atol=1e-12)
 
 
@@ -178,20 +178,20 @@ def test_t_quantile_invalid():
 
 def test_band_unit_covariance():
     y = np.zeros(7)
-    band = confidence_band(y, np.eye(7), 1.0, 10, 0.95)
+    band = confidence_band(y, np.ones(7), 1.0, 10, 0.95)
     assert np.abs(band.half_width - 2.2281388519649385).max() <= 1e-8
     assert np.array_equal(band.lower, -band.half_width)
     assert np.array_equal(band.upper, band.half_width)
 
 
 def test_band_vanishes_at_low_level():
-    band = confidence_band(np.ones(5), np.eye(5), 1.0, 10, 1e-12)
+    band = confidence_band(np.ones(5), np.ones(5), 1.0, 10, 1e-12)
     assert band.half_width.max() <= 1e-11
 
 
 def test_band_monotone_in_level():
     y = np.zeros(4)
-    lam = np.diag([0.5, 1.0, 2.0, 4.0])
+    lam = np.array([0.5, 1.0, 2.0, 4.0])
     prev = None
     for level in (0.5, 0.8, 0.9, 0.95, 0.99):
         hw = confidence_band(y, lam, 1.3, 7, level).half_width
@@ -201,13 +201,18 @@ def test_band_monotone_in_level():
 
 
 def test_band_negative_diagonal():
-    lam = np.diag([1.0, -0.5, 1.0])
+    lam = np.array([1.0, -0.5, 1.0])
     with pytest.raises(NegativeDiagonalError):
         confidence_band(np.zeros(3), lam, 1.0, 5, 0.95)
+    # within -1e-10 * sum(variance) an entry is clamped to a zero width
+    band = confidence_band(np.zeros(3), np.array([1.0, -1e-11, 1.0]), 1.0, 5, 0.95)
+    assert band.half_width[1] == 0.0
+    with pytest.raises(DimensionMismatchError):
+        confidence_band(np.zeros(3), np.eye(3), 1.0, 5, 0.95)
 
 
 def test_band_csv(tmp_path):
-    band = confidence_band(np.arange(3.0), np.eye(3), 1.0, 10, 0.95)
+    band = confidence_band(np.arange(3.0), np.ones(3), 1.0, 10, 0.95)
     path = tmp_path / "band.csv"
     band.to_csv(path)
     lines = path.read_text().splitlines()
