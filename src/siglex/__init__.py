@@ -17,7 +17,6 @@ from .mcla import (
     compare_histograms,
     exclude_symbols,
     frequency_dictionary,
-    frequency_dictionary_json,
     histogram,
     multi_tokens,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "find_all",
     "find_all_tokens",
     "frequency_dictionary",
-    "frequency_dictionary_json",
     "histogram",
     "multi_tokens",
     "prediction_band",

@@ -15,8 +15,11 @@ hist       write the histogram of combined symbols
 classify   label fixed-size windows against reference histograms
 match      run a symbol pattern over channel streams, write match ranges
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-failure.
+Exit codes: 0 success; 1 usage error (the flags, the config, the references
+and the command's requirements, all checked before the log is read); 2 data
+error (a `DataError`, or an input file that cannot be read); 3 numerical
+failure (any other `SiglexError`).  A stage failure exits 2 or 3 as its
+cause would.
 """
 
 from __future__ import annotations
@@ -36,21 +39,12 @@ import numpy as np
 from . import mcla, pattern, scla
 from .csvout import write_csv
 from .errors import (
-    AlphabetError,
-    AlphabetMismatchError,
     ConfigError,
-    ConstraintIndexError,
-    EmptyInputError,
+    DataError,
     GridTooShortError,
-    InvalidWindowError,
     MalformedCsvError,
-    MalformedTokensError,
-    NonFiniteSampleError,
     NonMonotoneTimeError,
     NonUniformGridError,
-    NoOverlapError,
-    NoReferencesError,
-    OutOfRangeError,
     PipelineError,
     SiglexError,
 )
@@ -68,14 +62,6 @@ from .uncertainty import (
     ConfidenceBand,
     confidence_band,
     estimate_residual_variance,
-)
-
-_DATA_ERRORS = (
-    MalformedCsvError, NonMonotoneTimeError, NonUniformGridError,
-    NonFiniteSampleError, OutOfRangeError, AlphabetError,
-    AlphabetMismatchError, MalformedTokensError,
-    NoOverlapError, EmptyInputError, InvalidWindowError, NoReferencesError,
-    ConstraintIndexError, GridTooShortError,
 )
 
 
@@ -466,9 +452,6 @@ def _undecodable_line(path) -> int:
 
 @dataclass
 class ChannelResult:
-    name: str
-    grid: Grid
-    raw: np.ndarray
     processed: np.ndarray
     processed_grid: Optional[Grid]
     stream: scla.SymbolStream
@@ -515,42 +498,35 @@ def _process_channel(cc: ChannelConfig, grid: Grid, values: np.ndarray,
                       sol.y, sol.variance, sigma2, dof, level)
     stream = _stage(cc.name, "quantize", scla.quantize, processed, cc.alphabet, pgrid)
     tokens = _stage(cc.name, "compress", scla.compress_runs, stream)
-    return ChannelResult(cc.name, grid, values, processed, pgrid, stream, tokens,
-                         band, sol)
+    return ChannelResult(processed, pgrid, stream, tokens, band, sol)
 
 
-def run_pipeline(config: PipelineConfig, ingested: dict,
-                 level: Optional[float] = None,
-                 channel_filter: Optional[str] = None) -> PipelineBundle:
-    """Run every configured channel and the combine stage.
+def run_pipeline(config: PipelineConfig, ingested: dict) -> PipelineBundle:
+    """Run every configured channel, and the combine stage if `combine`
+    names at least 2 channels.
 
     `ingested` maps csv columns to (Grid, values) as produced by ingest_csv.
     Identical inputs and config yield identical bundles.
     """
-    level = config.band_level if level is None else level
     channels = {}
     for cc in config.channels:
-        if channel_filter is not None and cc.name != channel_filter:
-            continue
         if cc.csv_column not in ingested:
             raise ConfigError(f"channel '{cc.name}': column '{cc.csv_column}' "
                               "not found in ingested data")
         grid, values = ingested[cc.csv_column]
-        cr = _process_channel(cc, grid, values, level)
+        cr = _process_channel(cc, grid, values, config.band_level)
         if cc.pattern is not None:
             cr.matches = _stage(cc.name, "match", pattern.find_all,
                                 cc.pattern, cr.stream)
         channels[cc.name] = cr
 
     bundle = PipelineBundle(channels)
-    combine = [n for n in config.combine if n in channels]
-    if len(combine) >= 2:
-        try:
-            bundle.multistream = mcla.align_and_combine(
-                [channels[n].stream for n in combine], channels=combine)
-            bundle.histogram = mcla.histogram(bundle.multistream)
-        except SiglexError as exc:
-            raise PipelineError(",".join(combine), "combine", exc) from exc
+    names = config.combine
+    if len(names) >= 2:
+        where = ",".join(names)
+        bundle.multistream = _stage(where, "combine", mcla.align_and_combine,
+                                    [channels[n].stream for n in names], channels=names)
+        bundle.histogram = _stage(where, "combine", mcla.histogram, bundle.multistream)
     return bundle
 
 
@@ -574,15 +550,11 @@ def _cmd_derive(bundle: PipelineBundle, outdir: Path, args) -> None:
 
 
 def _cmd_solve(bundle: PipelineBundle, outdir: Path, args) -> None:
-    wrote = False
     for name, cr in bundle.channels.items():
         if cr.band is not None:
             cr.band.to_csv(outdir / f"{name}.band.csv")
             _write_series_csv(outdir / f"{name}.solution.csv",
                               cr.processed_grid, cr.processed)
-            wrote = True
-    if not wrote:
-        raise ConfigError("solve needs a channel with an 'ldo' entry")
 
 
 def _cmd_symbolize(bundle: PipelineBundle, outdir: Path, args) -> None:
@@ -591,46 +563,38 @@ def _cmd_symbolize(bundle: PipelineBundle, outdir: Path, args) -> None:
 
 
 def _cmd_combine(bundle: PipelineBundle, outdir: Path, args) -> None:
-    if bundle.multistream is None:
-        raise ConfigError("combine needs a 'combine' list of >= 2 channels")
     scla.tokens_to_csv(mcla.multi_tokens(bundle.multistream),
                        outdir / "combined.tokens.csv")
 
 
 def _cmd_hist(bundle: PipelineBundle, outdir: Path, args) -> None:
-    if bundle.histogram is None:
-        raise ConfigError("hist needs a 'combine' list of >= 2 channels")
     (outdir / "histogram.json").write_text(bundle.histogram.to_json(),
                                            encoding="utf-8")
 
 
 def _cmd_classify(bundle: PipelineBundle, outdir: Path, args) -> None:
-    if bundle.multistream is None:
-        raise ConfigError("classify needs a 'combine' list of >= 2 channels")
-    if args.references is None:
-        raise ConfigError("classify needs --references")
-    excluded = set(args.exclude.split(",")) if args.exclude else set()
-    excluded.discard("")
-    total = len(bundle.multistream)
+    excluded = set(args.exclude.split(",")) - {""} if args.exclude else set()
+    ms = bundle.multistream
+    total = len(ms)
     size = total if args.window is None else args.window
-    with open(outdir / "classify.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("start,end,label,score\n")
-        for start in range(0, total, size):
-            stop = min(start + size, total)
-            fd = mcla.histogram(bundle.multistream, (start, stop))
-            label, score = mcla.classify_operation(fd, args.references,
-                                                   args.measure, excluded)
-            fh.write(f"{start},{stop},{label},{score:.17g}\n")
+    starts = range(0, total, size)
+
+    def windows(a, b):
+        stops = [min(s + size, total) for s in starts[a:b]]
+        labels, scores = zip(*(
+            mcla.classify_operation(mcla.histogram(ms, (s, e)), args.references,
+                                    args.measure, excluded)
+            for s, e in zip(starts[a:b], stops)))
+        return starts[a:b], stops, labels, scores
+
+    write_csv(outdir / "classify.csv", "start,end,label,score\n", "{},{},{},{:.17g}\n",
+              len(starts), windows)
 
 
 def _cmd_match(bundle: PipelineBundle, outdir: Path, args) -> None:
-    wrote = False
     for name, cr in bundle.channels.items():
         if cr.matches is not None:
             pattern.matches_to_csv(cr.matches, outdir / f"{name}.matches.csv")
-            wrote = True
-    if not wrote:
-        raise ConfigError("match needs --pattern or per-channel 'pattern' entries")
 
 
 _COMMANDS = {
@@ -671,45 +635,55 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _settle(config: PipelineConfig, args) -> None:
+    """Check the flags and apply them to `config`, then check that the selected
+    channels can serve the command.  Runs before the log is read."""
+    if args.window is not None and args.window < 1:
+        raise ConfigError(f"--window must be >= 1, got {args.window}")
+    if args.channel is not None:
+        config.channels = [cc for cc in config.channels if cc.name == args.channel]
+        if not config.channels:
+            raise ConfigError(f"unknown channel '{args.channel}'")
+        config.combine = [n for n in config.combine if n == args.channel]
+    if args.level is not None:
+        config.band_level = _check_level(args.level, "--level")
+    if args.pattern is not None:
+        for cc in config.channels:
+            cc.pattern = _compile_pattern(args.pattern, cc.alphabet,
+                                          f"--pattern for channel '{cc.name}'")
+    if args.command == "solve" and all(cc.ldo is None for cc in config.channels):
+        raise ConfigError("solve needs a channel with an 'ldo' entry")
+    if args.command in ("combine", "hist", "classify") and len(config.combine) < 2:
+        raise ConfigError(f"{args.command} needs a 'combine' list of >= 2 channels")
+    if args.command == "classify" and args.references is None:
+        raise ConfigError("classify needs --references")
+    if args.command == "match" and all(cc.pattern is None for cc in config.channels):
+        raise ConfigError("match needs --pattern or per-channel 'pattern' entries")
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.level is not None:
-            _check_level(args.level, "--level")
-        if args.window is not None and args.window < 1:
-            raise ConfigError(f"--window must be >= 1, got {args.window}")
         config = load_config(args.config)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        columns = {cc.csv_column for cc in config.channels
-                   if args.channel is None or cc.name == args.channel}
-        if args.channel is not None and not columns:
-            raise ConfigError(f"unknown channel '{args.channel}'")
-        if args.pattern is not None:
-            for cc in config.channels:
-                if args.channel is None or cc.name == args.channel:
-                    cc.pattern = _compile_pattern(args.pattern, cc.alphabet,
-                                                  f"--pattern for channel '{cc.name}'")
-        ingested = ingest_csv(args.input, config.time_column, sorted(columns))
-        bundle = run_pipeline(config, ingested, level=args.level,
-                              channel_filter=args.channel)
-        _COMMANDS[args.command](bundle, outdir, args)
+        _settle(config, args)
+        columns = sorted({cc.csv_column for cc in config.channels})
+        ingested = ingest_csv(args.input, config.time_column, columns)
+        _COMMANDS[args.command](run_pipeline(config, ingested), outdir, args)
     except ConfigError as exc:
         print(f"siglex: usage error: {exc}", file=sys.stderr)
         return 1
     except PipelineError as exc:
-        code = 2 if isinstance(exc.cause, _DATA_ERRORS) else 3
+        code = 2 if isinstance(exc.cause, DataError) else 3
         print(f"siglex: error: {exc}", file=sys.stderr)
         return code
-    except _DATA_ERRORS as exc:
+    except (DataError, OSError) as exc:
         print(f"siglex: data error: {exc}", file=sys.stderr)
         return 2
     except (SiglexError, np.linalg.LinAlgError) as exc:
         print(f"siglex: numerical error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"siglex: data error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

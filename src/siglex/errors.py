@@ -1,13 +1,21 @@
 """Exception hierarchy for siglex.
 
-Every error raised by the library derives from :class:`SiglexError` so that
-callers (and the CLI) can map failures to exit codes without enumerating
-module-specific classes.
+Every error raised by the library derives from :class:`SiglexError`.  The
+CLI maps a failure to its exit code by base class alone: :class:`ConfigError`
+exits 1, :class:`DataError` (malformed or unsuitable input data) exits 2,
+any other :class:`SiglexError` exits 3 (numerical failure), and a
+:class:`PipelineError`, which wraps a stage's library error, exits 2 or 3
+as its cause would.  A new class is therefore a data error exactly when it
+derives from :class:`DataError`.
 """
 
 
 class SiglexError(Exception):
     """Base class for all siglex errors."""
+
+
+class DataError(SiglexError):
+    """The input data (log, tokens, references) cannot be processed."""
 
 
 # --- operator construction / solving -----------------------------------------
@@ -20,7 +28,7 @@ class AccuracyTooHighError(SiglexError):
     """Stencil accuracy above the supported maximum (exact LS cost grows ~a^4)."""
 
 
-class GridTooShortError(SiglexError):
+class GridTooShortError(DataError):
     """Grid has too few samples to host the requested stencil."""
 
 
@@ -40,7 +48,7 @@ class ConstraintCountMismatchError(SiglexError):
     """Number of point constraints differs from the null-space dimension."""
 
 
-class ConstraintIndexError(ConstraintCountMismatchError):
+class ConstraintIndexError(ConstraintCountMismatchError, DataError):
     """A point constraint's index lies outside the grid."""
 
 
@@ -80,7 +88,7 @@ class HorizonTooLargeError(SiglexError):
 
 # --- quantization / tokens ----------------------------------------------------
 
-class AlphabetError(SiglexError):
+class AlphabetError(DataError):
     """Alphabet definition is inconsistent."""
 
 
@@ -88,29 +96,29 @@ class NonpositiveEpsilonError(AlphabetError):
     """usd alphabet needs epsilon > 0."""
 
 
-class OutOfRangeError(SiglexError):
+class OutOfRangeError(DataError):
     """Sample outside an explicit-range alphabet without a catch-all symbol."""
 
 
-class NonFiniteSampleError(SiglexError):
+class NonFiniteSampleError(DataError):
     """NaN/inf sample under the 'reject' NaN policy."""
 
 
-class MalformedTokensError(SiglexError):
+class MalformedTokensError(DataError):
     """Token list violates run-length invariants."""
 
 
 # --- multi-channel combination ------------------------------------------------
 
-class NoOverlapError(SiglexError):
+class NoOverlapError(DataError):
     """Channel time ranges do not overlap."""
 
 
-class EmptyInputError(SiglexError):
+class EmptyInputError(DataError):
     """Fewer inputs than the operation requires."""
 
 
-class InvalidWindowError(SiglexError):
+class InvalidWindowError(DataError):
     """Index window is out of bounds."""
 
 
@@ -118,7 +126,7 @@ class BothEmptyError(SiglexError):
     """Similarity measure undefined for two empty histograms."""
 
 
-class NoReferencesError(SiglexError):
+class NoReferencesError(DataError):
     """Classification called without reference histograms."""
 
 
@@ -137,13 +145,13 @@ class UnknownSymbolError(SiglexError):
     """Pattern literal is not part of the alphabet."""
 
 
-class AlphabetMismatchError(SiglexError):
+class AlphabetMismatchError(DataError):
     """Stream alphabet differs from the pattern alphabet."""
 
 
 # --- CSV ingestion / CLI --------------------------------------------------------
 
-class MalformedCsvError(SiglexError):
+class MalformedCsvError(DataError):
     """CSV row could not be parsed; carries the 1-based line number."""
 
     def __init__(self, line: int, message: str):
@@ -152,11 +160,11 @@ class MalformedCsvError(SiglexError):
         self.message = message
 
 
-class NonMonotoneTimeError(SiglexError):
+class NonMonotoneTimeError(DataError):
     """Timestamps are not strictly increasing."""
 
 
-class NonUniformGridError(SiglexError):
+class NonUniformGridError(DataError):
     """Successive time deltas deviate beyond tolerance."""
 
 

@@ -156,12 +156,6 @@ def frequency_dictionary(fd: FrequencyDict) -> list[tuple[str, int]]:
     return sorted(fd.counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def frequency_dictionary_json(fd: FrequencyDict) -> str:
-    """Ordered dictionary as a JSON array of [key, count] pairs."""
-    return json.dumps([[k, c] for k, c in frequency_dictionary(fd)],
-                      separators=(", ", ": "))
-
-
 def exclude_symbols(fd: FrequencyDict, keys: Iterable[str]) -> FrequencyDict:
     """Drop the listed combination keys (e.g. the dominant stationary bins)."""
     drop = set(keys)

@@ -629,10 +629,6 @@ class StreamingKernel:
         self._window = np.empty(0)
         self._rows = _window_stencils(kernel.order, kernel.accuracy, kernel.h)
 
-    def push(self, sample: float) -> list[float]:
-        """Feed one sample; returns the outputs it completes, in order."""
-        return self.push_many([sample]).tolist()
-
     def push_many(self, chunk) -> np.ndarray:
         """Feed a 1-D block of samples; returns the outputs it completes, in order."""
         w, width = self._w, 2 * self._w + 1
@@ -648,11 +644,11 @@ class StreamingKernel:
             out = np.concatenate((_stencil_sum(self._rows[:w], x[None, :width]), out))
         return out
 
-    def finish(self) -> list[float]:
+    def finish(self) -> np.ndarray:
         """Flush trailing one-sided outputs (empty for boundary="valid")."""
         if self.boundary != "one_sided" or len(self._window) < 2 * self._w + 1:
-            return []
-        return _stencil_sum(self._rows[self._w + 1:], self._window[None, :]).tolist()
+            return np.empty(0)
+        return _stencil_sum(self._rows[self._w + 1:], self._window[None, :])
 
 
 def apply_streaming(kernel: LocalKernel, stream, boundary: str = "valid") -> np.ndarray:

@@ -128,8 +128,6 @@ class _Parser:
 
     def parse_atom(self):
         c = self.peek()
-        if c is None:
-            self.error("unexpected end of pattern")
         if c == "(":
             self.pos += 1
             node = self.parse_alt()

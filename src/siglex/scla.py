@@ -25,6 +25,8 @@ from .grid import Grid
 from .operators import LocalKernel, apply_streaming
 
 GAP_SYMBOL = "_"
+# NUL reads back as "" from numpy's U1 arrays; the others split a CSV field
+_UNWRITABLE = frozenset("\0,\"\n\r")
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,10 @@ class Alphabet:
             raise AlphabetError("catch_all must be a single character")
         if self.catch_all == GAP_SYMBOL:
             raise AlphabetError(f"catch_all {GAP_SYMBOL!r} is reserved for gaps")
+        bad = _UNWRITABLE.intersection((*syms, self.catch_all))
+        if bad:
+            raise AlphabetError(
+                f"symbol {min(bad)!r} cannot be carried by a stream or CSV")
         rng = self.valid_range
         if rng is not None and not (len(rng) == 2 and rng[0] < rng[1]):
             raise AlphabetError(f"valid_range must be (lo, hi) with lo < hi, got {rng}")

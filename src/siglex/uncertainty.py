@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -175,6 +176,16 @@ def student_t_quantile(p: float, dof: int) -> float:
     return 0.5 * (lo + hi)
 
 
+@lru_cache
+def _band_quantile(level: float, dof: int) -> float:
+    """t_{1-(1-level)/2, dof}, the half-width factor of a two-sided band at
+    coverage `level`.  Cached: bands at one level and dof repeat the same
+    bisection."""
+    if not 0.0 < level < 1.0:
+        raise InvalidProbabilityError(f"level must be in (0, 1), got {level}")
+    return student_t_quantile(1.0 - (1.0 - level) / 2.0, dof)
+
+
 # ---------------------------------------------------------------------------
 # bands
 # ---------------------------------------------------------------------------
@@ -211,8 +222,7 @@ def confidence_band(y: np.ndarray, variance: np.ndarray, sigma2: float,
     -1e-10 * sum(variance)) are clamped to zero; anything more negative
     raises NegativeDiagonalError.
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidProbabilityError(f"level must be in (0, 1), got {level}")
+    t = _band_quantile(level, dof)
     y = np.asarray(y, dtype=np.float64)
     var = np.asarray(variance, dtype=np.float64)
     if var.shape != y.shape or y.ndim != 1:
@@ -222,7 +232,6 @@ def confidence_band(y: np.ndarray, variance: np.ndarray, sigma2: float,
     if np.any(var < floor):
         raise NegativeDiagonalError(
             f"variance minimum {var.min():.3e} below tolerance {floor:.3e}")
-    t = student_t_quantile(1.0 - (1.0 - level) / 2.0, dof)
     return ConfidenceBand(y.copy(), t * np.sqrt(sigma2 * np.clip(var, 0.0, None)), level)
 
 
@@ -250,8 +259,6 @@ def prediction_band(solution: InverseSolution, op: LdoMatrix,
     """
     if horizon < 1:
         raise HorizonTooLargeError(f"horizon must be >= 1, got {horizon}")
-    if not 0.0 < level < 1.0:
-        raise InvalidProbabilityError(f"level must be in (0, 1), got {level}")
     n = op.grid.n
     for i, c in enumerate(op.spec.coefficients):
         if np.asarray(c).ndim != 0:
@@ -273,21 +280,14 @@ def prediction_band(solution: InverseSolution, op: LdoMatrix,
     tail = np.asarray(solution.y, dtype=np.float64)[n - m:n]
     A = modes[n - m:n, :]
     F = modes[n:, :]
-    if k_ext:
-        beta, *_ = np.linalg.lstsq(A, tail, rcond=None)
-        center = F @ beta
-        resid = tail - A @ beta
-        gram_inv = np.linalg.pinv(A.T @ A)
-        leverage = np.einsum("ij,jk,ik->i", F, gram_inv, F)
-    else:
-        beta = np.zeros(0)
-        center = np.zeros(horizon)
-        resid = tail
-        leverage = np.zeros(horizon)
+    beta, *_ = np.linalg.lstsq(A, tail, rcond=None)
+    center = F @ beta
+    resid = tail - A @ beta
+    leverage = np.einsum("ij,jk,ik->i", F, np.linalg.pinv(A.T @ A), F)
 
     dof = max(m - k_ext, 1)
     sigma2 = float(resid @ resid) / dof
-    t = student_t_quantile(1.0 - (1.0 - level) / 2.0, dof)
-    hw = t * np.sqrt(sigma2 * (np.clip(leverage, 0.0, None) + 1.0))
+    hw = _band_quantile(level, dof) * np.sqrt(
+        sigma2 * (np.clip(leverage, 0.0, None) + 1.0))
     hw = np.maximum.accumulate(hw)
     return ConfidenceBand(center, hw, level)

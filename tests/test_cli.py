@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import siglex
-from siglex import usd_alphabet
+from siglex import cli, errors, usd_alphabet
 from siglex.cli import (
     OperatorConfig,
     PipelineConfig,
@@ -24,6 +24,8 @@ from siglex.errors import (
     MalformedCsvError,
     NonMonotoneTimeError,
     NonUniformGridError,
+    PipelineError,
+    SiglexError,
 )
 
 SRC = str(Path(siglex.__file__).resolve().parents[1])
@@ -360,6 +362,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = write(tmp_path / "bad.csv", "t,a,b\n0,1,1\n2,2,2\n1,3,3\n")
     assert main(["symbolize", "--config", str(cfg), "--input", str(bad),
                  "--out", str(tmp_path / "e3")]) == 2
+    # data: a log that cannot be opened
+    capsys.readouterr()
+    assert main(["symbolize", "--config", str(cfg), "--input",
+                 str(tmp_path / "missing.csv"), "--out", str(tmp_path / "e3")]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
     # numerical: constraint count mismatch inside the solve stage
     ncfg = write(tmp_path / "n.json", json.dumps({
         "channels": [{"name": "pos", "csv_column": "a",
@@ -418,6 +425,85 @@ def test_cli_solve_needs_an_ldo_channel(tmp_path, capsys):
     code, out = run_cli(tmp_path, "solve", config, ramp_csv_text(), "o")
     assert code == 0
     assert sorted(p.name for p in out.iterdir()) == ["pos.band.csv", "pos.solution.csv"]
+
+
+def test_cli_command_requirements_exit_1_before_reading_the_log(tmp_path, capsys):
+    one = {"channels": TWO_CHANNEL_CONFIG["channels"][:1]}
+    refs = write(tmp_path / "refs.json", json.dumps({"steady": {"us": 1}}))
+    combine_list = "needs a 'combine' list of >= 2 channels"
+    cases = [
+        ("solve", TWO_CHANNEL_CONFIG, (), "solve needs a channel with an 'ldo' entry"),
+        ("combine", one, (), "combine " + combine_list),
+        ("hist", TWO_CHANNEL_CONFIG, ("--channel", "ramp"), "hist " + combine_list),
+        ("classify", one, ("--references", str(refs)), "classify " + combine_list),
+        ("classify", TWO_CHANNEL_CONFIG, (), "classify needs --references"),
+        ("match", TWO_CHANNEL_CONFIG, (),
+         "match needs --pattern or per-channel 'pattern' entries"),
+    ]
+    for command, config, extra, message in cases:
+        cfg = write(tmp_path / "c.json", json.dumps(config))
+        code = main([command, "--config", str(cfg), "--input",
+                     str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o"), *extra])
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.splitlines()) == 1 and message in err, (command, err)
+
+
+def test_cli_rejects_symbols_a_stream_or_csv_cannot_carry(tmp_path, capsys):
+    # a NUL symbol used to vanish from the stream, a ',' to split token rows
+    for alphabet in ({"symbols": ["\u0000", "h"], "boundaries": [0.5]},
+                     {"symbols": "lh", "boundaries": [0.5], "range": [-50.0, 50.0],
+                      "catch_all": ","}):
+        config = {"channels": [{"name": "a", "csv_column": "a", "alphabet": alphabet}]}
+        code, out = run_cli(tmp_path, "symbolize", config, ramp_csv_text(), "o")
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.splitlines()) == 1, err
+        assert "cannot be carried" in err, err
+
+
+def _subclasses(cls) -> set:
+    return {c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))}
+
+
+# main's exit code for each library error escaping a run; a new error class
+# fails test_cli_exit_code_table until it is entered here
+EXIT_CODES = {
+    "ConfigError": 1,
+    **dict.fromkeys((
+        "DataError", "GridTooShortError", "ConstraintIndexError", "AlphabetError",
+        "NonpositiveEpsilonError", "OutOfRangeError", "NonFiniteSampleError",
+        "MalformedTokensError", "NoOverlapError", "EmptyInputError",
+        "InvalidWindowError", "NoReferencesError", "AlphabetMismatchError",
+        "MalformedCsvError", "NonMonotoneTimeError", "NonUniformGridError"), 2),
+    **dict.fromkeys((
+        "OrderExceedsAccuracyError", "AccuracyTooHighError",
+        "CoefficientLengthMismatchError", "LeadingCoefficientZeroError",
+        "LengthMismatchError", "ConstraintCountMismatchError",
+        "SingularConstraintSystemError", "DimensionMismatchError",
+        "NotSymmetricError", "InsufficientDofError", "InvalidProbabilityError",
+        "InvalidDofError", "NegativeDiagonalError", "HorizonTooLargeError",
+        "BothEmptyError", "PatternSyntaxError", "UnknownSymbolError"), 3),
+}
+
+
+def test_cli_exit_code_table(tmp_path, monkeypatch, capsys):
+    classes = _subclasses(SiglexError) - {PipelineError}
+    assert {c.__name__ for c in classes} == set(EXIT_CODES)
+    assert all(getattr(errors, c.__name__) is c for c in classes)
+    cfg = write(tmp_path / "c.json", json.dumps(TWO_CHANNEL_CONFIG))
+    argv = ["symbolize", "--config", str(cfg), "--input",
+            str(two_channel_csv(tmp_path)), "--out", str(tmp_path / "o")]
+    for cls in sorted(classes, key=lambda c: c.__name__):
+        located = cls in (MalformedCsvError, errors.PatternSyntaxError)
+        exc = cls(3, "boom") if located else cls("boom")
+        raised = [exc, PipelineError("ramp", "quantize", exc)]
+        if cls is ConfigError:  # a stage runs library code, which raises none
+            raised = [exc]
+        for err in raised:
+            def fail(*args, err=err):
+                raise err
+            monkeypatch.setattr(cli, "run_pipeline", fail)
+            assert main(argv) == EXIT_CODES[cls.__name__], (cls, err)
+            assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_cli_bad_pattern_exits_1_before_reading_the_log(tmp_path, capsys):

@@ -225,12 +225,6 @@ def test_frequency_dict_json_round_trip():
             FrequencyDict.from_json_obj(bad)
 
 
-def test_frequency_dictionary_json():
-    from siglex.mcla import frequency_dictionary_json
-    fd = FrequencyDict.from_counts({"ud": 2, "ss": 5})
-    assert frequency_dictionary_json(fd) == '[["ss", 5], ["ud", 2]]'
-
-
 # ---------------------------------------------------------------------------
 # similarity and classification
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from siglex import (
     assemble_ldo,
     build_diff_operator,
     extract_local_kernel,
+    operators,
     solve_inverse,
 )
 from siglex.errors import (
@@ -217,6 +218,28 @@ def test_null_basis_orthonormal_fuzz():
             op.rank_tolerance * np.linalg.norm(op.entries)
 
 
+def test_null_space_wider_than_the_first_block_matches_the_oracle(monkeypatch):
+    # a1 = 0 on rows 20-29 leaves those rows of L empty, so the null space
+    # (dimension 10) outgrows the first block of degree + 2 = 3 vectors and
+    # the block doubles until it holds a non-null value
+    blocks = []
+    smallest = operators._smallest_singular
+
+    def counted(band, cols, r, p, rng):
+        blocks.append(p)
+        return smallest(band, cols, r, p, rng)
+
+    monkeypatch.setattr(operators, "_smallest_singular", counted)
+    a1 = np.ones(60)
+    a1[20:30] = 0.0
+    op = assemble_ldo(LdoSpec(1, [0.0, a1]), Grid(60, 0.1), 2)
+    assert blocks == [3, 6, 12]
+    dense = DenseLdo(op).op
+    assert op.null_dim == dense.null_dim == 10
+    nb, want = op.null_basis, dense.null_basis
+    assert np.abs(nb @ nb.T - want @ want.T).max() < 1e-12
+
+
 def test_spec_validation():
     with pytest.raises(CoefficientLengthMismatchError):
         LdoSpec(1, [1.0])
@@ -335,6 +358,11 @@ def test_constraint_count_mismatch():
     for rows in ([], [0, 1], [-1], [20]):
         with pytest.raises(ConstraintCountMismatchError):
             solution_operator(op, rows)
+    with pytest.raises(LengthMismatchError):
+        solve_inverse(op, np.ones(19), [(0, 0.0)])
+    op2 = assemble_ldo(LdoSpec(2, [0.0, 0.0, 1.0]), Grid(20, 0.5), 2)
+    with pytest.raises(ConstraintCountMismatchError, match="not distinct"):
+        solve_inverse(op2, np.ones(20), [(3, 0.0), (3, 1.0)])
 
 
 def test_singular_constraint_system():
@@ -478,11 +506,11 @@ def test_streaming_latency():
     w = k.half_width
     emitted = []
     for j in range(20):
-        out = sk.push(float(j * j))
+        out = sk.push_many([float(j * j)])
         if j < 2 * w:
-            assert out == []
+            assert out.size == 0
         else:
-            assert len(out) == 1  # output j-w arrives exactly at sample j
+            assert out.size == 1  # output j-w arrives exactly at sample j
         emitted.extend(out)
     assert len(emitted) == 20 - 2 * w
 
@@ -529,8 +557,7 @@ def _chunked(k, x, boundary, size):
 
 def _per_sample(k, x, boundary):
     sk = StreamingKernel(k, boundary)
-    out = [v for sample in x for v in sk.push(sample)]
-    return np.array(out + sk.finish())
+    return np.concatenate([sk.push_many([sample]) for sample in x] + [sk.finish()])
 
 
 @pytest.mark.parametrize("boundary", ["valid", "one_sided"])
@@ -554,14 +581,19 @@ def test_chunking_and_dense_give_identical_bytes(order, accuracy, boundary):
         assert want.tobytes() == dense.tobytes()
 
 
-def test_push_many_returns_array_and_push_returns_floats():
+def test_push_many_and_finish_return_arrays():
     k = extract_local_kernel(1, 2, 1.0)
     sk = StreamingKernel(k)
     assert sk.push_many([]).shape == (0,)
     assert sk.push_many([0.0, 1.0]).shape == (0,)
-    out = sk.push(4.0)
-    assert out == [2.0] and type(out[0]) is float
+    out = sk.push_many([4.0])
+    assert out.dtype == np.float64 and np.array_equal(out, [2.0])
     assert np.array_equal(sk.push_many(np.array([9.0, 16.0])), [4.0, 6.0])
+    assert sk.finish().shape == (0,)
+    sk = StreamingKernel(k, "one_sided")
+    sk.push_many([0.0, 1.0, 4.0])
+    out = sk.finish()
+    assert out.dtype == np.float64 and np.array_equal(out, [4.0])  # (x^2)' at 2
 
 
 def test_engine_matches_loop_oracles():

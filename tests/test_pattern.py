@@ -53,6 +53,8 @@ def test_compile_syntax_errors():
     for text in ("(u", "u)", "*u", "u{", "u{2,", "u{a}", "u}"):
         with pytest.raises(PatternSyntaxError):
             compile_pattern(text, ALPHA)
+    with pytest.raises(PatternSyntaxError, match="expected '}'"):
+        compile_pattern("u{2", ALPHA)
 
 
 def test_compile_unknown_symbol():

@@ -51,6 +51,12 @@ def test_alphabet_validation():
         Alphabet(("a", "bb"), (0.0,))
     with pytest.raises(AlphabetError):  # '_' would merge with gap runs
         Alphabet(("l", "h"), (0.5,), "gap", (0.0, 1.0), catch_all="_")
+    # NUL vanishes from numpy's U1 arrays; the rest split a token CSV row
+    for c in ("\0", ",", '"', "\n", "\r"):
+        with pytest.raises(AlphabetError):
+            Alphabet((c, "h"), (0.5,))
+        with pytest.raises(AlphabetError):
+            Alphabet(("l", "h"), (0.5,), valid_range=(0.0, 1.0), catch_all=c)
 
 
 def test_quantize_basic():

@@ -268,6 +268,21 @@ def test_prediction_horizon_cap():
         prediction_band(sol, op, horizon=500, level=0.95)
 
 
+def test_prediction_without_null_modes():
+    # a degree-0 operator has no null modes to extrapolate: the center is 0
+    # and the half width is t * sqrt(tail . tail / m) over the tail window
+    rng = np.random.default_rng(3)
+    op = assemble_ldo(LdoSpec(0, [2.0]), Grid(40, 1.0), 2)
+    assert op.null_dim == 0
+    sol = solve_inverse(op, rng.standard_normal(40), [])
+    band = prediction_band(sol, op, horizon=3, level=0.9)
+    m = 10  # 25% of 40 samples
+    tail = sol.y[-m:]
+    want = student_t_quantile(0.95, m) * np.sqrt(tail @ tail / m)
+    assert np.array_equal(band.center, np.zeros(3))
+    assert np.allclose(band.half_width, want, rtol=1e-12, atol=0)
+
+
 def test_prediction_rejects_vector_coefficients():
     grid = Grid(30, 1.0)
     spec = LdoSpec(1, [0.0, np.ones(30)])
