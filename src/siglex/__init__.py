@@ -36,6 +36,7 @@ from .operators import (
 from .pattern import Match, SymbolPattern, compile_pattern, find_all, find_all_tokens
 from .scla import (
     Alphabet,
+    Runs,
     SymbolStream,
     Token,
     compress_runs,
@@ -68,6 +69,7 @@ __all__ = [
     "LocalKernel",
     "Match",
     "MultiStream",
+    "Runs",
     "SiglexError",
     "StreamingKernel",
     "SymbolPattern",

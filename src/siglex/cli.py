@@ -15,11 +15,11 @@ hist       write the histogram of combined symbols
 classify   label fixed-size windows against reference histograms
 match      run a symbol pattern over channel streams, write match ranges
 
-Exit codes: 0 success; 1 usage error (the flags, the config, the references
-and the command's requirements, all checked before the log is read); 2 data
-error (a `DataError`, or an input file that cannot be read); 3 numerical
-failure (any other `SiglexError`).  A stage failure exits 2 or 3 as its
-cause would.
+Exit codes: 0 success; 1 usage error (the flags, the config, the references,
+the command's requirements and an `--out` directory that cannot be created,
+all checked before the log is read); 2 data error (a `DataError`, or an
+input file that cannot be read); 3 numerical failure (any other
+`SiglexError`).  A stage failure exits 2 or 3 as its cause would.
 """
 
 from __future__ import annotations
@@ -245,6 +245,10 @@ def load_references(path) -> dict:
         raise ConfigError("references must be an object {label: histogram}")
     refs = {}
     for label, counts in obj.items():
+        bad = scla.UNWRITABLE.intersection(label)
+        if bad:
+            raise ConfigError(f"references label {label!r}: character {min(bad)!r} "
+                              "cannot be carried by a CSV")
         try:
             refs[label] = mcla.FrequencyDict.from_json_obj(counts)
         except ValueError as exc:
@@ -455,7 +459,7 @@ class ChannelResult:
     processed: np.ndarray
     processed_grid: Optional[Grid]
     stream: scla.SymbolStream
-    tokens: list
+    tokens: scla.Runs
     band: Optional[ConfidenceBand] = None
     solution: Optional[InverseSolution] = None
     matches: Optional[list] = None
@@ -665,9 +669,13 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = load_config(args.config)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         _settle(config, args)
+        outdir = Path(args.out)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: cannot create the output directory "
+                              f"({exc.strerror})") from exc
         columns = sorted({cc.csv_column for cc in config.channels})
         ingested = ingest_csv(args.input, config.time_column, columns)
         _COMMANDS[args.command](run_pipeline(config, ingested), outdir, args)

@@ -142,7 +142,7 @@ class PatternSyntaxError(SiglexError):
 
 
 class UnknownSymbolError(SiglexError):
-    """Pattern literal is not part of the alphabet."""
+    """Pattern literal, or symbol of a text stream, is not in the alphabet."""
 
 
 class AlphabetMismatchError(DataError):

@@ -1,8 +1,9 @@
 """Multi-channel lexical analysis.
 
 Per-sensor symbol streams are aligned onto the coarsest common grid and
-combined into per-sample symbol tuples (rendered as strings like "ud").
-Histograms over those combinations, sorted into frequency dictionaries,
+combined per sample.  A combined stream is a code array over a table of
+combination strings like "ud" (one symbol per channel), so a histogram is a
+`bincount` of codes.  Histograms, sorted into frequency dictionaries,
 characterize operation modes; simple similarity measures (l1 on normalized
 frequencies, cosine on counts) support mode classification.
 """
@@ -10,7 +11,6 @@ frequencies, cosine on counts) support mode classification.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -24,49 +24,43 @@ from .errors import (
     NoReferencesError,
 )
 from .grid import Grid
-from .scla import SymbolStream, Token, compress_runs
+from .scla import Runs, SymbolStream, compress_runs
 
 
-@dataclass
-class MultiStream:
-    """Sample-aligned symbol combinations for several channels.
+class MultiStream(SymbolStream):
+    """Sample-aligned symbol combinations of several channels: a coded
+    stream whose table entries concatenate one symbol per channel (channel i
+    of combination k is `table[k][i]`).
 
-    `samples[j]` concatenates one symbol per channel (all symbols are single
-    characters, so channel i is `samples[j][i]`).
+    Given per-sample combination strings instead of a code array, the table
+    is their sorted distinct set.
     """
 
-    channels: tuple
-    samples: list
-    source_grid: Optional[Grid]
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def channel(self, i: int) -> str:
-        """Aligned symbol sequence of channel i."""
-        return "".join(s[i] for s in self.samples)
+    def __init__(self, channels: Sequence[str], codes, source_grid: Optional[Grid],
+                 table: Optional[tuple] = None):
+        super().__init__(codes, None, source_grid, table)
+        self.channels = tuple(channels)
 
 
 def align_and_combine(streams: Sequence[SymbolStream],
                       channels: Optional[Sequence[str]] = None) -> MultiStream:
-    """Resample streams onto the coarsest grid (LOCF) and zip them.
+    """Resample streams onto the coarsest grid (LOCF) and combine them.
 
     The output grid is the input grid with the largest step, restricted to
     the time overlap of all inputs; each channel contributes the symbol of
     its latest sample at or before the grid time (last observation carried
-    forward, so no unseen symbols are invented).
+    forward, so no unseen symbols are invented).  The table holds the
+    combinations that occur, in the order of the channels' tables.
     """
     if len(streams) < 2:
         raise EmptyInputError(f"need at least 2 streams, got {len(streams)}")
     grids = [s.source_grid for s in streams]
     if any(g is None for g in grids):
         raise EmptyInputError("every stream needs a grid for alignment")
-    if any(len(s.symbols) != g.n for s, g in zip(streams, grids)):
+    if any(len(s) != g.n for s, g in zip(streams, grids)):
         raise EmptyInputError("stream length differs from its grid")
     if channels is None:
         channels = tuple(f"ch{i}" for i in range(len(streams)))
-    else:
-        channels = tuple(channels)
 
     coarse = max(grids, key=lambda g: g.h)
     start = max(g.t0 for g in grids)
@@ -82,18 +76,24 @@ def align_and_combine(streams: Sequence[SymbolStream],
         raise NoOverlapError("no coarse-grid sample falls inside the overlap")
 
     t = coarse.time_at(np.arange(k_lo, k_hi + 1))
-    columns = [[s.symbols[i] for i in g.index_at_or_before(t).tolist()]
-               for s, g in zip(streams, grids)]
-    samples = list(map("".join, zip(*columns)))
+    # add one channel at a time as a mixed-radix digit, then renumber to the
+    # combinations that occur, so keys stay below (combinations x table size)
+    codes, table = np.zeros(len(t), dtype=np.uint8), ("",)
+    for s, g in zip(streams, grids):
+        radix = len(s.table)
+        key = (codes.astype(np.min_scalar_type(len(table) * radix - 1)) * radix
+               + s.codes[g.index_at_or_before(t)])
+        keys = np.unique(key)
+        codes = np.searchsorted(keys, key).astype(np.min_scalar_type(len(keys) - 1))
+        table = tuple(table[k // radix] + s.table[k % radix] for k in keys.tolist())
     # a degenerate single-sample overlap has no representable grid
-    out_grid = (Grid(len(samples), coarse.h, coarse.time_at(k_lo))
-                if len(samples) >= 2 else None)
-    return MultiStream(channels, samples, out_grid)
+    out_grid = Grid(len(t), coarse.h, coarse.time_at(k_lo)) if len(t) >= 2 else None
+    return MultiStream(channels, codes, out_grid, table)
 
 
-def multi_tokens(ms: MultiStream) -> list[Token]:
+def multi_tokens(ms: MultiStream) -> Runs:
     """Run-length tokens over the combined per-sample symbols."""
-    return compress_runs(ms.samples)
+    return compress_runs(ms)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,7 @@ class FrequencyDict:
 
     @classmethod
     def from_samples(cls, samples: Iterable[str]) -> "FrequencyDict":
-        return cls.from_counts(Counter(samples))
+        return histogram(MultiStream((), list(samples), None))
 
     def to_json(self) -> str:
         """`{"<key>": count, ..., "total": N}`, keys sorted, two-space indent."""
@@ -141,14 +141,15 @@ class FrequencyDict:
 
 def histogram(ms: MultiStream, window: Optional[tuple] = None) -> FrequencyDict:
     """Count symbol combinations per sample over [start, stop)."""
-    n = len(ms.samples)
+    n = len(ms)
     if window is None:
         start, stop = 0, n
     else:
         start, stop = window
         if not (0 <= start <= stop <= n):
             raise InvalidWindowError(f"window {window} out of bounds for length {n}")
-    return FrequencyDict.from_samples(ms.samples[start:stop])
+    counts = np.bincount(ms.codes[start:stop], minlength=len(ms.table)).tolist()
+    return FrequencyDict.from_counts(dict(zip(ms.table, counts)))
 
 
 def frequency_dictionary(fd: FrequencyDict) -> list[tuple[str, int]]:

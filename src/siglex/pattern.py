@@ -1,4 +1,4 @@
-"""Regex-subset matching over symbol streams and token lists.
+"""Regex-subset matching over coded symbol streams and their runs.
 
 Grammar: alphabet literals, concatenation, alternation `|`, grouping
 `(...)`, `*`, `+`, `?`, counted repetition `{m}` / `{m,}` / `{m,n}`, and the
@@ -8,22 +8,23 @@ anchors, classes, or backreferences.
 Matching is leftmost-longest and non-overlapping: the scan finds the
 earliest start with any match, takes the longest match at that start,
 emits it, and resumes at its end.  Zero-length matches are skipped.  The
-matcher simulates a Thompson automaton of the reversed pattern over
-run-length tokens, right to left, which gives the longest match at every
-start in one pass (the reverse-scan idea of RE2); a greedy forward pass
-then picks the matches, so nothing is rescanned and no pattern backtracks
-exponentially.  Inside a run the automaton stops stepping once its state
-map repeats, so a run costs a few steps whatever its length: the tests
-count at most (states + 2) * runs + matches steps, each O(states), on
-``s|s.*u`` over ``sdsd...`` and on ``u{3,}d+`` over runs of 1e5.  A map
-that cycles with a period above 1 (``(uu)+`` inside a long ``u`` run) is
-stepped sample by sample.
+matcher simulates a Thompson automaton of the reversed pattern over the
+run arrays (code, length, start), right to left, reading each code's table
+entry as its symbol.  That gives the longest match at every start in one
+pass (the reverse-scan idea of RE2); a greedy forward pass then picks the
+matches, so nothing is rescanned and no pattern backtracks exponentially.
+Inside a run the automaton stops stepping once its state map repeats, so a
+run costs a few steps whatever its length: the tests count at most
+(states + 2) * runs + matches steps, each O(states), on ``s|s.*u`` over
+``sdsd...`` and on ``u{3,}d+`` over runs of 1e5.  A map that cycles with a
+period above 1 (``(uu)+`` inside a long ``u`` run) is stepped sample by
+sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .csvout import write_csv
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
     PatternSyntaxError,
     UnknownSymbolError,
 )
-from .scla import Alphabet, SymbolStream, Token, compress_runs, validate_tokens
+from .scla import Alphabet, Runs, SymbolStream, compress_runs, validate_tokens
 
 _META = set("|()*+?{}.")
 
@@ -266,7 +267,7 @@ def _add_thread(eps: list, states: dict, seen: set, pc: int, end: int) -> None:
             stack.extend(eps[p])
 
 
-def _find_all_runs(pattern: SymbolPattern, runs: Sequence[Token],
+def _find_all_runs(pattern: SymbolPattern, runs: Runs,
                    total: int) -> tuple[list[Match], int]:
     """Leftmost-longest matches over valid runs, and the steps taken.
 
@@ -291,16 +292,17 @@ def _find_all_runs(pattern: SymbolPattern, runs: Sequence[Token],
     fresh = -(total + 1)
     states: dict = {}
     _add_thread(eps, states, set(), 0, total)
-    takes_by_symbol: dict = {}
+    takes_by_code: dict = {}
     segments: list = []  # built right to left
     steps = 0
-    for tok in reversed(runs):
-        a, j = tok.start_index, tok.start_index + tok.run_length
-        takes = takes_by_symbol.get(tok.symbol)
+    for code, a, length in zip(runs.codes[::-1].tolist(), runs.starts[::-1].tolist(),
+                               runs.lengths[::-1].tolist()):
+        j = a + length
+        takes = takes_by_code.get(code)
         if takes is None:
-            takes = takes_by_symbol[tok.symbol] = frozenset(
+            takes = takes_by_code[code] = frozenset(
                 p for p, op in enumerate(prog)
-                if op[0] == "dot" or op == ("char", tok.symbol))
+                if op[0] == "dot" or op == ("char", runs.table[code]))
         while j > a:
             nxt: dict = {}
             seen: set = set()
@@ -336,25 +338,19 @@ def _find_all_runs(pattern: SymbolPattern, runs: Sequence[Token],
     return matches, steps + len(matches)
 
 
-def find_all(pattern: SymbolPattern, stream: Union[SymbolStream, str]) -> list[Match]:
+def find_all(pattern: SymbolPattern, stream: SymbolStream) -> list[Match]:
     """All leftmost non-overlapping matches, longest at each start."""
-    if isinstance(stream, SymbolStream):
-        if stream.alphabet is not None and \
-                tuple(stream.alphabet.symbols) != tuple(pattern.alphabet.symbols):
-            raise AlphabetMismatchError(
-                f"stream alphabet {stream.alphabet.symbols} differs from "
-                f"pattern alphabet {pattern.alphabet.symbols}")
-        syms = stream.symbols
-    else:
-        syms = stream
-    runs = compress_runs(syms)
-    return _find_all_runs(pattern, runs, len(syms))[0]
+    if stream.alphabet is not None and \
+            tuple(stream.alphabet.symbols) != tuple(pattern.alphabet.symbols):
+        raise AlphabetMismatchError(
+            f"stream alphabet {stream.alphabet.symbols} differs from "
+            f"pattern alphabet {pattern.alphabet.symbols}")
+    return _find_all_runs(pattern, compress_runs(stream), len(stream))[0]
 
 
-def find_all_tokens(pattern: SymbolPattern, tokens: Sequence[Token]) -> list[Match]:
+def find_all_tokens(pattern: SymbolPattern, runs: Runs) -> list[Match]:
     """Same result as find_all on the decompressed stream, run-aware."""
-    total = validate_tokens(tokens)
-    return _find_all_runs(pattern, tokens, total)[0]
+    return _find_all_runs(pattern, runs, validate_tokens(runs))[0]
 
 
 def matches_to_csv(matches: Sequence[Match], path) -> None:

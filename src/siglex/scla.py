@@ -1,15 +1,19 @@
 """Single-channel lexical analysis: quantize a signal and run-length pack it.
 
 One channel = optional derivative kernel, interval quantization against an
-alphabet, run-length compression.  Symbols are single characters so the
-downstream pattern machinery can treat streams as text.
+alphabet, run-length compression.  A symbol sequence is a small-int code
+array plus its table: code k stands for `table[k]`.  A channel's table is
+its alphabet's symbols, then the catch-all (if set), then the gap symbol
+'_'.  Runs are three int arrays (code, length, start) over the same table.
+Text appears only at the edges: constructors that take a `str`, the
+`symbols` property, `Token` iteration over runs, and the token CSV writer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Optional, Sequence, Union
+from functools import partial
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -20,13 +24,15 @@ from .errors import (
     NonFiniteSampleError,
     NonpositiveEpsilonError,
     OutOfRangeError,
+    UnknownSymbolError,
 )
 from .grid import Grid
 from .operators import LocalKernel, apply_streaming
 
 GAP_SYMBOL = "_"
-# NUL reads back as "" from numpy's U1 arrays; the others split a CSV field
-_UNWRITABLE = frozenset("\0,\"\n\r")
+# Characters no symbol or CSV label may hold: NUL reads back as "" from
+# numpy's U1 arrays, the others split a CSV field.
+UNWRITABLE = frozenset("\0,\"\n\r")
 
 
 @dataclass(frozen=True)
@@ -72,13 +78,19 @@ class Alphabet:
             raise AlphabetError("catch_all must be a single character")
         if self.catch_all == GAP_SYMBOL:
             raise AlphabetError(f"catch_all {GAP_SYMBOL!r} is reserved for gaps")
-        bad = _UNWRITABLE.intersection((*syms, self.catch_all))
+        bad = UNWRITABLE.intersection((*syms, self.catch_all))
         if bad:
             raise AlphabetError(
                 f"symbol {min(bad)!r} cannot be carried by a stream or CSV")
         rng = self.valid_range
         if rng is not None and not (len(rng) == 2 and rng[0] < rng[1]):
             raise AlphabetError(f"valid_range must be (lo, hi) with lo < hi, got {rng}")
+
+    @property
+    def table(self) -> tuple:
+        """Symbol of each code: the symbols, the catch-all if set, then '_'."""
+        extra = () if self.catch_all is None else (self.catch_all,)
+        return (*self.symbols, *extra, GAP_SYMBOL)
 
 
 def usd_alphabet(epsilon: float, nan_policy: str = "reject") -> Alphabet:
@@ -91,31 +103,53 @@ def usd_alphabet(epsilon: float, nan_policy: str = "reject") -> Alphabet:
     return Alphabet(("d", "s", "u"), (-epsilon, epsilon), nan_policy=nan_policy)
 
 
-@dataclass
+@dataclass(eq=False)
 class SymbolStream:
-    """Sequence of alphabet symbols with its originating grid."""
+    """A channel's samples as codes into `table`, with its originating grid.
 
-    symbols: str
-    alphabet: Optional[Alphabet]
+    Given text (a str, or a sized sequence of str) instead of a code array,
+    the constructor encodes it against the alphabet's table, or without an
+    alphabet against the sorted distinct items.
+    """
+
+    codes: np.ndarray
+    alphabet: Optional[Alphabet] = None
     source_grid: Optional[Grid] = None
+    table: Optional[tuple] = None
+
+    def __post_init__(self):
+        if isinstance(self.codes, np.ndarray):
+            return
+        text = self.codes
+        self.table = self.alphabet.table if self.alphabet else tuple(sorted(set(text)))
+        index = {sym: code for code, sym in enumerate(self.table)}
+        try:
+            self.codes = np.fromiter(map(index.__getitem__, text),
+                                     np.min_scalar_type(len(self.table)), len(text))
+        except KeyError as exc:
+            raise UnknownSymbolError(
+                f"symbol {exc.args[0]!r} is not in the table {self.table}") from None
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.codes)
+
+    @property
+    def symbols(self) -> str:
+        """The stream as text, one table entry per sample."""
+        # the buffer of a little-endian U array of equal-length strings is
+        # their UTF-32-LE text
+        return np.array(self.table, dtype="<U")[self.codes].tobytes().decode("utf-32-le")
 
 
 def quantize(values, alphabet: Alphabet, grid: Optional[Grid] = None) -> SymbolStream:
-    """Map each sample to its interval symbol (binary search on boundaries)."""
+    """Map each sample to its interval's code (binary search on boundaries)."""
     vals = np.asarray(values, dtype=np.float64)
-    if vals.size == 0:
-        return SymbolStream("", alphabet, grid)
     bad = ~np.isfinite(vals)
-    if bad.any():
-        if alphabet.nan_policy == "reject":
-            raise NonFiniteSampleError(
-                f"non-finite sample at index {int(np.argmax(bad))}")
-    idx = np.searchsorted(np.array(alphabet.boundaries), vals, side="right")
-    lut = np.array(list(alphabet.symbols))
-    out = lut[np.where(bad, 0, idx)]
+    if alphabet.nan_policy == "reject" and bad.any():
+        raise NonFiniteSampleError(f"non-finite sample at index {int(np.argmax(bad))}")
+    table = alphabet.table
+    codes = np.searchsorted(alphabet.boundaries, vals, side="right").astype(
+        np.min_scalar_type(len(table)))
     if alphabet.valid_range is not None:
         lo, hi = alphabet.valid_range
         outside = ((vals < lo) | (vals >= hi)) & ~bad
@@ -124,14 +158,12 @@ def quantize(values, alphabet: Alphabet, grid: Optional[Grid] = None) -> SymbolS
                 raise OutOfRangeError(
                     f"sample {vals[outside][0]!r} outside [{lo}, {hi}) "
                     "and no catch-all symbol configured")
-            out[outside] = alphabet.catch_all
-    if bad.any():
-        out[bad] = GAP_SYMBOL
-    return SymbolStream("".join(out), alphabet, grid)
+            codes[outside] = len(alphabet.symbols)
+    codes[bad] = len(table) - 1
+    return SymbolStream(codes, alphabet, grid, table)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """Maximal run of one symbol: the symbol, its length, and where it starts."""
 
     symbol: str
@@ -139,51 +171,77 @@ class Token:
     start_index: int
 
 
-def compress_runs(stream: Union[SymbolStream, str, Sequence[str]]) -> list[Token]:
-    """Run-length compress; adjacent tokens always carry distinct symbols."""
-    syms = stream.symbols if isinstance(stream, SymbolStream) else stream
-    tokens = []
-    pos = 0
-    for sym, grp in groupby(syms):
-        ln = sum(1 for _ in grp)
-        tokens.append(Token(sym, ln, pos))
-        pos += ln
-    return tokens
+@dataclass(frozen=True, eq=False)
+class Runs:
+    """Maximal runs over a code table: run i is `lengths[i]` samples of code
+    `codes[i]` from sample `starts[i]` on.
+
+    Iterating yields `Token`s; slicing yields `Runs`.
+    """
+
+    codes: np.ndarray
+    lengths: np.ndarray
+    starts: np.ndarray
+    table: tuple
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        # tuple.__new__ builds each Token without a Python-level call
+        return map(partial(tuple.__new__, Token),
+                   zip(map(self.table.__getitem__, self.codes.tolist()),
+                       self.lengths.tolist(), self.starts.tolist()))
+
+    def __getitem__(self, i: slice) -> "Runs":
+        return Runs(self.codes[i], self.lengths[i], self.starts[i], self.table)
 
 
-def validate_tokens(tokens: Sequence[Token]) -> int:
+def compress_runs(stream: Union[SymbolStream, str]) -> Runs:
+    """Run-length compress a coded stream (channel or combined) or text;
+    adjacent runs always carry distinct codes."""
+    if isinstance(stream, str):
+        stream = SymbolStream(stream)
+    codes = stream.codes
+    n = len(codes)
+    change = np.ones(n + 1, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=change[1:n])
+    bounds = np.flatnonzero(change)  # the run starts, then n
+    starts = bounds[:-1]
+    return Runs(codes[starts], np.diff(bounds), starts, stream.table)
+
+
+def validate_tokens(runs: Runs) -> int:
     """Check the run-length invariants; returns the decompressed length.
 
-    Runs are at least 1 long, each starts where the previous one ended
-    (the first at 0), and adjacent runs carry distinct symbols.
+    Codes index the table, runs are at least 1 long, each starts where the
+    previous one ended (the first at 0), and adjacent runs carry distinct
+    codes.
     """
-    pos = 0
-    prev = None
-    for t in tokens:
-        if t.run_length < 1:
-            raise MalformedTokensError(f"run_length must be >= 1: {t}")
-        if t.start_index != pos:
-            raise MalformedTokensError(
-                f"token {t} starts at {t.start_index}, expected {pos}")
-        if prev is not None and t.symbol == prev:
-            raise MalformedTokensError(f"adjacent tokens share symbol {t.symbol!r}")
-        prev = t.symbol
-        pos += t.run_length
-    return pos
+    ends = np.cumsum(runs.lengths)
+    gaps = runs.starts != ends - runs.lengths
+    repeats = np.r_[False, runs.codes[1:] == runs.codes[:-1]]
+    for bad, what in ((runs.codes >= len(runs.table), "has a code past its table"),
+                      (runs.lengths < 1, "is shorter than 1"),
+                      (gaps, "does not start where the last ended"),
+                      (repeats, "repeats the last symbol")):
+        if bad.any():
+            raise MalformedTokensError(f"run {int(np.argmax(bad))} {what}")
+    return int(ends[-1]) if len(ends) else 0
 
 
-def decompress(tokens: Sequence[Token]) -> SymbolStream:
-    """Exact inverse of compress_runs; validates the token invariants."""
-    validate_tokens(tokens)
-    return SymbolStream("".join(t.symbol * t.run_length for t in tokens), None)
+def decompress(runs: Runs) -> SymbolStream:
+    """Exact inverse of compress_runs; validates the run invariants."""
+    validate_tokens(runs)
+    return SymbolStream(np.repeat(runs.codes, runs.lengths), table=runs.table)
 
 
 def run_scla(raw, kernel: Optional[LocalKernel], alphabet: Alphabet,
-             grid: Optional[Grid] = None) -> list[Token]:
+             grid: Optional[Grid] = None) -> Runs:
     """Full single-channel pipeline: kernel (optional) -> quantize -> compress.
 
     With a kernel the output covers the interior samples only (boundary
-    "valid"); the returned tokens index into that trimmed sequence.
+    "valid"); the returned runs index into that trimmed sequence.
     """
     if kernel is None:
         values = np.asarray(raw, dtype=np.float64)
@@ -194,9 +252,8 @@ def run_scla(raw, kernel: Optional[LocalKernel], alphabet: Alphabet,
     return compress_runs(quantize(values, alphabet, grid))
 
 
-def tokens_to_csv(tokens: Sequence[Token], path) -> None:
-    write_csv(path, "symbol,runLength,startIndex\n", "{},{},{}\n", len(tokens),
-              lambda a, b: ([t.symbol for t in tokens[a:b]],
-                            [t.run_length for t in tokens[a:b]],
-                            [t.start_index for t in tokens[a:b]]))
-
+def tokens_to_csv(runs: Runs, path) -> None:
+    symbols = np.array(runs.table)
+    write_csv(path, "symbol,runLength,startIndex\n", "{},{},{}\n", len(runs),
+              lambda a, b: (symbols[runs.codes[a:b]], runs.lengths[a:b],
+                            runs.starts[a:b]))

@@ -2,8 +2,10 @@
 
 These are the straightforward loops the vectorized code replaced: the
 per-row ``np.dot`` dense apply, the deque-based per-sample streaming kernel,
-the per-sample LOCF alignment and the ``csv.reader`` / ``float()`` CSV
-ingest.  They are slow and are used only to check the production code.  ``np.dot`` does not fix its summation order, so the
+the per-sample quantize and LOCF alignment, the ``itertools.groupby``
+run-length compress, the ``Counter`` histogram and the ``csv.reader`` /
+``float()`` CSV ingest.  They are slow and are used only to check the
+production code.  ``np.dot`` does not fix its summation order, so the
 stencil oracles agree with the stencil engine to rounding, not bitwise;
 `stencil_tolerance` gives the bound.
 """
@@ -11,7 +13,8 @@ stencil oracles agree with the stencil engine to rounding, not bitwise;
 from __future__ import annotations
 
 import csv
-from collections import deque
+from collections import Counter, deque
+from itertools import groupby
 
 import numpy as np
 
@@ -118,6 +121,36 @@ def align_and_combine_loop(streams, grids) -> list[str]:
             combo += s.symbols[min(max(i, 0), g.n - 1)]
         samples.append(combo)
     return samples
+
+
+def quantize_loop(values, alphabet) -> str:
+    """Symbol of each sample by a scan of the boundaries."""
+    out = []
+    for v in values:
+        if not np.isfinite(v):
+            out.append("_")
+        elif alphabet.valid_range and not (
+                alphabet.valid_range[0] <= v < alphabet.valid_range[1]):
+            out.append(alphabet.catch_all)
+        else:
+            out.append(alphabet.symbols[sum(1 for b in alphabet.boundaries if v >= b)])
+    return "".join(out)
+
+
+def compress_runs_loop(symbols) -> list[tuple]:
+    """(symbol, length, start) of each maximal run of a str or a list of str."""
+    runs = []
+    pos = 0
+    for sym, grp in groupby(symbols):
+        ln = sum(1 for _ in grp)
+        runs.append((sym, ln, pos))
+        pos += ln
+    return runs
+
+
+def histogram_loop(samples) -> dict:
+    """Occurrence count of each sample value."""
+    return dict(Counter(samples))
 
 
 def ingest_csv_loop(path, time_column: str, value_columns) -> dict:

@@ -164,8 +164,7 @@ def test_pipeline_ramp_and_flat(tmp_path):
     bundle = run_pipeline(cfg, ingested)
     ramp = bundle.channels["ramp"]
     flat = bundle.channels["flat"]
-    assert [t.symbol for t in ramp.tokens] == ["u"]
-    assert ramp.tokens[0].run_length == 22
+    assert list(ramp.tokens) == [("u", 22, 0)]
     assert [t.symbol for t in flat.tokens] == ["s"]
     assert bundle.histogram.counts == {"us": 22}
     assert bundle.histogram.total == 22
@@ -421,7 +420,7 @@ def test_cli_solve_needs_an_ldo_channel(tmp_path, capsys):
         code, out = run_cli(tmp_path, "solve", cfg, ramp_csv_text(), "o", extra)
         err = capsys.readouterr().err
         assert code == 1 and len(err.splitlines()) == 1 and "'ldo'" in err, err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
     code, out = run_cli(tmp_path, "solve", config, ramp_csv_text(), "o")
     assert code == 0
     assert sorted(p.name for p in out.iterdir()) == ["pos.band.csv", "pos.solution.csv"]
@@ -446,6 +445,40 @@ def test_cli_command_requirements_exit_1_before_reading_the_log(tmp_path, capsys
                      str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o"), *extra])
         err = capsys.readouterr().err
         assert code == 1 and len(err.splitlines()) == 1 and message in err, (command, err)
+
+
+def test_cli_out_that_cannot_be_a_directory_exits_1_before_reading_the_log(
+        tmp_path, capsys):
+    cfg = write(tmp_path / "c.json", json.dumps(TWO_CHANNEL_CONFIG))
+    afile = write(tmp_path / "afile", "")
+    missing = str(tmp_path / "missing.csv")
+    # --out names a file, or a directory under one
+    for out in (afile, afile / "sub"):
+        code = main(["symbolize", "--config", str(cfg), "--input", missing,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.splitlines()) == 1, err
+        assert f"--out {out}: cannot create the output directory" in err, err
+    # a command requirement is reported before the output path
+    code = main(["match", "--config", str(cfg), "--input", missing,
+                 "--channel", "ramp", "--out", str(afile)])
+    err = capsys.readouterr().err
+    assert code == 1 and len(err.splitlines()) == 1, err
+    assert "match needs --pattern or per-channel 'pattern' entries" in err, err
+
+
+def test_cli_rejects_reference_labels_a_csv_cannot_carry(tmp_path, capsys):
+    cfg = write(tmp_path / "c.json", json.dumps(TWO_CHANNEL_CONFIG))
+    for label in ('idle,"x"\nboom', "a\rb", 'q"', "nul\0"):
+        refs = write(tmp_path / "refs.json",
+                     json.dumps({"ok": {"us": 1}, label: {"us": 1}}))
+        code = main(["classify", "--config", str(cfg), "--input",
+                     str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o"),
+                     "--references", str(refs)])
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.splitlines()) == 1, err
+        assert "cannot be carried by a CSV" in err, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_rejects_symbols_a_stream_or_csv_cannot_carry(tmp_path, capsys):

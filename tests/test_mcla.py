@@ -26,7 +26,7 @@ from siglex.errors import (
 from siglex.mcla import MultiStream
 from siglex.scla import SymbolStream
 
-from loop_oracles import align_and_combine_loop
+from loop_oracles import align_and_combine_loop, histogram_loop
 
 ALPHA = usd_alphabet(0.5)
 
@@ -39,6 +39,11 @@ def ms_from_samples(samples):
     return MultiStream(("a", "b"), list(samples), Grid(max(len(samples), 2), 1.0))
 
 
+def combos(ms):
+    """The per-sample combination strings of a multistream."""
+    return [ms.table[c] for c in ms.codes.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # alignment
 # ---------------------------------------------------------------------------
@@ -46,15 +51,17 @@ def ms_from_samples(samples):
 def test_combine_equal_grids():
     g = Grid(2, 1.0)
     ms = align_and_combine([stream("ud", g), stream("du", g)])
-    assert ms.samples == ["ud", "du"]
-    assert ms.channel(0) == "ud" and ms.channel(1) == "du"
+    assert combos(ms) == ["ud", "du"]
+    # combinations that occur, in the order of the channels' tables (d, s, u)
+    assert ms.table == ("du", "ud") and ms.codes.tolist() == [1, 0]
+    assert ms.codes.dtype == np.uint8
 
 
 def test_combine_multirate_locf():
     ga = Grid(4, 1.0)   # t = 0,1,2,3
     gb = Grid(2, 2.0)   # t = 0,2
-    ms = align_and_combine([stream("abcd", ga), stream("xy", gb)])
-    assert ms.samples == ["ax", "cy"]
+    ms = align_and_combine([SymbolStream("abcd", None, ga), SymbolStream("xy", None, gb)])
+    assert combos(ms) == ["ax", "cy"]
     assert ms.source_grid.h == 2.0
 
 
@@ -62,7 +69,7 @@ def test_combine_single_sample_overlap():
     ga = Grid(4, 1.0, t0=0.0)   # ends at 3
     gb = Grid(2, 3.0, t0=3.0)   # starts at 3
     ms = align_and_combine([stream("uuuu", ga), stream("dd", gb)])
-    assert ms.samples == ["ud"]
+    assert combos(ms) == ["ud"]
     assert ms.source_grid is None
 
 
@@ -95,7 +102,7 @@ def test_channel_projection_fuzz():
             continue
         # projecting channel i reproduces that channel's LOCF resample
         coarse = g2 if g2.h >= g1.h else g1
-        for j, combo in enumerate(ms.samples):
+        for j, combo in enumerate(combos(ms)):
             t = (ms.source_grid.t0 if ms.source_grid else
                  max(g1.t0, g2.t0)) + coarse.h * j
             assert combo[0] == s1[g1.index_at_or_before(t)]
@@ -104,9 +111,11 @@ def test_channel_projection_fuzz():
 
 def test_multi_tokens():
     ms = ms_from_samples(["ud", "ud", "ss", "ss", "ss"])
+    assert ms.table == ("ss", "ud")
     toks = multi_tokens(ms)
-    assert [(t.symbol, t.run_length, t.start_index) for t in toks] == \
-        [("ud", 2, 0), ("ss", 3, 2)]
+    assert toks.table == ms.table
+    assert (toks.codes.tolist(), toks.lengths.tolist(), toks.starts.tolist()) == \
+        ([1, 0], [2, 3], [0, 2])
 
 
 def test_vectorized_locf_matches_loop_oracle():
@@ -124,8 +133,7 @@ def test_vectorized_locf_matches_loop_oracle():
         streams = [stream("".join(rng.choice(list("usd"), g.n)), g) for g in grids]
         ms = align_and_combine(streams)
         want = align_and_combine_loop(streams, grids)
-        assert ms.samples == want
-        assert all(type(c) is str for c in ms.samples)
+        assert combos(ms) == want
         coarse = max(grids, key=lambda g: g.h)
         assert ms.source_grid.h == coarse.h and ms.source_grid.n == len(want)
 
@@ -160,7 +168,7 @@ def test_histogram_matches_naive_tally():
             zip(rng.choice(list("usd"), 50000), rng.choice(list("usd"), 50000))]
     ms = ms_from_samples(syms)
     fd = histogram(ms)
-    assert fd.counts == dict(Counter(syms))
+    assert fd.counts == histogram_loop(syms)
     assert fd.total == 50000
 
 

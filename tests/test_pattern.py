@@ -5,7 +5,7 @@ import pytest
 
 from siglex import (
     Match,
-    Token,
+    Runs,
     compile_pattern,
     compress_runs,
     decompress,
@@ -29,6 +29,14 @@ ALPHA = usd_alphabet(0.5)
 
 def s(symbols):
     return SymbolStream(symbols, ALPHA)
+
+
+def runs(*triples):
+    """Runs over the usd table from (symbol, length, start) triples."""
+    syms, lengths, starts = zip(*triples) if triples else ((), (), ())
+    return Runs(np.array([ALPHA.table.index(c) for c in syms], dtype=np.uint8),
+                np.array(lengths, dtype=np.intp), np.array(starts, dtype=np.intp),
+                ALPHA.table)
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +181,18 @@ def test_match_sanity_fuzz():
 
 def test_tokens_counted_repetition():
     p = compile_pattern("u{3}", ALPHA)
-    assert find_all_tokens(p, [Token("u", 5, 0)]) == [Match(0, 3)]
+    assert find_all_tokens(p, runs(("u", 5, 0))) == [Match(0, 3)]
 
 
 def test_tokens_no_match():
     p = compile_pattern("d", ALPHA)
-    toks = [Token("u", 4, 0), Token("s", 2, 4)]
-    assert find_all_tokens(p, toks) == []
+    assert find_all_tokens(p, runs(("u", 4, 0), ("s", 2, 4))) == []
 
 
 def test_tokens_malformed():
     p = compile_pattern("d", ALPHA)
     with pytest.raises(MalformedTokensError):
-        find_all_tokens(p, [Token("u", 2, 0), Token("u", 1, 2)])
+        find_all_tokens(p, runs(("u", 2, 0), ("u", 1, 2)))
 
 
 def test_tokens_equal_stream_fuzz():
@@ -198,7 +205,7 @@ def test_tokens_equal_stream_fuzz():
         for _ in range(int(rng.integers(0, 12))):
             parts.append(str(rng.choice(list("usd"))) * int(rng.integers(1, 15)))
         stream = "".join(parts)
-        toks = compress_runs(stream)
+        toks = compress_runs(s(stream))
         got = find_all_tokens(p, toks)
         want = find_all(p, s(stream))
         assert got == want, (text, stream)
@@ -206,7 +213,7 @@ def test_tokens_equal_stream_fuzz():
 
 def test_tokens_equal_decompressed_long_runs():
     rng = np.random.default_rng(45)
-    toks = []
+    triples = []
     pos = 0
     prev = None
     for _ in range(30):
@@ -214,9 +221,10 @@ def test_tokens_equal_decompressed_long_runs():
         if sym == prev:
             continue
         ln = int(rng.integers(1, 5000))
-        toks.append(Token(sym, ln, pos))
+        triples.append((sym, ln, pos))
         pos += ln
         prev = sym
+    toks = runs(*triples)
     stream = decompress(toks).symbols
     for text in ("u+d", "u{100,}", "(u|s)+d", "u{3}s{2}", "d+"):
         p = compile_pattern(text, ALPHA)
@@ -236,7 +244,7 @@ def test_steps_linear_when_a_match_resolves_late():
     # closes, so a scan that waits for it to resolve reads to the end
     p = compile_pattern("s|s.*u", ALPHA)
     for n in (1000, 4000):
-        toks = compress_runs("sd" * (n // 2))
+        toks = compress_runs(s("sd" * (n // 2)))
         matches, steps = _find_all_runs(p, toks, n)
         assert matches == [Match(i, i + 1) for i in range(0, n, 2)]
         assert steps <= _linear_bound(p, toks, matches), (n, steps)
@@ -245,7 +253,7 @@ def test_steps_linear_when_a_match_resolves_late():
 def test_steps_linear_over_long_runs():
     p = compile_pattern("u{3,}d+", ALPHA)
     n = 100000
-    toks = [Token("u", n, 0), Token("d", n, n), Token("s", n, 2 * n)]
+    toks = runs(("u", n, 0), ("d", n, n), ("s", n, 2 * n))
     matches, steps = _find_all_runs(p, toks, 3 * n)
     assert matches == [Match(0, 2 * n)]
     assert steps <= _linear_bound(p, toks, matches), steps
@@ -263,15 +271,16 @@ def test_tokens_long_runs_periodic_fuzz():
     rng = np.random.default_rng(46)
     paths = set()
     for trial in range(12):
-        toks, pos, prev = [], 0, None
-        while len(toks) < 6:
+        triples, pos, prev = [], 0, None
+        while len(triples) < 6:
             sym = str(rng.choice(list("usd")))
             if sym == prev:
                 continue
             longest = 2000 if rng.random() < 0.3 else 12
             ln = int(rng.integers(1, longest + 1))
-            toks.append(Token(sym, ln, pos))
+            triples.append((sym, ln, pos))
             pos, prev = pos + ln, sym
+        toks = runs(*triples)
         stream = decompress(toks).symbols
         for ast in PERIODIC_ASTS:
             p = compile_pattern(render(ast), ALPHA)

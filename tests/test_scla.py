@@ -4,7 +4,8 @@ import pytest
 from siglex import (
     Alphabet,
     Grid,
-    Token,
+    Runs,
+    SymbolStream,
     build_diff_operator,
     compress_runs,
     decompress,
@@ -19,8 +20,19 @@ from siglex.errors import (
     NonFiniteSampleError,
     NonpositiveEpsilonError,
     OutOfRangeError,
+    UnknownSymbolError,
 )
 from siglex.scla import tokens_to_csv
+
+
+def make_runs(table, codes, lengths, starts):
+    return Runs(np.array(codes, dtype=np.uint8), np.array(lengths, dtype=np.intp),
+                np.array(starts, dtype=np.intp), tuple(table))
+
+
+def columns(runs):
+    """(codes, lengths, starts) of runs as lists."""
+    return runs.codes.tolist(), runs.lengths.tolist(), runs.starts.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +74,8 @@ def test_alphabet_validation():
 def test_quantize_basic():
     s = quantize([-1.0, 0.0, 1.0], usd_alphabet(0.5))
     assert s.symbols == "dsu"
+    assert s.codes.dtype == np.uint8 and s.codes.tolist() == [0, 1, 2]
+    assert s.table == ("d", "s", "u", "_")
 
 
 def test_quantize_empty():
@@ -104,8 +118,24 @@ def test_nan_policy_gap():
 
 
 def test_explicit_range_catch_all():
-    a = Alphabet(("l", "h"), (0.5,), valid_range=(0.0, 1.0), catch_all="x")
-    assert quantize([-0.1, 0.2, 0.7, 1.0], a).symbols == "xlhx"
+    a = Alphabet(("l", "h"), (0.5,), "gap", valid_range=(0.0, 1.0), catch_all="x")
+    s = quantize([-0.1, 0.2, 0.7, 1.0, np.nan], a)
+    assert s.symbols == "xlhx_"
+    # the table: symbols, then the catch-all, then the gap symbol
+    assert s.table == ("l", "h", "x", "_") and s.codes.tolist() == [2, 0, 1, 2, 3]
+
+
+def test_stream_from_text_uses_the_alphabet_table():
+    a = usd_alphabet(0.5, nan_policy="gap")
+    s = SymbolStream("u_d", a)
+    assert s.codes.tolist() == [2, 3, 0] and s.table == a.table
+    assert s.symbols == "u_d" and len(s) == 3
+    # without an alphabet, the table is the sorted distinct characters
+    s = SymbolStream("Ωéé")
+    assert s.table == ("é", "Ω") and s.codes.tolist() == [1, 0, 0]
+    assert s.symbols == "Ωéé"
+    with pytest.raises(UnknownSymbolError):
+        SymbolStream("ux", a)
 
 
 def test_explicit_range_without_catch_all():
@@ -131,17 +161,26 @@ def test_monotone_relabel_invariance():
 # ---------------------------------------------------------------------------
 
 def test_compress_basic():
-    toks = compress_runs("uuussd")
-    assert toks == [Token("u", 3, 0), Token("s", 2, 3), Token("d", 1, 5)]
+    runs = compress_runs(quantize([1, 1, 1, 0, 0, -1], usd_alphabet(0.5)))
+    assert columns(runs) == ([2, 1, 0], [3, 2, 1], [0, 3, 5])
+    assert runs.table == ("d", "s", "u", "_")
+    # the text edge: a str gets the table of its sorted distinct characters
+    runs = compress_runs("uuussd")
+    assert runs.table == ("d", "s", "u")
+    assert columns(runs) == ([2, 1, 0], [3, 2, 1], [0, 3, 5])
+    assert [tuple(t) for t in runs] == [("u", 3, 0), ("s", 2, 3), ("d", 1, 5)]
+    assert columns(runs[1:]) == ([1, 0], [2, 1], [3, 5])
 
 
 def test_compress_empty():
-    assert compress_runs("") == []
+    runs = compress_runs("")
+    assert len(runs) == 0 and list(runs) == []
+    assert columns(compress_runs(quantize([], usd_alphabet(0.5)))) == ([], [], [])
 
 
 def test_decompress_basic():
-    assert decompress([Token("a", 2, 0), Token("b", 1, 2)]).symbols == "aab"
-    assert decompress([]).symbols == ""
+    assert decompress(make_runs("ab", [0, 1], [2, 1], [0, 2])).symbols == "aab"
+    assert decompress(make_runs("ab", [], [], [])).symbols == ""
 
 
 def test_round_trip_fuzz():
@@ -167,36 +206,40 @@ def test_tokens_round_trip_of_compress():
     rng = np.random.default_rng(15)
     for _ in range(20):
         syms = "xyz"
-        toks = []
+        codes, lengths, starts = [], [], []
         pos = 0
-        prev = None
         for _ in range(int(rng.integers(0, 40))):
-            sym = syms[int(rng.integers(3))]
-            if sym == prev:
+            code = int(rng.integers(3))
+            if codes and code == codes[-1]:
                 continue
             ln = int(rng.integers(1, 9))
-            toks.append(Token(sym, ln, pos))
+            codes.append(code)
+            lengths.append(ln)
+            starts.append(pos)
             pos += ln
-            prev = sym
-        assert compress_runs(decompress(toks).symbols) == toks
+        stream = decompress(make_runs(syms, codes, lengths, starts))
+        assert columns(compress_runs(stream)) == (codes, lengths, starts)
 
 
 def test_decompress_rejects_malformed():
     with pytest.raises(MalformedTokensError):
-        decompress([Token("a", 2, 0), Token("a", 1, 2)])  # adjacent equal
+        decompress(make_runs("ab", [0, 0], [2, 1], [0, 2]))  # adjacent equal
     with pytest.raises(MalformedTokensError):
-        decompress([Token("a", 2, 0), Token("b", 1, 3)])  # index gap
+        decompress(make_runs("ab", [0, 1], [2, 1], [0, 3]))  # index gap
     with pytest.raises(MalformedTokensError):
-        decompress([Token("a", 0, 0)])
+        decompress(make_runs("ab", [0], [0], [0]))
+    with pytest.raises(MalformedTokensError):
+        decompress(make_runs("ab", [0, 2], [1, 1], [0, 1]))  # code past the table
 
 
 def test_tokens_csv_round_trip(tmp_path):
-    toks = compress_runs("uuddss")
+    toks = compress_runs("uuddssΩ")
     path = tmp_path / "tokens.csv"
     tokens_to_csv(toks, path)
-    header, *rows = path.read_text().splitlines()
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
     assert header == "symbol,runLength,startIndex"
-    assert [Token(s, int(n), int(i)) for s, n, i in (r.split(",") for r in rows)] == toks
+    assert [(s, int(n), int(i)) for s, n, i in (r.split(",") for r in rows)] == \
+        [tuple(t) for t in toks]
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +249,19 @@ def test_tokens_csv_round_trip(tmp_path):
 def test_scla_constant_slope():
     k = extract_local_kernel(1, 2, 1.0)
     toks = run_scla([0.0, 1.0, 2.0, 3.0, 4.0], k, usd_alphabet(0.5))
-    assert toks == [Token("u", 3, 0)]
+    assert columns(toks) == ([2], [3], [0])
 
 
 def test_scla_constant_signal():
     k = extract_local_kernel(1, 2, 1.0)
     n = 40
     toks = run_scla(np.full(n, 2.5), k, usd_alphabet(0.5))
-    assert toks == [Token("s", n - 2, 0)]
+    assert columns(toks) == ([1], [n - 2], [0])
 
 
 def test_scla_without_kernel_is_identity_stage():
     toks = run_scla([1.0, 1.0, -1.0], None, usd_alphabet(0.5))
-    assert toks == [Token("u", 2, 0), Token("d", 1, 2)]
+    assert columns(toks) == ([2, 0], [2, 1], [0, 2])
 
 
 def test_scla_triangle_wave_matches_dense_pipeline():
@@ -237,7 +280,7 @@ def test_scla_triangle_wave_matches_dense_pipeline():
     w = dense.support
     derived = dense.apply(tri)[w:n - w]
     want = compress_runs(quantize(derived, alpha))
-    assert got == want
+    assert columns(got) == columns(want)
     # rising and falling flanks alternate; apex samples may quantize to s
     syms = {tok.symbol for tok in got}
     assert {"u", "d"} <= syms
