@@ -50,7 +50,7 @@ def align_and_combine(streams: Sequence[SymbolStream],
     the time overlap of all inputs; each channel contributes the symbol of
     its latest sample at or before the grid time (last observation carried
     forward, so no unseen symbols are invented).  The table holds the
-    combinations that occur, in the order of the channels' tables.
+    combinations that occur, each once, in the order of the channels' tables.
     """
     if len(streams) < 2:
         raise EmptyInputError(f"need at least 2 streams, got {len(streams)}")
@@ -81,11 +81,16 @@ def align_and_combine(streams: Sequence[SymbolStream],
     codes, table = np.zeros(len(t), dtype=np.uint8), ("",)
     for s, g in zip(streams, grids):
         radix = len(s.table)
-        key = (codes.astype(np.min_scalar_type(len(table) * radix - 1)) * radix
+        key = (codes.astype(np.min_scalar_type(len(table) * radix)) * radix
                + s.codes[g.index_at_or_before(t)])
         keys = np.unique(key)
         codes = np.searchsorted(keys, key).astype(np.min_scalar_type(len(keys) - 1))
         table = tuple(table[k // radix] + s.table[k % radix] for k in keys.tolist())
+    # tables with entries longer than one character (a combined stream as an
+    # input) can spell one combination two ways: give each string one code
+    first: dict = {}
+    codes = np.array([first.setdefault(c, len(first)) for c in table], codes.dtype)[codes]
+    table = tuple(first)
     # a degenerate single-sample overlap has no representable grid
     out_grid = Grid(len(t), coarse.h, coarse.time_at(k_lo)) if len(t) >= 2 else None
     return MultiStream(channels, codes, out_grid, table)

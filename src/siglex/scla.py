@@ -3,16 +3,16 @@
 One channel = optional derivative kernel, interval quantization against an
 alphabet, run-length compression.  A symbol sequence is a small-int code
 array plus its table: code k stands for `table[k]`.  A channel's table is
-its alphabet's symbols, then the catch-all (if set), then the gap symbol
-'_'.  Runs are three int arrays (code, length, start) over the same table.
-Text appears only at the edges: constructors that take a `str`, the
-`symbols` property, `Token` iteration over runs, and the token CSV writer.
+its alphabet's symbols, then the catch-all (if set and not a symbol),
+then the gap symbol '_'; no string has two codes.  Runs are three int
+arrays (code, length, start) over the same table.  Text appears only at
+the edges: constructors that take a `str`, the `symbols` property, `Token`
+iteration and indexing over runs, and the token CSV writer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -88,8 +88,9 @@ class Alphabet:
 
     @property
     def table(self) -> tuple:
-        """Symbol of each code: the symbols, the catch-all if set, then '_'."""
-        extra = () if self.catch_all is None else (self.catch_all,)
+        """Symbol of each code: the symbols, the catch-all if set and not
+        one of them, then '_'.  No string appears twice."""
+        extra = () if self.catch_all in (None, *self.symbols) else (self.catch_all,)
         return (*self.symbols, *extra, GAP_SYMBOL)
 
 
@@ -107,9 +108,9 @@ def usd_alphabet(epsilon: float, nan_policy: str = "reject") -> Alphabet:
 class SymbolStream:
     """A channel's samples as codes into `table`, with its originating grid.
 
-    Given text (a str, or a sized sequence of str) instead of a code array,
-    the constructor encodes it against the alphabet's table, or without an
-    alphabet against the sorted distinct items.
+    The table defaults to the alphabet's.  Given text (a str, or a sized
+    sequence of str) instead of a code array, the constructor encodes it
+    against that table, or without one against the sorted distinct items.
     """
 
     codes: np.ndarray
@@ -118,10 +119,13 @@ class SymbolStream:
     table: Optional[tuple] = None
 
     def __post_init__(self):
+        if self.table is None and self.alphabet is not None:
+            self.table = self.alphabet.table
         if isinstance(self.codes, np.ndarray):
             return
         text = self.codes
-        self.table = self.alphabet.table if self.alphabet else tuple(sorted(set(text)))
+        if self.table is None:
+            self.table = tuple(sorted(set(text)))
         index = {sym: code for code, sym in enumerate(self.table)}
         try:
             self.codes = np.fromiter(map(index.__getitem__, text),
@@ -136,6 +140,10 @@ class SymbolStream:
     @property
     def symbols(self) -> str:
         """The stream as text, one table entry per sample."""
+        widths = {len(s) for s in self.table}
+        if len(widths) != 1 or 0 in widths:
+            # a U array would pad a shorter or empty entry with NUL
+            return "".join(map(self.table.__getitem__, self.codes.tolist()))
         # the buffer of a little-endian U array of equal-length strings is
         # their UTF-32-LE text
         return np.array(self.table, dtype="<U")[self.codes].tobytes().decode("utf-32-le")
@@ -158,9 +166,9 @@ def quantize(values, alphabet: Alphabet, grid: Optional[Grid] = None) -> SymbolS
                 raise OutOfRangeError(
                     f"sample {vals[outside][0]!r} outside [{lo}, {hi}) "
                     "and no catch-all symbol configured")
-            codes[outside] = len(alphabet.symbols)
+            codes[outside] = table.index(alphabet.catch_all)
     codes[bad] = len(table) - 1
-    return SymbolStream(codes, alphabet, grid, table)
+    return SymbolStream(codes, alphabet, grid)
 
 
 class Token(NamedTuple):
@@ -176,7 +184,7 @@ class Runs:
     """Maximal runs over a code table: run i is `lengths[i]` samples of code
     `codes[i]` from sample `starts[i]` on.
 
-    Iterating yields `Token`s; slicing yields `Runs`.
+    Iterating or indexing yields `Token`s; slicing yields `Runs`.
     """
 
     codes: np.ndarray
@@ -188,20 +196,19 @@ class Runs:
         return len(self.codes)
 
     def __iter__(self):
-        # tuple.__new__ builds each Token without a Python-level call
-        return map(partial(tuple.__new__, Token),
-                   zip(map(self.table.__getitem__, self.codes.tolist()),
-                       self.lengths.tolist(), self.starts.tolist()))
+        return map(Token._make, zip(map(self.table.__getitem__, self.codes.tolist()),
+                                    self.lengths.tolist(), self.starts.tolist()))
 
-    def __getitem__(self, i: slice) -> "Runs":
-        return Runs(self.codes[i], self.lengths[i], self.starts[i], self.table)
+    def __getitem__(self, i: Union[int, slice]) -> Union[Token, "Runs"]:
+        if isinstance(i, slice):
+            return Runs(self.codes[i], self.lengths[i], self.starts[i], self.table)
+        return Token(self.table[self.codes[i]], int(self.lengths[i]), int(self.starts[i]))
 
 
 def compress_runs(stream: Union[SymbolStream, str]) -> Runs:
     """Run-length compress a coded stream (channel or combined) or text;
     adjacent runs always carry distinct codes."""
-    if isinstance(stream, str):
-        stream = SymbolStream(stream)
+    stream = SymbolStream(stream) if isinstance(stream, str) else stream
     codes = stream.codes
     n = len(codes)
     change = np.ones(n + 1, dtype=bool)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from siglex import (
+    Alphabet,
     FrequencyDict,
     Grid,
     align_and_combine,
@@ -14,6 +15,7 @@ from siglex import (
     frequency_dictionary,
     histogram,
     multi_tokens,
+    quantize,
     usd_alphabet,
 )
 from siglex.errors import (
@@ -78,6 +80,33 @@ def test_combine_no_overlap():
     gb = Grid(3, 1.0, t0=100.0)
     with pytest.raises(NoOverlapError):
         align_and_combine([stream("uuu", ga), stream("ddd", gb)])
+
+
+def test_combine_channels_with_256_codes():
+    # 255 symbols plus the gap, and 254 plus a catch-all plus the gap: each
+    # table fills a byte, so the first mixed-radix key must outgrow uint8
+    chars = [chr(0x100 + i) for i in range(255)]
+    full = Alphabet(tuple(chars), tuple(range(254)), "gap")
+    caught = Alphabet(tuple(chars[:254]), tuple(range(253)), "gap", (0, 300), "x")
+    assert len(full.table) == len(caught.table) == 256
+    g = Grid(4, 1.0)
+    a = quantize([-1.0, 300.0, np.nan, 100.5], full, g)
+    b = quantize([400.0, np.nan, 252.5, 0.0], caught, g)
+    ms = align_and_combine([a, b])
+    assert combos(ms) == align_and_combine_loop([a, b], [g, g])
+    assert combos(ms) == [chars[0] + "x", chars[254] + "_", "_" + chars[253],
+                          chars[101] + chars[1]]
+
+
+def test_combine_gives_each_combination_one_code():
+    # combined streams as inputs spell "abc" as "ab" + "c" and as "a" + "bc"
+    g = Grid(3, 1.0)
+    a = MultiStream(("x", "y"), ["ab", "a", "ab"], g)
+    b = MultiStream(("z",), ["c", "bc", "bc"], g)
+    ms = align_and_combine([a, b])
+    assert ms.table == ("abc", "abbc") and ms.codes.tolist() == [0, 0, 1]
+    assert histogram(ms).counts == {"abc": 2, "abbc": 1}
+    assert [tuple(t) for t in multi_tokens(ms)] == [("abc", 2, 0), ("abbc", 1, 2)]
 
 
 def test_combine_needs_two_streams():

@@ -125,6 +125,29 @@ def test_explicit_range_catch_all():
     assert s.table == ("l", "h", "x", "_") and s.codes.tolist() == [2, 0, 1, 2, 3]
 
 
+def test_catch_all_that_repeats_a_symbol_shares_its_code():
+    a = Alphabet(("l", "h"), (0.5,), "gap", valid_range=(0.0, 1.0), catch_all="h")
+    assert a.table == ("l", "h", "_")
+    s = quantize([0.7, 1.5, -0.2, 0.2, np.nan], a)
+    assert s.codes.tolist() == [1, 1, 1, 0, 2] and s.symbols == "hhhl_"
+    # one run of h, as the text "hhh" has: no two adjacent runs share a symbol
+    assert [tuple(t) for t in compress_runs(s)] == [("h", 3, 0), ("l", 1, 3), ("_", 1, 4)]
+
+
+def test_stream_table_defaults_to_the_alphabet():
+    a = usd_alphabet(0.5)
+    s = SymbolStream(np.array([2, 2, 0], dtype=np.uint8), a)
+    assert s.table == a.table and s.symbols == "uud"
+    assert [tuple(t) for t in compress_runs(s)] == [("u", 2, 0), ("d", 1, 2)]
+
+
+def test_symbols_of_a_table_with_unequal_entries():
+    assert SymbolStream(["ab", "c", "ab"]).symbols == "abcab"
+    assert SymbolStream(["", "x", ""]).symbols == "x"
+    assert SymbolStream([]).symbols == ""
+    assert SymbolStream(np.array([1, 0], dtype=np.uint8), table=("", "")).symbols == ""
+
+
 def test_stream_from_text_uses_the_alphabet_table():
     a = usd_alphabet(0.5, nan_policy="gap")
     s = SymbolStream("u_d", a)
@@ -170,6 +193,15 @@ def test_compress_basic():
     assert columns(runs) == ([2, 1, 0], [3, 2, 1], [0, 3, 5])
     assert [tuple(t) for t in runs] == [("u", 3, 0), ("s", 2, 3), ("d", 1, 5)]
     assert columns(runs[1:]) == ([1, 0], [2, 1], [3, 5])
+
+
+def test_runs_index_to_tokens():
+    runs = compress_runs("uuussd")
+    assert runs[0] == ("u", 3, 0) and runs[0].start_index == 0
+    assert runs[-1].symbol == "d" and runs[-1].run_length == 1
+    assert type(runs[1].run_length) is int and type(runs[1].start_index) is int
+    with pytest.raises(IndexError):
+        runs[3]
 
 
 def test_compress_empty():

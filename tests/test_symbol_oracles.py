@@ -42,7 +42,9 @@ def random_alphabet(rng) -> Alphabet:
     chars = [str(c) for c in rng.choice(POOL, size=k + 1, replace=False)]
     bounds = tuple(np.sort(rng.uniform(-1.0, 1.0, k - 1)))
     if rng.random() < 0.5:  # values beyond +-1.5 map to the catch-all
-        return Alphabet(tuple(chars[:k]), bounds, "gap", (-1.5, 1.5), chars[k])
+        # a third of the catch-alls repeat a symbol, which then has one code
+        catch = chars[k] if rng.random() < 2 / 3 else chars[int(rng.integers(0, k))]
+        return Alphabet(tuple(chars[:k]), bounds, "gap", (-1.5, 1.5), catch)
     return Alphabet(tuple(chars[:k]), bounds, "gap")
 
 
