@@ -17,9 +17,10 @@ match      run a symbol pattern over channel streams, write match ranges
 
 Exit codes: 0 success; 1 usage error (the flags, the config, the references,
 the command's requirements and an `--out` directory that cannot be created,
-all checked before the log is read); 2 data error (a `DataError`, or an
-input file that cannot be read); 3 numerical failure (any other
-`SiglexError`).  A stage failure exits 2 or 3 as its cause would.
+all checked before the log is read, and an output file that cannot be
+written, named in the message); 2 data error (a `DataError`, or an input
+file that cannot be read); 3 numerical failure (any other `SiglexError`).
+A stage failure exits 2 or 3 as its cause would.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from . import mcla, pattern, scla
-from .csvout import write_csv
+from .csvout import Text, open_output, write_csv
 from .errors import (
     ConfigError,
     DataError,
@@ -539,8 +540,8 @@ def run_pipeline(config: PipelineConfig, ingested: dict) -> PipelineBundle:
 # ---------------------------------------------------------------------------
 
 def _write_series_csv(path, grid: Grid, values: np.ndarray) -> None:
-    write_csv(path, "index,time,value\n", "{},{:.17g},{:.17g}\n", len(values),
-              lambda a, b: (range(a, b), grid.time_at(np.arange(a, b)), values[a:b]))
+    write_csv(path, "index,time,value\n", len(values),
+              lambda a, b: (np.arange(a, b), grid.time_at(np.arange(a, b)), values[a:b]))
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +573,8 @@ def _cmd_combine(bundle: PipelineBundle, outdir: Path, args) -> None:
 
 
 def _cmd_hist(bundle: PipelineBundle, outdir: Path, args) -> None:
-    (outdir / "histogram.json").write_text(bundle.histogram.to_json(),
-                                           encoding="utf-8")
+    with open_output(outdir / "histogram.json") as fh:
+        fh.write(bundle.histogram.to_json().encode("utf-8"))
 
 
 def _cmd_classify(bundle: PipelineBundle, outdir: Path, args) -> None:
@@ -581,18 +582,23 @@ def _cmd_classify(bundle: PipelineBundle, outdir: Path, args) -> None:
     ms = bundle.multistream
     total = len(ms)
     size = total if args.window is None else args.window
-    starts = range(0, total, size)
+    starts = np.arange(0, total, size)
+    refs = {label: mcla.exclude_symbols(fd, excluded)
+            for label, fd in args.references.items()}
+    table = sorted(refs)
+    codes = {label: i for i, label in enumerate(table)}
 
     def windows(a, b):
-        stops = [min(s + size, total) for s in starts[a:b]]
+        stops = np.minimum(starts[a:b] + size, total)
         labels, scores = zip(*(
-            mcla.classify_operation(mcla.histogram(ms, (s, e)), args.references,
-                                    args.measure, excluded)
-            for s, e in zip(starts[a:b], stops)))
-        return starts[a:b], stops, labels, scores
+            mcla.classify_operation(
+                mcla.exclude_symbols(mcla.histogram(ms, (s, e)), excluded), refs,
+                args.measure)
+            for s, e in zip(starts[a:b].tolist(), stops.tolist())))
+        return (starts[a:b], stops, Text(np.array([codes[x] for x in labels]), table),
+                np.array(scores))
 
-    write_csv(outdir / "classify.csv", "start,end,label,score\n", "{},{},{},{:.17g}\n",
-              len(starts), windows)
+    write_csv(outdir / "classify.csv", "start,end,label,score\n", len(starts), windows)
 
 
 def _cmd_match(bundle: PipelineBundle, outdir: Path, args) -> None:
@@ -678,7 +684,12 @@ def main(argv=None) -> int:
                               f"({exc.strerror})") from exc
         columns = sorted({cc.csv_column for cc in config.channels})
         ingested = ingest_csv(args.input, config.time_column, columns)
-        _COMMANDS[args.command](run_pipeline(config, ingested), outdir, args)
+        bundle = run_pipeline(config, ingested)
+        try:
+            _COMMANDS[args.command](bundle, outdir, args)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: cannot write {exc.filename} "
+                              f"({exc.strerror})") from exc
     except ConfigError as exc:
         print(f"siglex: usage error: {exc}", file=sys.stderr)
         return 1

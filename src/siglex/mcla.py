@@ -206,16 +206,21 @@ def classify_operation(window: FrequencyDict,
     """Best-matching reference label for a window histogram.
 
     Exclusions are applied to the window and every reference before
-    scoring.  l1 picks the minimum distance, cosine the maximum similarity;
-    ties go to the lexicographically first label.
+    scoring; a caller that scores many windows can exclude the keys from
+    the references once and pass excluded windows with no `excluded`.
+    l1 picks the minimum distance, cosine the maximum similarity; ties go to
+    the lexicographically first label.
     """
     if not references:
         raise NoReferencesError("no reference histograms given")
-    w = exclude_symbols(window, excluded)
+    drop = set(excluded)
+    if drop:
+        window = exclude_symbols(window, drop)
+        references = {label: exclude_symbols(fd, drop)
+                      for label, fd in references.items()}
     best = None
     for label in sorted(references):
-        ref = exclude_symbols(references[label], excluded)
-        score = compare_histograms(w, ref, measure)
+        score = compare_histograms(window, references[label], measure)
         better = (best is None
                   or (measure == "l1" and score < best[1])
                   or (measure == "cosine" and score > best[1]))

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .csvout import write_csv
 from .errors import (
     AlphabetMismatchError,
@@ -354,6 +356,6 @@ def find_all_tokens(pattern: SymbolPattern, runs: Runs) -> list[Match]:
 
 
 def matches_to_csv(matches: Sequence[Match], path) -> None:
-    write_csv(path, "start,end\n", "{},{}\n", len(matches),
-              lambda a, b: ([m.start for m in matches[a:b]],
-                            [m.end for m in matches[a:b]]))
+    write_csv(path, "start,end\n", len(matches),
+              lambda a, b: (np.array([m.start for m in matches[a:b]], dtype=np.int64),
+                            np.array([m.end for m in matches[a:b]], dtype=np.int64)))

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .csvout import write_csv
+from .csvout import Text, write_csv
 from .errors import (
     AlphabetError,
     MalformedTokensError,
@@ -260,7 +260,6 @@ def run_scla(raw, kernel: Optional[LocalKernel], alphabet: Alphabet,
 
 
 def tokens_to_csv(runs: Runs, path) -> None:
-    symbols = np.array(runs.table)
-    write_csv(path, "symbol,runLength,startIndex\n", "{},{},{}\n", len(runs),
-              lambda a, b: (symbols[runs.codes[a:b]], runs.lengths[a:b],
+    write_csv(path, "symbol,runLength,startIndex\n", len(runs),
+              lambda a, b: (Text(runs.codes[a:b], runs.table), runs.lengths[a:b],
                             runs.starts[a:b]))

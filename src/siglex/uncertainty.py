@@ -28,7 +28,7 @@ from .errors import (
     NotSymmetricError,
 )
 from .grid import Grid
-from .operators import InverseSolution, LdoMatrix, assemble_ldo
+from .operators import InverseSolution, LdoMatrix, LdoSpec, assemble_ldo
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +208,9 @@ class ConfidenceBand:
 
     def to_csv(self, path) -> None:
         c, hw = self.center, self.half_width
-        write_csv(path, "index,center,lower,upper\n", "{},{:.17g},{:.17g},{:.17g}\n",
-                  len(c), lambda a, b: (range(a, b), c[a:b], c[a:b] - hw[a:b],
-                                        c[a:b] + hw[a:b]))
+        write_csv(path, "index,center,lower,upper\n", len(c),
+                  lambda a, b: (np.arange(a, b), c[a:b], c[a:b] - hw[a:b],
+                                c[a:b] + hw[a:b]))
 
 
 def confidence_band(y: np.ndarray, variance: np.ndarray, sigma2: float,
@@ -239,6 +239,24 @@ def confidence_band(y: np.ndarray, variance: np.ndarray, sigma2: float,
 # horizon it may extrapolate, in tail windows
 _TAIL_FRACTION = 0.25
 _MAX_HORIZON_FACTOR = 10
+
+
+@lru_cache(maxsize=64)
+def _prediction_fit(degree: int, coefficients: tuple, n: int, m: int, horizon: int,
+                    h: float, t0: float, accuracy: int):
+    """Null-space modes of the operator on the grid extended by `horizon`:
+    their rows on the last `m` samples (A) and on the future points (F), and
+    the leverage of each future point.  Read-only: cached, since they depend
+    on the operator and the grid only."""
+    ext = assemble_ldo(LdoSpec(degree, list(coefficients)),
+                       Grid(n + horizon, h, t0), accuracy)
+    modes = ext.null_basis
+    A = modes[n - m:n, :]
+    F = modes[n:, :]
+    leverage = np.einsum("ij,jk,ik->i", F, np.linalg.pinv(A.T @ A), F)
+    for a in (A, F, leverage):
+        a.flags.writeable = False
+    return A, F, leverage
 
 
 def prediction_band(solution: InverseSolution, op: LdoMatrix,
@@ -272,20 +290,15 @@ def prediction_band(solution: InverseSolution, op: LdoMatrix,
         raise HorizonTooLargeError(
             f"horizon {horizon} exceeds {_MAX_HORIZON_FACTOR} x tail window ({m})")
 
-    ext_grid = Grid(n + horizon, op.grid.h, op.grid.t0)
-    ext = assemble_ldo(op.spec, ext_grid, op.accuracy)
-    modes = ext.null_basis
-    k_ext = modes.shape[1]
-
+    A, F, leverage = _prediction_fit(
+        op.spec.degree, tuple(float(c) for c in op.spec.coefficients), n, m,
+        horizon, op.grid.h, op.grid.t0, op.accuracy)
     tail = np.asarray(solution.y, dtype=np.float64)[n - m:n]
-    A = modes[n - m:n, :]
-    F = modes[n:, :]
     beta, *_ = np.linalg.lstsq(A, tail, rcond=None)
     center = F @ beta
     resid = tail - A @ beta
-    leverage = np.einsum("ij,jk,ik->i", F, np.linalg.pinv(A.T @ A), F)
 
-    dof = max(m - k_ext, 1)
+    dof = max(m - A.shape[1], 1)
     sigma2 = float(resid @ resid) / dof
     hw = _band_quantile(level, dof) * np.sqrt(
         sigma2 * (np.clip(leverage, 0.0, None) + 1.0))

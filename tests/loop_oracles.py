@@ -3,8 +3,8 @@
 These are the straightforward loops the vectorized code replaced: the
 per-row ``np.dot`` dense apply, the deque-based per-sample streaming kernel,
 the per-sample quantize and LOCF alignment, the ``itertools.groupby``
-run-length compress, the ``Counter`` histogram and the ``csv.reader`` /
-``float()`` CSV ingest.  They are slow and are used only to check the
+run-length compress, the ``Counter`` histogram, the ``csv.reader`` /
+``float()`` CSV ingest and the per-row ``str.format`` CSV writer.  They are slow and are used only to check the
 production code.  ``np.dot`` does not fix its summation order, so the
 stencil oracles agree with the stencil engine to rounding, not bitwise;
 `stencil_tolerance` gives the bound.
@@ -18,6 +18,7 @@ from itertools import groupby
 
 import numpy as np
 
+from siglex.csvout import BLOCK_ROWS
 from siglex.errors import MalformedCsvError, NonMonotoneTimeError, NonUniformGridError
 from siglex.grid import Grid
 from siglex.operators import _stencil
@@ -214,3 +215,14 @@ def ingest_csv_loop(path, time_column: str, value_columns) -> dict:
             f"from uniform step {h:.6g} (tolerance 1e-6 relative)")
     grid = Grid(n, h, float(t_arr[0]))
     return {c: (grid, np.array(cols[c])) for c in value_columns}
+
+
+def write_csv_loop(path, header: str, fmt: str, n: int, block) -> None:
+    """`header`, then rows 0..n-1 a block at a time, one ``fmt.format``
+    call per row; `block(a, b)` returns the columns of rows a..b-1."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header)
+        for a in range(0, n, BLOCK_ROWS):
+            columns = [c.tolist() if isinstance(c, np.ndarray) else c
+                       for c in block(a, min(a + BLOCK_ROWS, n))]
+            fh.write("".join(map(fmt.format, *columns)))

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import random
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import siglex
-from siglex import cli, errors, usd_alphabet
+from siglex import cli, csvout, errors, usd_alphabet
 from siglex.cli import (
     OperatorConfig,
     PipelineConfig,
@@ -537,6 +539,42 @@ def test_cli_exit_code_table(tmp_path, monkeypatch, capsys):
             monkeypatch.setattr(cli, "run_pipeline", fail)
             assert main(argv) == EXIT_CODES[cls.__name__], (cls, err)
             assert len(capsys.readouterr().err.splitlines()) == 1
+    monkeypatch.undo()
+
+    # an OSError: exit 2 while the log is read, exit 1 naming the file while
+    # an output is written, also for an errno that names no file
+    def unreadable(*args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(cli, "ingest_csv", unreadable)
+    assert main(argv) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    monkeypatch.undo()
+
+    class Full(io.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(csvout, "open", lambda path, mode: Full(), raising=False)
+    out = tmp_path / "o"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"siglex: usage error: --out {out}: cannot write {out / 'ramp.tokens.csv'} "
+        f"({os.strerror(errno.ENOSPC)})\n")
+
+
+def test_cli_output_that_cannot_be_written_exits_1_naming_it(tmp_path, capsys):
+    cfg = write(tmp_path / "c.json", json.dumps(TWO_CHANNEL_CONFIG))
+    data = two_channel_csv(tmp_path)
+    for command, name in (("derive", "ramp.derived.csv"), ("hist", "histogram.json")):
+        out = tmp_path / command
+        (out / name).mkdir(parents=True)
+        code = main([command, "--config", str(cfg), "--input", str(data),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"siglex: usage error: --out {out}: cannot write {out / name} "
+            f"({os.strerror(errno.EISDIR)})\n")
 
 
 def test_cli_bad_pattern_exits_1_before_reading_the_log(tmp_path, capsys):
