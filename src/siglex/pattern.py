@@ -13,17 +13,27 @@ run arrays (code, length, start), right to left, reading each code's table
 entry as its symbol.  That gives the longest match at every start in one
 pass (the reverse-scan idea of RE2); a greedy forward pass then picks the
 matches, so nothing is rescanned and no pattern backtracks exponentially.
-Inside a run the automaton stops stepping once its state map repeats, so a
-run costs a few steps whatever its length: the tests count at most
-(states + 2) * runs + matches steps, each O(states), on ``s|s.*u`` over
-``sdsd...`` and on ``u{3,}d+`` over runs of 1e5.  A map that cycles with a
-period above 1 (``(uu)+`` inside a long ``u`` run) is stepped sample by
-sample.
+
+A counted repetition of a one-sample body (a literal, `.`, or an
+alternation of those, as in ``u{3,}``, ``.{0,40}`` or ``(u|d){2,5}``)
+compiles to one count instruction whatever its bounds, after the
+counting-set automata of Turonova et al. (OOPSLA 2020): the threads inside
+it form a set of (count, end) entries that one shared offset counts, with
+dominated entries pruned.  Other counted bodies are unrolled, so a pattern
+is rejected before compilation if its program would exceed `MAX_PROGRAM`
+(10 000) instructions.  A step costs O(pcs + live counter entries), not
+O(unrolled copies).  Inside a run the automaton stops stepping once its
+state map and counting sets repeat, so a run costs a few steps whatever
+its length: the tests count at most (states + 2) * runs + matches steps on
+``s|s.*u`` over ``sdsd...`` and on ``u{3,}d+`` over runs of 1e5, and
+(states + 2 + 40) * runs + matches on ``d.{0,40}u``, whose set may change
+for up to 40 steps.  A map that cycles with a period above 1 (``(uu)+``
+inside a long ``u`` run) is still stepped sample by sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -155,6 +165,49 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 # instructions: ("char", c) ("dot",) ("split", a, b) ("jmp", a) ("match",)
+# and ("count", body, lo, hi): a one-sample body repeated lo..hi times
+# (hi None: no bound), 1 <= lo <= hi, exiting to the next pc.
+
+MAX_PROGRAM = 10_000
+
+
+def _one_sample(node) -> bool:
+    """Whether the node consumes exactly one sample: a literal, `.`, or an
+    alternation of such nodes."""
+    kind = node[0]
+    return kind in ("char", "dot") or (kind == "alt" and all(map(_one_sample, node[1])))
+
+
+def _takes(node, symbol: str) -> bool:
+    """Whether a one-sample node consumes a sample named `symbol`."""
+    if node[0] == "alt":
+        return any(_takes(b, symbol) for b in node[1])
+    return node[0] == "dot" or node[1] == symbol
+
+
+def _size(node) -> int:
+    """The number of instructions `_compile` emits for the node."""
+    kind = node[0]
+    if kind == "eps":
+        return 0
+    if kind in ("char", "dot"):
+        return 1
+    if kind == "cat":
+        return sum(map(_size, node[1]))
+    if kind == "alt":
+        return sum(map(_size, node[1])) + 2 * (len(node[1]) - 1)
+    if kind == "star":
+        return _size(node[1]) + 2
+    if kind in ("plus", "opt"):
+        return _size(node[1]) + 1
+    _, body, lo, hi = node
+    if hi == 0:
+        return 0
+    if _one_sample(body):
+        return 1 if lo else 2
+    n = _size(body)
+    return lo * n + (n + 2 if hi is None else (hi - lo) * (n + 1))
+
 
 def _compile(node, prog: list) -> None:
     kind = node[0]
@@ -186,6 +239,14 @@ def _compile(node, prog: list) -> None:
         prog[split] = ("split", split + 1, len(prog))
     elif kind == "rep":
         _, body, lo, hi = node
+        if hi == 0:
+            return
+        if _one_sample(body):
+            if lo == 0:
+                _compile(("opt", ("rep", body, 1, hi)), prog)
+            else:
+                prog.append(("count", body, lo, hi))
+            return
         for _ in range(lo):
             _compile(body, prog)
         if hi is None:
@@ -225,22 +286,61 @@ def _reverse(node):
 
 @dataclass
 class SymbolPattern:
-    """Compiled pattern: the source text and the reversed pattern's program."""
+    """Compiled pattern: the source text and the reversed pattern's program.
+
+    Built once per pattern: `eps[p]`, the successors of a split or jmp
+    (None for a pc that waits for a sample, char, dot or count, or is the
+    match); `counters`, the count pcs; `start`, the pcs a thread injected
+    at pc 0 lands on; `after[p]`, the pcs a thread that consumed a sample
+    at char or dot pc p lands on, when there are only a few; and, on first
+    use, each symbol's take sets.
+    """
 
     source: str
     alphabet: Alphabet
     program: list
+    eps: list = field(init=False, repr=False, compare=False)
+    counters: list = field(init=False, repr=False, compare=False)
+    start: tuple = field(init=False, repr=False, compare=False)
+    after: list = field(init=False, repr=False, compare=False)
+    _take_sets: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        self.eps = [op[1:] if op[0] in ("split", "jmp") else None for op in self.program]
+        self.counters = [p for p, op in enumerate(self.program) if op[0] == "count"]
+        self.start = _landing(self.eps, 0, len(self.program))
+        self.after = [_landing(self.eps, p + 1) if op[0] in ("char", "dot") else None
+                      for p, op in enumerate(self.program)]
 
     @property
     def n_states(self) -> int:
         return len(self.program)
 
+    def take_sets(self, symbol: str) -> tuple[frozenset, frozenset]:
+        """The char and dot pcs, and the count pcs, that consume `symbol`."""
+        sets = self._take_sets.get(symbol)
+        if sets is None:
+            prog = self.program
+            sets = self._take_sets[symbol] = (
+                frozenset(p for p, op in enumerate(prog)
+                          if op[0] in ("char", "dot") and _takes(op, symbol)),
+                frozenset(p for p in self.counters if _takes(prog[p][1], symbol)))
+        return sets
+
 
 def compile_pattern(text: str, alphabet: Alphabet) -> SymbolPattern:
-    """Parse and compile pattern text for the given alphabet."""
-    ast = _Parser(text, alphabet).parse()
+    """Parse and compile pattern text for the given alphabet.
+
+    A pattern whose program would exceed `MAX_PROGRAM` instructions raises
+    PatternSyntaxError before any instruction is emitted.
+    """
+    ast = _reverse(_Parser(text, alphabet).parse())
+    size = _size(ast) + 1
+    if size > MAX_PROGRAM:
+        raise PatternSyntaxError(
+            0, f"compiles to {size} instructions, over the limit of {MAX_PROGRAM}")
     prog: list = []
-    _compile(_reverse(ast), prog)
+    _compile(ast, prog)
     prog.append(("match",))
     return SymbolPattern(text, alphabet, prog)
 
@@ -253,20 +353,116 @@ def _add_thread(eps: list, states: dict, seen: set, pc: int, end: int) -> None:
     """Give pc and its epsilon closure the tag `end` where no thread is yet.
 
     Threads are added largest end first, so the first to reach a pc holds
-    its maximal end.  `eps[p]` lists the successors of a split or jmp and is
-    None for a consuming pc (char, dot, match); only the latter land in
-    `states`.  `seen` holds every pc reached in the current step.
+    its maximal end.  Only pcs with `eps[p]` None land in `states`; `seen`
+    holds the other pcs reached in the current step.
     """
     stack = [pc]
     while stack:
         p = stack.pop()
-        if p in seen:
-            continue
-        seen.add(p)
         if eps[p] is None:
-            states[p] = end
-        else:
+            if p not in states:
+                states[p] = end
+        elif p not in seen:
+            seen.add(p)
             stack.extend(eps[p])
+
+
+def _landing(eps: list, pc: int, most: int = 16) -> Optional[tuple]:
+    """The pcs a thread added at pc lands on, or None when the epsilon
+    closure holds more than `most` pcs."""
+    if eps[pc] is None:
+        return (pc,)
+    lands: dict = {}
+    seen: set = set()
+    stack = [pc]
+    while stack:
+        p = stack.pop()
+        if eps[p] is None:
+            lands[p] = None
+        elif p not in seen:
+            seen.add(p)
+            stack.extend(eps[p])
+        if len(lands) + len(seen) > most:
+            return None
+    return tuple(lands)
+
+
+class _CountingSet:
+    """The threads inside one count instruction, as (jb, end) entries.
+
+    An entry came in at boundary jb, so at boundary j it has consumed
+    jb - j body samples: the boundary is the one offset that counts every
+    entry.  `end` is the entry's match end.  Entries below `lo` wait, oldest
+    first.  With a bound `hi`, ready entries leave once past it, oldest
+    first, so a ready entry with a larger count and an end no larger than
+    another's is dominated: it is pruned, the ready ends fall from oldest
+    to newest, and the oldest is the exit.  Without a bound nothing leaves,
+    so an older entry dominates a newer one with an end no larger: a new
+    entry is kept only if its end beats every older one, and the one ready
+    entry is the newest to reach `lo` (counts saturate there).
+
+    `still` tells whether the last step left the set's key unchanged: the
+    (count, tag) of each entry, with ends inside the run taken relative to
+    the boundary.  Equal keys at two boundaries of a run act the same from
+    there on, which is what lets `_find_all_runs` skip the rest of a run.
+    """
+
+    __slots__ = ("lo", "hi", "waiting", "ready", "last", "still", "size")
+
+    def __init__(self, lo: int, hi: Optional[int]):
+        self.lo = lo
+        self.hi = hi
+        self.waiting: list = []
+        self.ready: list = []
+        self.last = self.still = None
+        self.size = 0
+
+    def step(self, j: int, b: int, fresh: int, arrival: Optional[int]) -> Optional[int]:
+        """Consume one body sample, reaching boundary j of a run ending at b.
+        `arrival` is the tag of a thread that came in at j + 1; return the
+        exit's tag, if any (tags as in `_find_all_runs`)."""
+        waiting, ready = self.waiting, self.ready
+        if arrival is not None and arrival < 0:
+            arrival += j + 1 - fresh
+        if self.hi is None:
+            older = waiting or ready
+            if arrival is not None and not (older and older[-1][1] >= arrival):
+                waiting.append((j + 1, arrival))
+            if waiting and waiting[0][0] - j >= self.lo:
+                ready[:] = [waiting.pop(0)]
+            # a newer entry always ends earlier than the last one, so a set
+            # that repeats holds a lone ready entry with an end past the run
+            key = ready[0][1] if ready and not waiting and ready[0][1] >= b else None
+        else:
+            while ready and ready[0][0] - j > self.hi:
+                del ready[0]
+            if arrival is not None:
+                waiting.append((j + 1, arrival))
+            if waiting and waiting[0][0] - j >= self.lo:
+                entry = waiting.pop(0)
+                while ready and ready[-1][1] <= entry[1]:
+                    ready.pop()
+                ready.append(entry)
+            # without a newcomer every count has grown since the last step,
+            # and a set that grew or shrank has changed
+            newest = waiting or ready
+            size, self.size = self.size, len(waiting) + len(ready)
+            key = None if not newest or newest[-1][0] != j + 1 or size != self.size else \
+                [(jb - j, e if e >= b else e - j) for q in (waiting, ready) for jb, e in q]
+        self.still = key is not None and key == self.last
+        self.last = key
+        if not ready:
+            return None
+        end = ready[0][1]
+        return end if end >= b else end - j + fresh
+
+    def shift(self, k: int, b: int) -> None:
+        """Move every entry k boundaries left, as k steps that leave the key
+        unchanged do.  An unbounded set with that key holds one saturated
+        entry ending past the run, which no step moves."""
+        if self.hi is not None:
+            for entries in (self.waiting, self.ready):
+                entries[:] = [(jb - k, e if e >= b else e - k) for jb, e in entries]
 
 
 def _find_all_runs(pattern: SymbolPattern, runs: Runs,
@@ -280,41 +476,76 @@ def _find_all_runs(pattern: SymbolPattern, runs: Runs,
     absolute (the thread entered at or after b) and t < 0 is `fresh + delta`,
     the end j + delta of a thread injected inside the run.  A step adds one
     to the relative tags and adds the fresh thread last, which keeps the
-    order, and it maps tags the same way at every boundary of the run: once
-    a step leaves the map unchanged, the rest of the run is skipped.  A map
+    order, and it maps tags the same way at every boundary of the run.  A
+    count pc's tag in `states` is a thread arriving there; the threads that
+    have consumed body samples are in its `_CountingSet`, whose exit joins
+    the step's moves in tag order.  Once a step leaves the map and every
+    counting set's key unchanged, the rest of the run is skipped.  A map
     that cycles with a period above 1 never repeats from one step to the
     next, so its run is stepped sample by sample.  Longest ends are kept as
     segments [lo, hi, base, slope] (end at j = base + slope * j), never per
     sample.  Forward pass: emit the longest match at the first start that
     has one, resume at its end.  Steps: backward steps plus matches.
     """
-    prog = pattern.program
-    eps = [op[1:] if op[0] in ("split", "jmp") else None for op in prog]
+    eps, prog, after = pattern.eps, pattern.program, pattern.after
     match_pc = len(prog) - 1
     fresh = -(total + 1)
-    states: dict = {}
-    _add_thread(eps, states, set(), 0, total)
-    takes_by_code: dict = {}
+    start = pattern.start
+    states = dict.fromkeys(start, total)
+    sets: dict = {}  # count pc -> _CountingSet, while it holds entries
     segments: list = []  # built right to left
     steps = 0
+    take_sets = [pattern.take_sets(symbol) for symbol in runs.table]
     for code, a, length in zip(runs.codes[::-1].tolist(), runs.starts[::-1].tolist(),
                                runs.lengths[::-1].tolist()):
-        j = a + length
-        takes = takes_by_code.get(code)
-        if takes is None:
-            takes = takes_by_code[code] = frozenset(
-                p for p, op in enumerate(prog)
-                if op[0] == "dot" or op == ("char", runs.table[code]))
+        b = j = a + length
+        takes, counting = take_sets[code]
+        if sets:
+            for c in list(sets):
+                if c in counting:
+                    sets[c].last = None  # a key relative to the last run
+                else:
+                    del sets[c]
         while j > a:
+            j -= 1
+            exits = ()
+            still = True
+            if counting:
+                exits = []
+                for c in counting:
+                    cs = sets.get(c)
+                    if cs is None:
+                        if c not in states:
+                            continue
+                        cs = sets[c] = _CountingSet(*prog[c][2:])
+                    t = cs.step(j, b, fresh, states.get(c))
+                    still = still and cs.still
+                    if t is not None:
+                        exits.append((t, c + 1))
+                    elif not cs.waiting:
+                        del sets[c]
+                exits.sort()
             nxt: dict = {}
             seen: set = set()
             for p, t in states.items():
-                if p in takes and p + 1 not in seen:
-                    _add_thread(eps, nxt, seen, p + 1, t + 1 if t < 0 else t)
-            _add_thread(eps, nxt, seen, 0, fresh)
-            j -= 1
-            steps += 1
-            fixed = nxt == states
+                if p in takes:
+                    t = t + 1 if t < 0 else t
+                    while exits and exits[-1][0] >= t:
+                        end, q = exits.pop()
+                        _add_thread(eps, nxt, seen, q, end)
+                    lands = after[p]
+                    if lands is None:
+                        _add_thread(eps, nxt, seen, p + 1, t)
+                    else:
+                        for q in lands:
+                            if q not in nxt:
+                                nxt[q] = t
+            for end, q in reversed(exits):
+                _add_thread(eps, nxt, seen, q, end)
+            for p in start:  # the fresh thread, whose closure is fixed
+                if p not in nxt:
+                    nxt[p] = fresh
+            fixed = still and nxt == states
             states = nxt
             t = states.get(match_pc)
             if t is not None and t != fresh:
@@ -326,7 +557,10 @@ def _find_all_runs(pattern: SymbolPattern, runs: Runs,
                 else:
                     segments.append([lo, j + 1, base, slope])
             if fixed:
+                for cs in sets.values():
+                    cs.shift(j - a, b)
                 break
+        steps += b - j
         states = {p: t if t >= 0 else a + t - fresh for p, t in states.items()}
 
     matches = []

@@ -1,9 +1,11 @@
-"""Independent backtracking match oracle and pattern generators for tests.
+"""Independent match oracle and pattern generators for tests.
 
-The oracle interprets pattern ASTs directly (sets of reachable end
-positions, memoized) and never touches the production automaton.  Pattern
-generators produce (text, ast) pairs so the production parser is exercised
-against structurally-known patterns.
+The oracle interprets pattern ASTs directly and never touches the
+production automaton.  From each start it steps forward one sample at a
+time over the set of AST states still alive, so a start costs memory in
+proportion to the pattern, not to the stream.  Pattern generators produce
+(text, ast) pairs so the production parser is exercised against
+structurally-known patterns.
 """
 
 from __future__ import annotations
@@ -14,91 +16,142 @@ from itertools import product
 #   ("char", c) ("dot",) ("cat", [..]) ("alt", [..])
 #   ("star", a) ("plus", a) ("opt", a) ("rep", a, lo, hi|None) ("eps",)
 
+# transitions kept per oracle: the cache stays bounded whatever the stream
+_STEP_CACHE = 50_000
 
-def _star_of(body, memo: dict):
-    """The node ("star", body), built once per body.
 
-    Memo keys hold id() of nodes, so a derived node must stay alive for as
-    long as the memo does: a freed one's id can be reused by another node.
+class _Oracle:
+    """An AST as numbered nodes, simulated over sets of AST states.
+
+    An AST state is (leaf, rest): a literal or `.` node waiting for the next
+    sample, and the continuation to follow once it has consumed it.  A
+    continuation is a linked tuple (frame, rest) or None (the match is
+    complete); a frame is ("do", node), ("loop", body) for a star, or
+    ("rep", node, n) for a counted repetition with n bodies done (a count
+    without an upper bound stops at lo, past which all counts act alike).
     """
-    key = ("star of", id(body))
-    if key not in memo:
-        memo[key] = ("star", body)
-    return memo[key]
+
+    def __init__(self, ast):
+        self.kind: list = []
+        self.arg: list = []
+        self.root = self._number(ast)
+        self._closures: dict = {}
+        self._steps: dict = {}
+
+    def _number(self, node) -> int:
+        kind = node[0]
+        if kind in ("cat", "alt"):
+            arg = tuple(self._number(c) for c in node[1])
+        elif kind in ("star", "plus", "opt"):
+            arg = self._number(node[1])
+        elif kind == "rep":
+            arg = (self._number(node[1]), node[2], node[3])
+        else:
+            arg = node[1] if kind == "char" else None
+        self.kind.append(kind)
+        self.arg.append(arg)
+        return len(self.kind) - 1
+
+    def _close(self, cont) -> tuple:
+        """(AST states reachable from `cont` without a sample, whether the
+        match can complete there)."""
+        got = self._closures.get(cont)
+        if got is not None:
+            return got
+        leaves, accept, seen, stack = set(), False, set(), [cont]
+        while stack:
+            k = stack.pop()
+            if k in seen:
+                continue
+            seen.add(k)
+            if k is None:
+                accept = True
+                continue
+            frame, rest = k
+            if frame[0] == "loop":
+                stack += [rest, (("do", frame[1]), k)]
+            elif frame[0] == "rep":
+                body, lo, hi = self.arg[frame[1]]
+                n = frame[2]
+                if n >= lo:
+                    stack.append(rest)
+                if hi is None or n < hi:
+                    again = min(n + 1, lo) if hi is None else n + 1
+                    stack.append((("do", body), (("rep", frame[1], again), rest)))
+            else:
+                node = frame[1]
+                kind, arg = self.kind[node], self.arg[node]
+                if kind in ("char", "dot"):
+                    leaves.add((node, rest))
+                elif kind == "eps":
+                    stack.append(rest)
+                elif kind == "cat":
+                    for part in reversed(arg):
+                        rest = (("do", part), rest)
+                    stack.append(rest)
+                elif kind == "alt":
+                    stack += [(("do", b), rest) for b in arg]
+                elif kind == "star":
+                    stack.append((("loop", arg), rest))
+                elif kind == "plus":
+                    stack.append((("do", arg), (("loop", arg), rest)))
+                elif kind == "opt":
+                    stack += [rest, (("do", arg), rest)]
+                elif kind == "rep":
+                    stack.append((("rep", node, 0), rest))
+                else:  # pragma: no cover
+                    raise AssertionError(f"unknown node kind {kind!r}")
+        got = self._closures[cont] = (frozenset(leaves), accept)
+        return got
+
+    def _step(self, states: frozenset, symbol: str) -> tuple:
+        """(AST states after consuming `symbol`, whether a match ends there)."""
+        got = self._steps.get((states, symbol))
+        if got is not None:
+            return got
+        leaves, accept = set(), False
+        for leaf, rest in states:
+            if self.kind[leaf] == "dot" or self.arg[leaf] == symbol:
+                more, done = self._close(rest)
+                leaves |= more
+                accept = accept or done
+        got = (frozenset(leaves), accept)
+        if len(self._steps) < _STEP_CACHE:
+            self._steps[(states, symbol)] = got
+        return got
+
+    def ends(self, s: str, i: int):
+        """Every j >= i such that the pattern matches s[i:j), in order."""
+        states, accept = self._close((("do", self.root), None))
+        if accept:
+            yield i
+        for j in range(i, len(s)):
+            if not states:
+                return
+            states, accept = self._step(states, s[j])
+            if accept:
+                yield j + 1
 
 
 def match_ends(node, s: str, i: int, memo: dict) -> frozenset:
-    """All j >= i such that node matches s[i:j)."""
-    key = (id(node), i)
-    if key in memo:
-        return memo[key]
-    kind = node[0]
-    if kind == "char":
-        out = frozenset([i + 1]) if i < len(s) and s[i] == node[1] else frozenset()
-    elif kind == "dot":
-        out = frozenset([i + 1]) if i < len(s) else frozenset()
-    elif kind == "eps":
-        out = frozenset([i])
-    elif kind == "cat":
-        cur = frozenset([i])
-        for part in node[1]:
-            cur = frozenset(e for m in cur for e in match_ends(part, s, m, memo))
-            if not cur:
-                break
-        out = cur
-    elif kind == "alt":
-        out = frozenset(e for b in node[1] for e in match_ends(b, s, i, memo))
-    elif kind == "star":
-        seen = {i}
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for e in match_ends(node[1], s, m, memo):
-                    if e not in seen:
-                        seen.add(e)
-                        nxt.append(e)
-            frontier = nxt
-        out = frozenset(seen)
-    elif kind == "plus":
-        out = frozenset(e for m in match_ends(node[1], s, i, memo)
-                        for e in match_ends(_star_of(node[1], memo), s, m, memo))
-    elif kind == "opt":
-        out = frozenset([i]) | match_ends(node[1], s, i, memo)
-    elif kind == "rep":
-        _, body, lo, hi = node
-        cur = frozenset([i])
-        for _ in range(lo):
-            cur = frozenset(e for m in cur for e in match_ends(body, s, m, memo))
-            if not cur:
-                break
-        if hi is None:
-            out = frozenset(e for m in cur
-                            for e in match_ends(_star_of(body, memo), s, m, memo))
-        else:
-            acc = set(cur)
-            for _ in range(hi - lo):
-                cur = frozenset(e for m in cur for e in match_ends(body, s, m, memo))
-                if not cur:
-                    break
-                acc |= cur
-            out = frozenset(acc)
-    else:  # pragma: no cover
-        raise AssertionError(f"unknown node {node!r}")
-    memo[key] = out
-    return out
+    """All j >= i such that node matches s[i:j).  `memo` keeps each node's
+    oracle between calls, keyed by id(), so a node must stay alive for as
+    long as the memo is used."""
+    key = ("oracle", id(node))
+    if key not in memo:
+        memo[key] = _Oracle(node)
+    return frozenset(memo[key].ends(s, i))
 
 
 def naive_find_all(ast, s: str) -> list[tuple[int, int]]:
     """Leftmost non-overlapping longest matches, zero-length skipped."""
-    memo: dict = {}
+    oracle = _Oracle(ast)
     out = []
     pos = 0
     n = len(s)
     while pos < n:
-        ends = [e for e in match_ends(ast, s, pos, memo) if e > pos]
-        if ends:
-            end = max(ends)
+        end = max(oracle.ends(s, pos), default=pos)
+        if end > pos:
             out.append((pos, end))
             pos = end
         else:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -589,6 +590,24 @@ def test_cli_bad_pattern_exits_1_before_reading_the_log(tmp_path, capsys):
         assert main(argv + (["--pattern", flag] if flag else [])) == 1, (text, flag)
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "pattern" in err, err
+
+
+def test_cli_oversized_pattern_exits_1_before_reading_the_log(tmp_path, capsys):
+    # counted multi-sample bodies still unroll: the program size is checked
+    # before any instruction is emitted
+    missing = str(tmp_path / "missing.csv")
+    huge = "(ud){100000000}"
+    for text, flag in ((huge, None), ("u+", huge)):
+        channel = dict(TWO_CHANNEL_CONFIG["channels"][0], pattern=text)
+        cfg = write(tmp_path / "c.json", json.dumps({"channels": [channel]}))
+        argv = ["match", "--config", str(cfg), "--input", missing,
+                "--out", str(tmp_path / "out")]
+        t0 = time.perf_counter()
+        assert main(argv + (["--pattern", flag] if flag else [])) == 1, (text, flag)
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "instructions, over the limit of 10000" in err, err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_error_names_channel_and_stage(tmp_path, capsys):

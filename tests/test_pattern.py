@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from siglex.errors import (
     PatternSyntaxError,
     UnknownSymbolError,
 )
-from siglex.pattern import _find_all_runs
+from siglex import pattern as pattern_module
+from siglex.pattern import MAX_PROGRAM, _find_all_runs
 from siglex.scla import SymbolStream
 
 from naive_match import match_ends, naive_find_all, random_pattern, render
@@ -159,6 +161,32 @@ def test_fuzz_against_oracle_ten_thousand():
         assert got == want, (text,)
 
 
+def test_oracle_memory_on_a_long_star_heavy_stream():
+    # 15 runs of 300: the oracle this one replaced kept every reachable end
+    # per (node, position) and peaked at 883 MB here
+    rng = np.random.default_rng(48)
+    syms, prev = [], None
+    while len(syms) < 15:
+        c = "usd"[rng.integers(3)]
+        if c != prev:
+            syms.append(c)
+            prev = c
+    toks = runs(*[(c, 300, 300 * i) for i, c in enumerate(syms)])
+    stream = decompress(toks).symbols
+    text = "((.|.+|.{0,})(u.d|s)){1,3}"
+    ast = ("rep", ("cat", [("alt", [("dot",), ("plus", ("dot",)), ("rep", ("dot",), 0, None)]),
+                           ("alt", [("cat", [U, ("dot",), D]), S])]), 1, 3)
+    assert render(ast) == text
+    tracemalloc.start()
+    try:
+        want = naive_find_all(ast, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
+    assert [(m.start, m.end) for m in find_all_tokens(compile_pattern(text, ALPHA), toks)] == want
+
+
 def test_match_sanity_fuzz():
     rng = np.random.default_rng(43)
     for _ in range(100):
@@ -292,6 +320,121 @@ def test_tokens_long_runs_periodic_fuzz():
     assert paths == {"stepped", "fixed"}
 
 
+def test_steps_linear_for_a_bounded_counter():
+    # a counter needs up to `hi` steps in a run before its set stops changing
+    p = compile_pattern("d.{0,40}u", ALPHA)
+    n = 100000
+    toks = runs(("d", n, 0), ("u", n, n), ("s", n, 2 * n), ("d", n, 3 * n), ("s", n, 4 * n))
+    matches, steps = _find_all_runs(p, toks, 5 * n)
+    assert matches == [Match(n - 41, n + 1)]
+    assert steps <= (p.n_states + 2 + 40) * len(toks) + len(matches), steps
+
+    rng = np.random.default_rng(48)
+    toks = _chatter(rng, 6000, [0.06, 0.47, 0.47], 3)  # u on about a tenth of runs
+    stream = decompress(toks).symbols
+    matches, steps = _find_all_runs(p, toks, len(stream))
+    assert [(m.start, m.end) for m in matches] == \
+        naive_find_all(("cat", [D, ("rep", ("dot",), 0, 40), U]), stream)
+    assert len(matches) > 50
+    assert steps <= (p.n_states + 2 + 40) * len(toks) + len(matches), steps
+
+
+# ---------------------------------------------------------------------------
+# counted repetition of one-sample bodies: counting sets
+# ---------------------------------------------------------------------------
+
+def test_counters_compile_to_one_instruction():
+    assert compile_pattern("u{1000}", ALPHA).n_states <= 6
+    assert compile_pattern("d.{0,100000}u", ALPHA).n_states <= 6
+    assert [op[0] for op in compile_pattern("(u|d){2,5}s", ALPHA).program] == \
+        ["char", "count", "match"]
+
+
+def test_program_size_limit():
+    t0 = time.perf_counter()
+    for text in ("(ud){100000000}", "((ud){100000}){100000}", "(ud){5000}"):
+        with pytest.raises(PatternSyntaxError, match="instructions"):
+            compile_pattern(text, ALPHA)
+    assert time.perf_counter() - t0 < 1.0
+    assert compile_pattern("(ud){4999}s", ALPHA).n_states == MAX_PROGRAM
+
+
+def test_size_is_counted_before_compiling(monkeypatch):
+    # the limit sits exactly at each fuzz pattern's compiled size
+    rng = np.random.default_rng(50)
+    forms: set = set()
+    for _ in range(200):
+        text = random_pattern(rng, "usd", depth=3)[0] if rng.random() < 0.5 \
+            else _counter_pattern(rng, forms)[0]
+        size = compile_pattern(text, ALPHA).n_states
+        monkeypatch.setattr(pattern_module, "MAX_PROGRAM", size)
+        compile_pattern(text, ALPHA)
+        monkeypatch.setattr(pattern_module, "MAX_PROGRAM", size - 1)
+        with pytest.raises(PatternSyntaxError, match="instructions"):
+            compile_pattern(text, ALPHA)
+        monkeypatch.undo()
+
+
+def _chatter(rng, n, probs, longest):
+    """Runs over `usd` of lengths 1..longest, neighbours differing, n samples."""
+    triples, pos, prev = [], 0, None
+    while pos < n:
+        sym = str(rng.choice(list("usd"), p=probs))
+        if sym == prev:
+            continue
+        ln = min(int(rng.integers(1, longest + 1)), n - pos)
+        triples.append((sym, ln, pos))
+        pos, prev = pos + ln, sym
+    return runs(*triples)
+
+
+ONE_SAMPLE = [(".", ("dot",)), ("u", U), ("d", D), ("s", S), ("(u|d)", ("alt", [U, D]))]
+
+
+def _counted(rng, forms):
+    """A counted repetition of a one-sample body as (text, ast), bounds up to 60."""
+    text, body = ONE_SAMPLE[int(rng.integers(len(ONE_SAMPLE)))]
+    m = int(rng.integers(0, 61)) if rng.random() < 0.3 else int(rng.integers(0, 4))
+    n = m + int(rng.integers(0, 61 - m))
+    form = ["{m}", "{m,}", "{m,n}", "{m,m}"][int(rng.integers(4))]
+    forms.add(form.replace("m", str(m)) if m == 0 else form)
+    hi = {"{m}": m, "{m,}": None, "{m,n}": n, "{m,m}": m}[form]
+    bounds = form.replace("m", str(m)).replace("n", str(n))
+    return text + bounds, ("rep", body, m, hi)
+
+
+def _counter_pattern(rng, forms):
+    """A counter alone, between literals, inside `*`, `+` or `|`, or inside a
+    counted multi-sample body."""
+    (c1, a1), (c2, a2) = _counted(rng, forms), _counted(rng, forms)
+    lit, la = [("u", U), ("d", D), ("s", S)][int(rng.integers(3))]
+    k = int(rng.integers(0, 3))
+    return [(c1, a1),
+            (f"{lit}{c1}{c2}", ("cat", [la, a1, a2])),
+            (f"({c1}{lit})*", ("star", ("cat", [a1, la]))),
+            (f"({lit}{c1})+", ("plus", ("cat", [la, a1]))),
+            (f"{c1}|{lit}{c2}", ("alt", [a1, ("cat", [la, a2])])),
+            (f"({lit}{c1}){{{k},{k + 2}}}", ("rep", ("cat", [la, a1]), k, k + 2))][
+        int(rng.integers(6))]
+
+
+def test_counter_fuzz_against_oracle():
+    rng = np.random.default_rng(49)
+    forms: set = set()
+    for trial in range(60):
+        text, ast = _counter_pattern(rng, forms)
+        p = compile_pattern(text, ALPHA)
+        n = int(rng.integers(0, 20001)) if trial % 10 == 0 else int(rng.integers(0, 3000))
+        chatter = _chatter(rng, n, [0.4, 0.2, 0.4], 3)
+        long_runs = _chatter(rng, n, [0.4, 0.2, 0.4], 2000)
+        for toks in (chatter, long_runs):
+            stream = decompress(toks).symbols
+            want = naive_find_all(ast, stream)
+            assert [(m.start, m.end) for m in find_all(p, s(stream))] == want, (text, n)
+            assert [(m.start, m.end) for m in find_all_tokens(p, toks)] == want, (text, n)
+    assert {"{0}", "{0,0}", "{m}", "{m,}", "{m,n}"} <= forms, forms
+
+
 # ---------------------------------------------------------------------------
 # worst-case runtime
 # ---------------------------------------------------------------------------
@@ -303,6 +446,18 @@ def test_pathological_pattern_is_fast():
     assert find_all(p, s(stream)) == []
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def test_large_counts_over_a_long_run_are_fast():
+    # every sample of the run brings a newcomer, so the set grows by one per
+    # step; comparing whole sets each step would be quadratic in the run
+    n = 100000
+    toks = runs(("u", n, 0), ("d", 10, n))
+    for text in ("u{1000000}", ".{0,1000000}d"):
+        p = compile_pattern(text, ALPHA)
+        t0 = time.perf_counter()
+        assert find_all_tokens(p, toks) == ([] if text[0] == "u" else [Match(0, n + 10)])
+        assert time.perf_counter() - t0 < 1.0, text
 
 
 def test_long_accepting_run_is_fast():

@@ -55,6 +55,9 @@ def test_count_hooks_count_samples_runs_and_matches():
     counted("mcla.align_and_combine", mcla.align_and_combine, streams)
     matches = counted("pattern.find_all", pattern.find_all,
                       compile_pattern("u+d", alphabets[0]), streams[0])
+    # a counted one-sample body is one instruction, whatever its bound
+    window = counted("pattern.compile_pattern", pattern.compile_pattern,
+                     "d.{0,40}u", alphabets[0])
 
     counts = tracer.counts[0]
     run_counts = [len(compress_runs_loop(s.symbols)) for s in streams]
@@ -65,3 +68,4 @@ def test_count_hooks_count_samples_runs_and_matches():
     assert counts["pattern.find_all.symbols"] == n
     assert counts["pattern.find_all.runs"] == run_counts[0]
     assert counts["pattern.find_all.matches"] == len(matches) > 0
+    assert counts["pattern.compile_pattern.states"] == len(window.program) <= 6
