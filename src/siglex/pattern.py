@@ -20,20 +20,22 @@ compiles to one count instruction whatever its bounds, after the
 counting-set automata of Turonova et al. (OOPSLA 2020): the threads inside
 it form a set of (count, end) entries that one shared offset counts, with
 dominated entries pruned.  Other counted bodies are unrolled, so a pattern
-is rejected before compilation if its program would exceed `MAX_PROGRAM`
-(10 000) instructions.  A step costs O(pcs + live counter entries), not
-O(unrolled copies).  Inside a run the automaton stops stepping once its
-state map and counting sets repeat, so a run costs a few steps whatever
-its length: the tests count at most (states + 2) * runs + matches steps on
-``s|s.*u`` over ``sdsd...`` and on ``u{3,}d+`` over runs of 1e5, and
-(states + 2 + 40) * runs + matches on ``d.{0,40}u``, whose set may change
-for up to 40 steps.  A map that cycles with a period above 1 (``(uu)+``
-inside a long ``u`` run) is still stepped sample by sample.
+whose program would exceed `MAX_PROGRAM` (10 000) instructions is rejected;
+unrolling stops at the limit, so a huge bound is rejected as fast.  A step
+costs O(pcs + live counter entries), not O(unrolled copies).  Inside a run
+the automaton stops stepping once its state map and counting sets repeat,
+so a run costs a few steps whatever its length: the tests count at most
+(states + 2) * runs + matches steps on ``s|s.*u`` over ``sdsd...`` and on
+``u{3,}d+`` over runs of 1e5, and (states + 2 + 40) * runs + matches on
+``d.{0,40}u``, whose set may change for up to 40 steps.  A map that cycles
+with a period above 1 (``(uu)+`` inside a long ``u`` run) is still stepped
+sample by sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -185,30 +187,6 @@ def _takes(node, symbol: str) -> bool:
     return node[0] == "dot" or node[1] == symbol
 
 
-def _size(node) -> int:
-    """The number of instructions `_compile` emits for the node."""
-    kind = node[0]
-    if kind == "eps":
-        return 0
-    if kind in ("char", "dot"):
-        return 1
-    if kind == "cat":
-        return sum(map(_size, node[1]))
-    if kind == "alt":
-        return sum(map(_size, node[1])) + 2 * (len(node[1]) - 1)
-    if kind == "star":
-        return _size(node[1]) + 2
-    if kind in ("plus", "opt"):
-        return _size(node[1]) + 1
-    _, body, lo, hi = node
-    if hi == 0:
-        return 0
-    if _one_sample(body):
-        return 1 if lo else 2
-    n = _size(body)
-    return lo * n + (n + 2 if hi is None else (hi - lo) * (n + 1))
-
-
 def _compile(node, prog: list) -> None:
     kind = node[0]
     if kind == "eps":
@@ -247,15 +225,25 @@ def _compile(node, prog: list) -> None:
             else:
                 prog.append(("count", body, lo, hi))
             return
-        for _ in range(lo):
-            _compile(body, prog)
-        if hi is None:
-            _compile(("star", body), prog)
-        else:
-            for _ in range(hi - lo):
-                _compile(("opt", body), prog)
+        rest = repeat(("star", body), 1) if hi is None else repeat(("opt", body), hi - lo)
+        for part in chain(repeat(body, lo), rest):
+            size = len(prog)
+            _compile(part, prog)
+            if len(prog) == size:
+                return  # only a body copy can emit nothing, and then so do all
+            _check_size(prog)
     else:  # pragma: no cover
         raise AssertionError(f"unknown node {node!r}")
+
+
+def _check_size(prog: list) -> None:
+    """Stop compiling once the program, with its match instruction, would
+    exceed `MAX_PROGRAM`: unrolled copies stop there, so a huge bound costs
+    no more than the limit."""
+    if len(prog) >= MAX_PROGRAM:
+        raise PatternSyntaxError(
+            0, f"compiles to {len(prog) + 1} or more instructions, "
+               f"over the limit of {MAX_PROGRAM}")
 
 
 def _compile_alt(branches, prog: list) -> None:
@@ -291,9 +279,7 @@ class SymbolPattern:
     Built once per pattern: `eps[p]`, the successors of a split or jmp
     (None for a pc that waits for a sample, char, dot or count, or is the
     match); `counters`, the count pcs; `start`, the pcs a thread injected
-    at pc 0 lands on; `after[p]`, the pcs a thread that consumed a sample
-    at char or dot pc p lands on, when there are only a few; and, on first
-    use, each symbol's take sets.
+    at pc 0 lands on; and, on first use, each symbol's take sets.
     """
 
     source: str
@@ -302,15 +288,14 @@ class SymbolPattern:
     eps: list = field(init=False, repr=False, compare=False)
     counters: list = field(init=False, repr=False, compare=False)
     start: tuple = field(init=False, repr=False, compare=False)
-    after: list = field(init=False, repr=False, compare=False)
     _take_sets: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.eps = [op[1:] if op[0] in ("split", "jmp") else None for op in self.program]
         self.counters = [p for p, op in enumerate(self.program) if op[0] == "count"]
-        self.start = _landing(self.eps, 0, len(self.program))
-        self.after = [_landing(self.eps, p + 1) if op[0] in ("char", "dot") else None
-                      for p, op in enumerate(self.program)]
+        lands: dict = {}
+        _add_thread(self.eps, lands, set(), 0, 0)
+        self.start = tuple(lands)
 
     @property
     def n_states(self) -> int:
@@ -332,15 +317,11 @@ def compile_pattern(text: str, alphabet: Alphabet) -> SymbolPattern:
     """Parse and compile pattern text for the given alphabet.
 
     A pattern whose program would exceed `MAX_PROGRAM` instructions raises
-    PatternSyntaxError before any instruction is emitted.
+    PatternSyntaxError, at the latest once that many are emitted.
     """
-    ast = _reverse(_Parser(text, alphabet).parse())
-    size = _size(ast) + 1
-    if size > MAX_PROGRAM:
-        raise PatternSyntaxError(
-            0, f"compiles to {size} instructions, over the limit of {MAX_PROGRAM}")
     prog: list = []
-    _compile(ast, prog)
+    _compile(_reverse(_Parser(text, alphabet).parse()), prog)
+    _check_size(prog)
     prog.append(("match",))
     return SymbolPattern(text, alphabet, prog)
 
@@ -367,26 +348,6 @@ def _add_thread(eps: list, states: dict, seen: set, pc: int, end: int) -> None:
             stack.extend(eps[p])
 
 
-def _landing(eps: list, pc: int, most: int = 16) -> Optional[tuple]:
-    """The pcs a thread added at pc lands on, or None when the epsilon
-    closure holds more than `most` pcs."""
-    if eps[pc] is None:
-        return (pc,)
-    lands: dict = {}
-    seen: set = set()
-    stack = [pc]
-    while stack:
-        p = stack.pop()
-        if eps[p] is None:
-            lands[p] = None
-        elif p not in seen:
-            seen.add(p)
-            stack.extend(eps[p])
-        if len(lands) + len(seen) > most:
-            return None
-    return tuple(lands)
-
-
 class _CountingSet:
     """The threads inside one count instruction, as (jb, end) entries.
 
@@ -405,16 +366,21 @@ class _CountingSet:
     (count, tag) of each entry, with ends inside the run taken relative to
     the boundary.  Equal keys at two boundaries of a run act the same from
     there on, which is what lets `_find_all_runs` skip the rest of a run.
+
+    `at` is the boundary the set last reached.  A step to any boundary but
+    `at` - 1 follows a sample the set did not consume, which no entry
+    survives, so the set starts over empty: one set per count pc serves a
+    whole scan.
     """
 
-    __slots__ = ("lo", "hi", "waiting", "ready", "last", "still", "size")
+    __slots__ = ("lo", "hi", "waiting", "ready", "last", "still", "size", "at")
 
     def __init__(self, lo: int, hi: Optional[int]):
         self.lo = lo
         self.hi = hi
         self.waiting: list = []
         self.ready: list = []
-        self.last = self.still = None
+        self.last = self.still = self.at = None
         self.size = 0
 
     def step(self, j: int, b: int, fresh: int, arrival: Optional[int]) -> Optional[int]:
@@ -422,6 +388,14 @@ class _CountingSet:
         `arrival` is the tag of a thread that came in at j + 1; return the
         exit's tag, if any (tags as in `_find_all_runs`)."""
         waiting, ready = self.waiting, self.ready
+        if self.at != j + 1:
+            waiting.clear()
+            ready.clear()
+            self.size = 0
+            self.last = None
+        elif j + 1 == b:
+            self.last = None  # a key relative to the last run
+        self.at = j
         if arrival is not None and arrival < 0:
             arrival += j + 1 - fresh
         if self.hi is None:
@@ -456,10 +430,14 @@ class _CountingSet:
         end = ready[0][1]
         return end if end >= b else end - j + fresh
 
-    def shift(self, k: int, b: int) -> None:
-        """Move every entry k boundaries left, as k steps that leave the key
-        unchanged do.  An unbounded set with that key holds one saturated
-        entry ending past the run, which no step moves."""
+    def shift(self, j: int, a: int, b: int) -> None:
+        """Move a set that reached boundary j on to a, as j - a steps that
+        leave the key unchanged do.  An unbounded set with that key holds one
+        saturated entry ending past the run, which no step moves."""
+        if self.at != j:
+            return
+        self.at = a
+        k = j - a
         if self.hi is not None:
             for entries in (self.waiting, self.ready):
                 entries[:] = [(jb - k, e if e >= b else e - k) for jb, e in entries]
@@ -487,12 +465,12 @@ def _find_all_runs(pattern: SymbolPattern, runs: Runs,
     sample.  Forward pass: emit the longest match at the first start that
     has one, resume at its end.  Steps: backward steps plus matches.
     """
-    eps, prog, after = pattern.eps, pattern.program, pattern.after
+    eps, prog = pattern.eps, pattern.program
     match_pc = len(prog) - 1
     fresh = -(total + 1)
     start = pattern.start
     states = dict.fromkeys(start, total)
-    sets: dict = {}  # count pc -> _CountingSet, while it holds entries
+    sets = {c: _CountingSet(*prog[c][2:]) for c in pattern.counters}
     segments: list = []  # built right to left
     steps = 0
     take_sets = [pattern.take_sets(symbol) for symbol in runs.table]
@@ -500,12 +478,6 @@ def _find_all_runs(pattern: SymbolPattern, runs: Runs,
                                runs.lengths[::-1].tolist()):
         b = j = a + length
         takes, counting = take_sets[code]
-        if sets:
-            for c in list(sets):
-                if c in counting:
-                    sets[c].last = None  # a key relative to the last run
-                else:
-                    del sets[c]
         while j > a:
             j -= 1
             exits = ()
@@ -513,17 +485,13 @@ def _find_all_runs(pattern: SymbolPattern, runs: Runs,
             if counting:
                 exits = []
                 for c in counting:
-                    cs = sets.get(c)
-                    if cs is None:
-                        if c not in states:
-                            continue
-                        cs = sets[c] = _CountingSet(*prog[c][2:])
-                    t = cs.step(j, b, fresh, states.get(c))
-                    still = still and cs.still
-                    if t is not None:
-                        exits.append((t, c + 1))
-                    elif not cs.waiting:
-                        del sets[c]
+                    cs = sets[c]
+                    arrival = states.get(c)
+                    if arrival is not None or cs.at == j + 1 and (cs.waiting or cs.ready):
+                        t = cs.step(j, b, fresh, arrival)
+                        still = still and cs.still
+                        if t is not None:
+                            exits.append((t, c + 1))
                 exits.sort()
             nxt: dict = {}
             seen: set = set()
@@ -533,15 +501,11 @@ def _find_all_runs(pattern: SymbolPattern, runs: Runs,
                     while exits and exits[-1][0] >= t:
                         end, q = exits.pop()
                         _add_thread(eps, nxt, seen, q, end)
-                    lands = after[p]
-                    if lands is None:
+                    if p + 1 not in seen:
                         _add_thread(eps, nxt, seen, p + 1, t)
-                    else:
-                        for q in lands:
-                            if q not in nxt:
-                                nxt[q] = t
-            for end, q in reversed(exits):
-                _add_thread(eps, nxt, seen, q, end)
+            if exits:
+                for end, q in reversed(exits):
+                    _add_thread(eps, nxt, seen, q, end)
             for p in start:  # the fresh thread, whose closure is fixed
                 if p not in nxt:
                     nxt[p] = fresh
@@ -558,7 +522,7 @@ def _find_all_runs(pattern: SymbolPattern, runs: Runs,
                     segments.append([lo, j + 1, base, slope])
             if fixed:
                 for cs in sets.values():
-                    cs.shift(j - a, b)
+                    cs.shift(j, a, b)
                 break
         steps += b - j
         states = {p: t if t >= 0 else a + t - fresh for p, t in states.items()}

@@ -593,8 +593,8 @@ def test_cli_bad_pattern_exits_1_before_reading_the_log(tmp_path, capsys):
 
 
 def test_cli_oversized_pattern_exits_1_before_reading_the_log(tmp_path, capsys):
-    # counted multi-sample bodies still unroll: the program size is checked
-    # before any instruction is emitted
+    # counted multi-sample bodies still unroll: unrolling stops at the
+    # instruction limit, before the log is read
     missing = str(tmp_path / "missing.csv")
     huge = "(ud){100000000}"
     for text, flag in ((huge, None), ("u+", huge)):
