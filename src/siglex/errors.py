@@ -52,6 +52,10 @@ class ConstraintIndexError(ConstraintCountMismatchError, DataError):
     """A point constraint's index lies outside the grid."""
 
 
+class NullSpaceTooLargeError(DataError):
+    """Operator null space too wide to compute without an n x n search."""
+
+
 class SingularConstraintSystemError(SiglexError):
     """Constraint rows of the null basis are (numerically) rank deficient."""
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial
+from math import ceil, factorial, inf
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +44,7 @@ from .errors import (
     GridTooShortError,
     LeadingCoefficientZeroError,
     LengthMismatchError,
+    NullSpaceTooLargeError,
     OrderExceedsAccuracyError,
     SingularConstraintSystemError,
 )
@@ -302,6 +303,21 @@ def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
     return _BlockR(blocks, m), (qtr if extra else None)
 
 
+# A diagonal block of R is applied through its explicit inverse when
+# kappa_1 * eps <= _PRODUCT_LIMIT, kappa_1 = ||R_tt||_1 ||R_tt^-1||_1.  The
+# product then errs by at most about kappa_1 * eps relative per block
+# (Higham, Accuracy and Stability of Numerical Algorithms, secs. 8 and 14),
+# an error the next step of inverse iteration corrects (Golub & Van Loan,
+# sec. 8.2).  A block past it, as one holding a floored pivot (kappa_1 near
+# 1/eps), is solved by LAPACK, whose backward error is eps whatever the
+# conditioning.  The limit is a property of the iteration, not a setting.
+_PRODUCT_LIMIT = 1e-8
+
+# Diagonal blocks inverted per np.linalg.inv call: the copies and |.|
+# temporaries of one chunk are 16 * b^2 floats (0.5 MB), not n * b.
+_INVERT_CHUNK = 16
+
+
 class _BlockR:
     """Upper-triangular R of bandwidth 2w <= b, in row blocks of b rows.
 
@@ -309,10 +325,17 @@ class _BlockR:
     block t couples only to the first 2w unknowns of block t+1.  Rows past
     the m columns are identity rows.  Pivots below eps * max|pivot| are
     raised to it, a backward error of the QR's own size, so a singular R
-    (as for an L with a null space) still has nonsingular blocks.  The
-    substitutions solve each block with LAPACK (backward stable, which
-    inverse iteration with a nearly singular R relies on; a product with an
-    explicit block inverse is not), O(m * b^2) per call.
+    (as for an L with a null space) still has nonsingular blocks.
+
+    The substitutions run one block at a time, O(m * b^2) per call.  By
+    default each diagonal block is solved with LAPACK, which is backward
+    stable.  Given `inverses()`, a block whose condition is within
+    `_PRODUCT_LIMIT` is applied as a product with its inverse instead, and
+    only the others (in practice the blocks that hold floored pivots) go to
+    LAPACK.  That is for the intermediate steps of inverse iteration, which
+    correct their own errors; a result that is used as it stands (the last
+    back substitution of the iteration, the solve of `solve_inverse`) takes
+    the default.
     """
 
     def __init__(self, blocks: np.ndarray, m: int):
@@ -321,6 +344,25 @@ class _BlockR:
         pivots = blocks[:, d, d]
         floor = _EPS * np.abs(pivots.ravel()[:m]).max()
         blocks[:, d, d] = np.where(np.abs(pivots) < floor, floor, pivots)
+
+    def inverses(self) -> tuple[np.ndarray, list]:
+        """(inv, usable): R_tt^-1 of every diagonal block, and for each block
+        whether kappa_1(R_tt) * eps <= `_PRODUCT_LIMIT`.
+
+        Inverted `_INVERT_CHUNK` blocks at a time; each block's inverse is
+        LAPACK's, bit for bit whatever the chunk.
+        """
+        nblocks, b, _ = self.blocks.shape
+        inv = np.empty((nblocks, b, b))
+        usable = np.empty(nblocks, dtype=bool)
+        for t in range(0, nblocks, _INVERT_CHUNK):
+            diag = self.blocks[t:t + _INVERT_CHUNK, :, :b]
+            part = inv[t:t + _INVERT_CHUNK]
+            part[...] = np.linalg.inv(diag)
+            kappa = (np.abs(diag).sum(axis=1).max(axis=1)
+                     * np.abs(part).sum(axis=1).max(axis=1))
+            usable[t:t + _INVERT_CHUNK] = kappa * _EPS <= _PRODUCT_LIMIT
+        return inv, usable.tolist()
 
     def _blocked(self, x: np.ndarray) -> np.ndarray:
         nblocks, b, _ = self.blocks.shape
@@ -331,24 +373,28 @@ class _BlockR:
     def _flat(self, x: np.ndarray) -> np.ndarray:
         return x.reshape((-1,) + x.shape[2:])[:self.m]
 
-    def solve(self, c: np.ndarray) -> np.ndarray:
+    def solve(self, c: np.ndarray, inverses: tuple | None = None) -> np.ndarray:
         """x with R x = c: back substitution, one block at a time."""
         nblocks, b, width = self.blocks.shape
+        inv, usable = inverses or (None, [False] * nblocks)
         c = self._blocked(c)
         for t in range(nblocks - 1, -1, -1):
             if t + 1 < nblocks:
                 c[t] -= self.blocks[t, :, b:] @ c[t + 1, :width - b]
-            c[t] = np.linalg.solve(self.blocks[t, :, :b], c[t])
+            c[t] = (inv[t] @ c[t] if usable[t]
+                    else np.linalg.solve(self.blocks[t, :, :b], c[t]))
         return self._flat(c)
 
-    def solve_transposed(self, c: np.ndarray) -> np.ndarray:
+    def solve_transposed(self, c: np.ndarray, inverses: tuple | None = None) -> np.ndarray:
         """z with R^T z = c: forward substitution, one block at a time."""
         nblocks, b, width = self.blocks.shape
+        inv, usable = inverses or (None, [False] * nblocks)
         c = self._blocked(c)
         for t in range(nblocks):
             if t:
                 c[t, :width - b] -= self.blocks[t - 1, :, b:].T @ c[t - 1]
-            c[t] = np.linalg.solve(self.blocks[t, :, :b].T, c[t])
+            c[t] = (inv[t].T @ c[t] if usable[t]
+                    else np.linalg.solve(self.blocks[t, :, :b].T, c[t]))
         return self._flat(c)
 
     def gram_inverse_diagonal(self) -> np.ndarray:
@@ -362,7 +408,7 @@ class _BlockR:
         """
         nblocks, b, width = self.blocks.shape
         w2 = width - b
-        inv = np.linalg.inv(self.blocks[:, :, :b])
+        inv, _ = self.inverses()
         z = inv @ self.blocks[:, :, b:]
         diag = np.einsum("tij,tij->ti", inv, inv)
         corner = np.zeros((w2, w2))
@@ -417,7 +463,11 @@ class LdoMatrix(_BandedOperator):
 
     `null_basis` has orthonormal columns spanning the numerical null space
     (the discrete homogeneous solutions); `rank + null_basis.shape[1] == n`.
-    Singular values at or below `rank_tolerance` count as null.
+    Singular values at or below `rank_tolerance` count as null.  The rank
+    margins are the smallest non-null Ritz value over `rank_tolerance`
+    (`nonnull_margin`) and `rank_tolerance` over the largest null Ritz value
+    (`null_margin`), inf where there is no such value.  Both are at least 1;
+    near 1 the rank decision is close.
     """
 
     spec: LdoSpec
@@ -427,6 +477,8 @@ class LdoMatrix(_BandedOperator):
     rank: int
     accuracy: int
     rank_tolerance: float
+    nonnull_margin: float
+    null_margin: float
 
     @property
     def null_dim(self) -> int:
@@ -435,6 +487,26 @@ class LdoMatrix(_BandedOperator):
 
 _POWER_STEPS = 20
 _INVERSE_STEPS = 8
+
+# Widest block of singular vectors the null-space search takes.  A null
+# space this wide (a leading coefficient that vanishes on most of the grid)
+# is refused: doubling on to n vectors would cost O(n^3) time and n x n
+# memory.
+_MAX_NULL_BLOCK = 64
+
+# The first non-null Ritz value decides the rank.  A Ritz value overestimates
+# its singular value by a factor that falls like (sigma_j / sigma_p+1)^(2 *
+# steps), so the last vectors of a block converge slowest: on singular values
+# clustered just below the cutoff, 8 steps left the deciding one up to 13%
+# high and counted it non-null.  While that value is below _CLOSE cutoffs the
+# block is doubled, so that the deciding vector is no longer among its last.
+_CLOSE = 2.0
+
+
+def _null_space_too_large(k: int, degree: int) -> NullSpaceTooLargeError:
+    return NullSpaceTooLargeError(
+        f"operator null space has at least {k} dimensions, more than the "
+        f"{_MAX_NULL_BLOCK - 1} supported (does a_{degree} vanish on most of the grid?)")
 
 
 def _smallest_singular(band: np.ndarray, cols: np.ndarray, r: _BlockR, p: int,
@@ -445,15 +517,24 @@ def _smallest_singular(band: np.ndarray, cols: np.ndarray, r: _BlockR, p: int,
     Inverse subspace iteration with (R^T R)^-1 = (L^T L)^-1, then
     Rayleigh-Ritz on the p x p triangle of L x (T. F. Chan, Rank revealing
     QR factorizations, 1987).  A Ritz value is never below the singular
-    value it estimates.
+    value it estimates.  The substitutions of every step but the last apply
+    the well-conditioned diagonal blocks of R by their inverses (see
+    `_BlockR`), held only for this call; an error they leave is damped by
+    the next step.  The last back substitution, whose result is the basis,
+    is LAPACK's throughout: with products there too, the largest null Ritz
+    value of y'' at n = 2000 rose from 2e-6 to 2e-5 cutoffs, and to over
+    1e-3 on some near-singular operators of the stress fuzz.
     """
+    inverses = r.inverses()
     x = rng.standard_normal((r.m, p))
-    for _ in range(_INVERSE_STEPS):
+    for step in range(_INVERSE_STEPS):
         # orthonormal after each solve: one solve may grow the smallest
         # direction past the next by more than 1/eps, and then a whole
         # step would round the next one away
-        z = np.linalg.qr(r.solve_transposed(np.linalg.qr(x)[0]))[0]
-        x = r.solve(z)
+        z = np.linalg.qr(r.solve_transposed(np.linalg.qr(x)[0], inverses))[0]
+        if step + 1 == _INVERSE_STEPS:
+            inverses = None  # freed: the last back substitution is LAPACK's
+        x = r.solve(z, inverses)
     x = np.linalg.qr(x)[0]
     lx = np.einsum("ij,ijk->ik", band, x[cols])
     _, sigma, vt = np.linalg.svd(np.linalg.qr(lx, mode="r"))
@@ -469,9 +550,17 @@ def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int) -> LdoMatrix:
     comes from power steps with the band.  The smallest singular values and
     their vectors come from inverse subspace iteration with the banded R of
     L = QR, on a block of degree + 2 vectors, doubled while every value in
-    it is null; the null ones give `null_basis`.  Tiny pivots of R are not
-    counted: without column pivoting they do not reveal the rank.  Seeded,
-    so reruns are bitwise equal; O(n * w^2) per step, no n x n matrix.
+    it is null or the first non-null one is within `_CLOSE` times the
+    cutoff, up to `_MAX_NULL_BLOCK` vectors; the null ones give
+    `null_basis`.  Tiny pivots of R are not counted: without column
+    pivoting they do not reveal the rank.  Seeded, so reruns are bitwise
+    equal; O(n * w^2) per step, no n x n matrix.
+
+    Raises
+    ------
+    NullSpaceTooLargeError
+        If L has `_MAX_NULL_BLOCK` zero rows, or that many vectors, fewer
+        than n, are all null.
     """
     n, w = grid.n, _half_width(accuracy)
     band = np.zeros((n, 2 * w + 1))
@@ -487,16 +576,25 @@ def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int) -> LdoMatrix:
     s_max = float(np.sqrt(np.sum(_stencil_sum(band, x[cols]) ** 2)))
     cutoff = s_max * max(n * _EPS, 1e-10)
 
+    # each zero row of L is one more null direction: no search needed
+    zero_rows = n - int(np.count_nonzero(band.any(axis=1)))
+    if zero_rows >= _MAX_NULL_BLOCK:
+        raise _null_space_too_large(zero_rows, spec.degree)
     r, _ = _qr_sweep(band, cols[:, 0], n)
     p = min(spec.degree + 2, n)
     while True:
         sigma, vectors = _smallest_singular(band, cols, r, p, rng)
         null = int(np.count_nonzero(sigma <= cutoff))
-        if null < p or p == n:
+        settled = null < p and (sigma[null] > _CLOSE * cutoff or p == _MAX_NULL_BLOCK)
+        if settled or p == n:
             break
-        p = min(2 * p, n)
+        if p == _MAX_NULL_BLOCK:
+            raise _null_space_too_large(p, spec.degree)
+        p = min(2 * p, n, _MAX_NULL_BLOCK)
+    nonnull_margin = float(sigma[null]) / cutoff if null < p else inf
+    null_margin = cutoff / float(sigma[null - 1]) if null and sigma[null - 1] > 0 else inf
     return LdoMatrix(spec, grid, band, vectors[:, :null].copy(), n - null, accuracy,
-                     cutoff)
+                     cutoff, nonnull_margin, null_margin)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,12 @@ class DenseLdo:
     """
 
     def __init__(self, op: LdoMatrix):
-        u, self.s, vt = np.linalg.svd(op.entries)
+        try:
+            u, self.s, vt = np.linalg.svd(op.entries)
+        except np.linalg.LinAlgError:
+            # LAPACK's divide-and-conquer SVD can fail to converge on clusters
+            # of tiny singular values; L^T = V S U^T is the same factorization
+            vt, self.s, u = (a.T for a in np.linalg.svd(op.entries.T))
         cutoff = self.s[0] * max(op.grid.n * EPS, 1e-10) if self.s[0] > 0 else 0.0
         r = int(np.count_nonzero(self.s > cutoff))
         self.op = replace(op, null_basis=vt[r:].T.copy(), rank=r, rank_tolerance=cutoff)

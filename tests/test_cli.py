@@ -509,7 +509,8 @@ EXIT_CODES = {
         "NonpositiveEpsilonError", "OutOfRangeError", "NonFiniteSampleError",
         "MalformedTokensError", "NoOverlapError", "EmptyInputError",
         "InvalidWindowError", "NoReferencesError", "AlphabetMismatchError",
-        "MalformedCsvError", "NonMonotoneTimeError", "NonUniformGridError"), 2),
+        "MalformedCsvError", "NonMonotoneTimeError", "NonUniformGridError",
+        "NullSpaceTooLargeError"), 2),
     **dict.fromkeys((
         "OrderExceedsAccuracyError", "AccuracyTooHighError",
         "CoefficientLengthMismatchError", "LeadingCoefficientZeroError",
@@ -639,6 +640,28 @@ def test_cli_short_log_blames_the_operator_stage(tmp_path, capsys):
         assert list(out.iterdir()) == []
         argv[4] = str(two_channel_csv(tmp_path, n=4))
         assert main(argv) == 0
+
+
+def test_cli_null_space_over_the_block_cap_exits_2_quickly(tmp_path, capsys):
+    # a per-grid lead that is zero but at one row: the null space has
+    # n - 2 dimensions; doubling the search block on to n took 27 s and
+    # 205 MB
+    n = 2000
+    a1 = [0.0] * n
+    a1[n // 2] = 1.0
+    cfg = write(tmp_path / "c.json", json.dumps({"channels": [
+        {"name": "y", "csv_column": "g",
+         "alphabet": {"symbols": "lmh", "boundaries": [-0.5, 0.5]},
+         "ldo": {"degree": 1, "coefficients": [0.0, a1], "accuracy": 2,
+                 "constraints": [[0, 0.0]]}}]}))
+    data = write(tmp_path / "log.csv", "t,g\n" + "".join(f"{k},1.0\n" for k in range(n)))
+    t0 = time.perf_counter()
+    code = main(["solve", "--config", str(cfg), "--input", str(data),
+                 "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1, err
+    assert "channel 'y', stage 'ldo'" in err and "more than the 63 supported" in err, err
 
 
 def test_cli_solve_memory_is_linear_in_n(tmp_path):

@@ -21,6 +21,7 @@ from siglex.errors import (
     GridTooShortError,
     LeadingCoefficientZeroError,
     LengthMismatchError,
+    NullSpaceTooLargeError,
     OrderExceedsAccuracyError,
     SiglexError,
     SingularConstraintSystemError,
@@ -454,6 +455,142 @@ def test_pin_where_the_null_mode_vanishes_raises_like_the_oracle():
             solve_inverse(op, np.zeros(n), [(0, 1.0)])
         with pytest.raises(SingularConstraintSystemError):
             DenseLdo(op).solve(np.zeros(n), [(0, 1.0)])
+
+
+def _stress_ldo(rng):
+    """A spec whose rank decision is close: clustered near-null values, a
+    pair of singular values 0.01x to 100x the cutoff, or a third-order
+    operator with small lower terms.  n 30-400, accuracy 2, 4 or 6."""
+    kind = int(rng.integers(3))
+    accuracy = int(rng.choice([4, 6] if kind == 2 else [2, 4, 6]))
+    n = int(rng.integers(30, 401))
+    grid = Grid(n, float(rng.choice([0.01, 0.1, 1.0])))
+    if kind == 0:
+        a1 = np.ones(n)
+        length = int(rng.integers(3, min(n, 40) + 1))
+        start = int(rng.integers(0, n - length + 1))
+        a1[start:start + length] = 10.0 ** rng.uniform(-14, -6)
+        spec = LdoSpec(1, [0.0, a1])
+    elif kind == 1:
+        d2 = build_diff_operator(grid, 2, accuracy).entries
+        scale = np.linalg.norm(d2, 2) * max(n * EPS, 1e-10)
+        spec = LdoSpec(2, [scale * 10.0 ** rng.uniform(-2, 2), 0.0, 1.0])
+    else:
+        small = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-12, -2, 3)
+        spec = LdoSpec(3, [*small, 1.0])
+    return assemble_ldo(spec, grid, accuracy)
+
+
+def test_rank_decision_near_the_cutoff_agrees_with_dense_oracle_fuzz():
+    # Teeth: applying every diagonal block of R by its explicit inverse, in
+    # every substitution and without the condition test, changes the null
+    # dimension of some draws; the parent's iteration, without the block
+    # doubling near the cutoff, miscounted a clustered value on another.
+    rng = np.random.default_rng(1515)
+    sharp = 0
+    for _ in range(150):
+        op = _stress_ldo(rng)
+        n, dense = op.grid.n, DenseLdo(op)
+        assert op.null_dim == dense.op.null_dim, (op.spec, n, op.accuracy)
+        k = op.null_dim
+        assert op.nonnull_margin > 1.0 and op.null_margin >= 1.0
+        if k and dense.s[n - k] <= 1e-5 * dense.op.rank_tolerance:
+            assert op.null_margin >= 1e3, (op.spec, n, op.null_margin)
+            sharp += 1
+        g = rng.standard_normal(n)
+        cons = [(int(i), 0.0) for i in np.sort(rng.choice(n, k, replace=False))]
+        want = _outcome(dense.solve, g, cons)
+        got = _outcome(solve_inverse, op, g, cons)
+        assert (got if isinstance(got, type) else None) is \
+            (want if isinstance(want, type) else None), (op.spec, n, got, want)
+    assert sharp >= 30, sharp
+
+
+def _solve_calls(monkeypatch, n):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    assemble_ldo(LdoSpec(2, [0.0, 0.0, 1.0]), Grid(n, 0.01), 2)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return len(calls)
+
+
+def test_assembly_solves_only_ill_conditioned_blocks_with_lapack(monkeypatch):
+    # 8 inverse steps of two substitutions over n / 64 blocks were 512 LAPACK
+    # block solves at n = 2000; now each substitution solves only the block
+    # with floored pivots, and the last back substitution all of them:
+    # 15 + 32 = 47 at n = 2000, 15 + 313 = 328 at n = 20000
+    assert _solve_calls(monkeypatch, 2000) <= 48
+    assert _solve_calls(monkeypatch, 20000) <= 330
+    n = 2000
+    band = assemble_ldo(LdoSpec(2, [0.0, 0.0, 1.0]), Grid(n, 0.01), 2).band
+    r, _ = operators._qr_sweep(band, operators._band_columns(n, 1)[:, 0], n)
+    d = np.arange(r.blocks.shape[1])
+    pivots = np.abs(r.blocks[:, d, d])
+    floored = (pivots <= EPS * pivots.max()).any(axis=1)
+    _, usable = r.inverses()
+    assert np.flatnonzero(~np.array(usable)).tolist() == np.flatnonzero(floored).tolist() \
+        == [len(usable) - 1]
+
+
+def test_block_inverse_products_agree_with_lapack_on_well_conditioned_blocks():
+    rng = np.random.default_rng(8)
+    for degree, accuracy, n in ((2, 2, 700), (1, 4, 500), (3, 6, 400)):
+        grid = Grid(n, 0.1)
+        coeffs = [0.3 * rng.standard_normal() for _ in range(degree)] + [1.0]
+        band = assemble_ldo(LdoSpec(degree, coeffs), grid, accuracy).band
+        r, _ = operators._qr_sweep(band, operators._band_columns(n, band.shape[1] // 2)[:, 0], n)
+        inv, usable = r.inverses()
+        b = r.blocks.shape[1]
+        assert sum(usable) >= len(usable) - 1
+        for t in np.flatnonzero(usable):
+            rtt = r.blocks[t, :, :b]
+            kappa = np.abs(rtt).sum(axis=0).max() * np.abs(inv[t]).sum(axis=0).max()
+            assert kappa * EPS <= 1e-8
+            c = rng.standard_normal((b, 3))
+            for a, x in ((rtt, inv[t] @ c), (rtt.T, inv[t].T @ c)):
+                want = np.linalg.solve(a, c)
+                assert np.all(np.abs(x - want) <= kappa * EPS * np.abs(want).max(axis=0))
+        c = rng.standard_normal((n, 2))
+        for solve in (r.solve, r.solve_transposed):
+            assert np.abs(solve(c, (inv, usable)) - solve(c)).max() \
+                <= 1e-8 * np.abs(solve(c)).max()
+
+
+def test_second_derivative_rank_margins():
+    # both sides of the cutoff stay clear of it: 1.4e4 above, 5e5 below
+    op = assemble_ldo(LdoSpec(2, [0.0, 0.0, 1.0]), Grid(2000, 0.01), 2)
+    assert op.null_dim == 2
+    assert op.nonnull_margin >= 1e3 and op.null_margin >= 1e3
+    full = assemble_ldo(LdoSpec(0, [1.0]), Grid(50, 1.0), 2)
+    assert full.null_dim == 0 and full.null_margin == np.inf
+
+
+def test_null_space_search_stops_at_the_block_cap():
+    # a lead that is tiny, not zero, off one row: no row of L is zero, and
+    # the search block doubles 3, 6, ..., 48, 64 and then gives up
+    n, a1 = 300, np.full(300, 1e-20)
+    a1[n // 2] = 1.0
+    with pytest.raises(NullSpaceTooLargeError, match="at least 64 dimensions"):
+        assemble_ldo(LdoSpec(1, [0.0, a1]), Grid(n, 0.1), 2)
+
+
+def test_assembly_memory_is_linear_in_n():
+    # R in blocks of 64 x 66 and the inverses of its 64 x 64 diagonal
+    # blocks, 1.05 kB per row together; the rest is O(n (w + p))
+    n = 20_000
+    tracemalloc.start()
+    try:
+        assemble_ldo(LdoSpec(2, [0.0, 0.0, 1.0]), Grid(n, 0.01), 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1500 * n, f"traced peak {peak} bytes"
 
 
 def _window_shapes(monkeypatch, n):
