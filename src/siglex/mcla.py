@@ -201,23 +201,15 @@ def compare_histograms(a: FrequencyDict, b: FrequencyDict,
 
 def classify_operation(window: FrequencyDict,
                        references: Mapping[str, FrequencyDict],
-                       measure: str = "l1",
-                       excluded: Iterable[str] = ()) -> tuple[str, float]:
+                       measure: str = "l1") -> tuple[str, float]:
     """Best-matching reference label for a window histogram.
 
-    Exclusions are applied to the window and every reference before
-    scoring; a caller that scores many windows can exclude the keys from
-    the references once and pass excluded windows with no `excluded`.
-    l1 picks the minimum distance, cosine the maximum similarity; ties go to
-    the lexicographically first label.
+    To mask keys out of the scoring, pass the window and the references
+    through `exclude_symbols` first.  l1 picks the minimum distance, cosine
+    the maximum similarity; ties go to the lexicographically first label.
     """
     if not references:
         raise NoReferencesError("no reference histograms given")
-    drop = set(excluded)
-    if drop:
-        window = exclude_symbols(window, drop)
-        references = {label: exclude_symbols(fd, drop)
-                      for label, fd in references.items()}
     best = None
     for label in sorted(references):
         score = compare_histograms(window, references[label], measure)

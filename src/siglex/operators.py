@@ -303,21 +303,6 @@ def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
     return _BlockR(blocks, m), (qtr if extra else None)
 
 
-# A diagonal block of R is applied through its explicit inverse when
-# kappa_1 * eps <= _PRODUCT_LIMIT, kappa_1 = ||R_tt||_1 ||R_tt^-1||_1.  The
-# product then errs by at most about kappa_1 * eps relative per block
-# (Higham, Accuracy and Stability of Numerical Algorithms, secs. 8 and 14),
-# an error the next step of inverse iteration corrects (Golub & Van Loan,
-# sec. 8.2).  A block past it, as one holding a floored pivot (kappa_1 near
-# 1/eps), is solved by LAPACK, whose backward error is eps whatever the
-# conditioning.  The limit is a property of the iteration, not a setting.
-_PRODUCT_LIMIT = 1e-8
-
-# Diagonal blocks inverted per np.linalg.inv call: the copies and |.|
-# temporaries of one chunk are 16 * b^2 floats (0.5 MB), not n * b.
-_INVERT_CHUNK = 16
-
-
 class _BlockR:
     """Upper-triangular R of bandwidth 2w <= b, in row blocks of b rows.
 
@@ -325,17 +310,10 @@ class _BlockR:
     block t couples only to the first 2w unknowns of block t+1.  Rows past
     the m columns are identity rows.  Pivots below eps * max|pivot| are
     raised to it, a backward error of the QR's own size, so a singular R
-    (as for an L with a null space) still has nonsingular blocks.
-
-    The substitutions run one block at a time, O(m * b^2) per call.  By
-    default each diagonal block is solved with LAPACK, which is backward
-    stable.  Given `inverses()`, a block whose condition is within
-    `_PRODUCT_LIMIT` is applied as a product with its inverse instead, and
-    only the others (in practice the blocks that hold floored pivots) go to
-    LAPACK.  That is for the intermediate steps of inverse iteration, which
-    correct their own errors; a result that is used as it stands (the last
-    back substitution of the iteration, the solve of `solve_inverse`) takes
-    the default.
+    (as for an L with a null space) still has nonsingular blocks.  The
+    substitutions solve each block with LAPACK (backward stable, which
+    inverse iteration with a nearly singular R relies on; a product with an
+    explicit block inverse is not), O(m * b^2) per call.
     """
 
     def __init__(self, blocks: np.ndarray, m: int):
@@ -344,25 +322,6 @@ class _BlockR:
         pivots = blocks[:, d, d]
         floor = _EPS * np.abs(pivots.ravel()[:m]).max()
         blocks[:, d, d] = np.where(np.abs(pivots) < floor, floor, pivots)
-
-    def inverses(self) -> tuple[np.ndarray, list]:
-        """(inv, usable): R_tt^-1 of every diagonal block, and for each block
-        whether kappa_1(R_tt) * eps <= `_PRODUCT_LIMIT`.
-
-        Inverted `_INVERT_CHUNK` blocks at a time; each block's inverse is
-        LAPACK's, bit for bit whatever the chunk.
-        """
-        nblocks, b, _ = self.blocks.shape
-        inv = np.empty((nblocks, b, b))
-        usable = np.empty(nblocks, dtype=bool)
-        for t in range(0, nblocks, _INVERT_CHUNK):
-            diag = self.blocks[t:t + _INVERT_CHUNK, :, :b]
-            part = inv[t:t + _INVERT_CHUNK]
-            part[...] = np.linalg.inv(diag)
-            kappa = (np.abs(diag).sum(axis=1).max(axis=1)
-                     * np.abs(part).sum(axis=1).max(axis=1))
-            usable[t:t + _INVERT_CHUNK] = kappa * _EPS <= _PRODUCT_LIMIT
-        return inv, usable.tolist()
 
     def _blocked(self, x: np.ndarray) -> np.ndarray:
         nblocks, b, _ = self.blocks.shape
@@ -373,28 +332,24 @@ class _BlockR:
     def _flat(self, x: np.ndarray) -> np.ndarray:
         return x.reshape((-1,) + x.shape[2:])[:self.m]
 
-    def solve(self, c: np.ndarray, inverses: tuple | None = None) -> np.ndarray:
+    def solve(self, c: np.ndarray) -> np.ndarray:
         """x with R x = c: back substitution, one block at a time."""
         nblocks, b, width = self.blocks.shape
-        inv, usable = inverses or (None, [False] * nblocks)
         c = self._blocked(c)
         for t in range(nblocks - 1, -1, -1):
             if t + 1 < nblocks:
                 c[t] -= self.blocks[t, :, b:] @ c[t + 1, :width - b]
-            c[t] = (inv[t] @ c[t] if usable[t]
-                    else np.linalg.solve(self.blocks[t, :, :b], c[t]))
+            c[t] = np.linalg.solve(self.blocks[t, :, :b], c[t])
         return self._flat(c)
 
-    def solve_transposed(self, c: np.ndarray, inverses: tuple | None = None) -> np.ndarray:
+    def solve_transposed(self, c: np.ndarray) -> np.ndarray:
         """z with R^T z = c: forward substitution, one block at a time."""
         nblocks, b, width = self.blocks.shape
-        inv, usable = inverses or (None, [False] * nblocks)
         c = self._blocked(c)
         for t in range(nblocks):
             if t:
                 c[t, :width - b] -= self.blocks[t - 1, :, b:].T @ c[t - 1]
-            c[t] = (inv[t].T @ c[t] if usable[t]
-                    else np.linalg.solve(self.blocks[t, :, :b].T, c[t]))
+            c[t] = np.linalg.solve(self.blocks[t, :, :b].T, c[t])
         return self._flat(c)
 
     def gram_inverse_diagonal(self) -> np.ndarray:
@@ -408,7 +363,7 @@ class _BlockR:
         """
         nblocks, b, width = self.blocks.shape
         w2 = width - b
-        inv, _ = self.inverses()
+        inv = np.linalg.inv(self.blocks[:, :, :b])
         z = inv @ self.blocks[:, :, b:]
         diag = np.einsum("tij,tij->ti", inv, inv)
         corner = np.zeros((w2, w2))
@@ -509,36 +464,46 @@ def _null_space_too_large(k: int, degree: int) -> NullSpaceTooLargeError:
         f"{_MAX_NULL_BLOCK - 1} supported (does a_{degree} vanish on most of the grid?)")
 
 
+def _apply_transposed(band: np.ndarray, cols: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """L^T v for the operator whose row i holds band[i] over cols[i]."""
+    return np.bincount(cols.ravel(), weights=(band * v[:, None]).ravel(), minlength=len(band))
+
+
 def _smallest_singular(band: np.ndarray, cols: np.ndarray, r: _BlockR, p: int,
-                       rng) -> tuple[np.ndarray, np.ndarray]:
+                       cutoff: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """The p smallest singular values of L = QR, ascending, and their right
     vectors.
 
-    Inverse subspace iteration with (R^T R)^-1 = (L^T L)^-1, then
-    Rayleigh-Ritz on the p x p triangle of L x (T. F. Chan, Rank revealing
-    QR factorizations, 1987).  A Ritz value is never below the singular
-    value it estimates.  The substitutions of every step but the last apply
-    the well-conditioned diagonal blocks of R by their inverses (see
-    `_BlockR`), held only for this call; an error they leave is damped by
-    the next step.  The last back substitution, whose result is the basis,
-    is LAPACK's throughout: with products there too, the largest null Ritz
-    value of y'' at n = 2000 rose from 2e-6 to 2e-5 cutoffs, and to over
-    1e-3 on some near-singular operators of the stress fuzz.
+    Inverse subspace iteration with (R^T R)^-1 = (L^T L)^-1, each step
+    followed by Rayleigh-Ritz on the p x p triangle of L x (T. F. Chan, Rank
+    revealing QR factorizations, 1987).  A Ritz value is never below the
+    singular value it estimates, so one at or below `cutoff` is settled.
+    For a Ritz pair (sigma, y) above it, some singular value of L lies
+    within rho = ||L^T L y - sigma^2 y|| / sigma of sigma (Kahan's bound for
+    the eigenvalues of L^T L; Parlett, The Symmetric Eigenvalue Problem,
+    sec. 11.5).  The iteration stops once every such sigma - rho is above
+    the cutoff, or after `_INVERSE_STEPS` steps with the last Ritz pairs.
+    Rounding y to float64 leaves rho a floor that grows as sigma falls
+    relative to ||L||: y'' at n = 1e5, 5.6 cutoffs above, runs all steps.
     """
-    inverses = r.inverses()
-    x = rng.standard_normal((r.m, p))
-    for step in range(_INVERSE_STEPS):
+    x = np.linalg.qr(rng.standard_normal((r.m, p)))[0]
+    for _ in range(_INVERSE_STEPS):
         # orthonormal after each solve: one solve may grow the smallest
         # direction past the next by more than 1/eps, and then a whole
         # step would round the next one away
-        z = np.linalg.qr(r.solve_transposed(np.linalg.qr(x)[0], inverses))[0]
-        if step + 1 == _INVERSE_STEPS:
-            inverses = None  # freed: the last back substitution is LAPACK's
-        x = r.solve(z, inverses)
-    x = np.linalg.qr(x)[0]
-    lx = np.einsum("ij,ijk->ik", band, x[cols])
-    _, sigma, vt = np.linalg.svd(np.linalg.qr(lx, mode="r"))
-    return sigma[::-1], x @ vt[::-1].T
+        z = np.linalg.qr(r.solve_transposed(x))[0]
+        x = np.linalg.qr(r.solve(z))[0]
+        lx = np.einsum("ij,ijk->ik", band, x[cols])
+        _, sigma, vt = np.linalg.svd(np.linalg.qr(lx, mode="r"))
+        # a copy: a reversed operand takes matmul off BLAS, 40x slower
+        sigma, v = sigma[::-1], vt[::-1].T.copy()
+        y, ly = x @ v, lx @ v
+        above = np.flatnonzero(sigma > cutoff)
+        rho = [np.linalg.norm(_apply_transposed(band, cols, ly[:, j]) - sigma[j] ** 2 * y[:, j])
+               / sigma[j] for j in above]
+        if np.all(sigma[above] - rho > cutoff):
+            break
+    return sigma, y
 
 
 def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int) -> LdoMatrix:
@@ -570,8 +535,7 @@ def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int) -> LdoMatrix:
     cols = _band_columns(n, w)
     x = rng.standard_normal(n)
     for _ in range(_POWER_STEPS):  # x <- L^T L x
-        lx = _stencil_sum(band, x[cols])
-        x = np.bincount(cols.ravel(), weights=(band * lx[:, None]).ravel(), minlength=n)
+        x = _apply_transposed(band, cols, _stencil_sum(band, x[cols]))
         x /= np.sqrt(np.sum(x * x))
     s_max = float(np.sqrt(np.sum(_stencil_sum(band, x[cols]) ** 2)))
     cutoff = s_max * max(n * _EPS, 1e-10)
@@ -583,7 +547,7 @@ def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int) -> LdoMatrix:
     r, _ = _qr_sweep(band, cols[:, 0], n)
     p = min(spec.degree + 2, n)
     while True:
-        sigma, vectors = _smallest_singular(band, cols, r, p, rng)
+        sigma, vectors = _smallest_singular(band, cols, r, p, cutoff, rng)
         null = int(np.count_nonzero(sigma <= cutoff))
         settled = null < p and (sigma[null] > _CLOSE * cutoff or p == _MAX_NULL_BLOCK)
         if settled or p == n:

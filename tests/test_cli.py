@@ -688,6 +688,33 @@ def test_cli_solve_memory_is_linear_in_n(tmp_path):
     assert peak < 4 * 8 * n * (w + k + b), f"traced peak {peak} bytes"
 
 
+def test_cli_solve_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # y'' = g at n = 2000 in fresh interpreters with 1 and 2 OpenBLAS threads
+    n = 2000
+    cfg = write(tmp_path / "c.json", json.dumps({"channels": [
+        {"name": "y", "csv_column": "g",
+         "alphabet": {"symbols": "lmh", "boundaries": [-0.5, 0.5]},
+         "ldo": {"degree": 2, "coefficients": [0.0, 0.0, 1.0], "accuracy": 2,
+                 "constraints": [[0, 0.0], [n - 1, 1.0]]}}]}))
+    t = 0.01 * np.arange(n)
+    g = np.sin(t) + np.random.default_rng(3).normal(0.0, 0.05, n)
+    data = write(tmp_path / "log.csv", "t,g\n" + "".join(
+        f"{a:.17g},{v:.17g}\n" for a, v in zip(t, g)))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        res = subprocess.run(
+            [sys.executable, "-m", "siglex.cli", "solve", "--config", str(cfg),
+             "--input", str(data), "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert sorted(outputs[0]) == ["y.band.csv", "y.solution.csv"]
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # corrupted inputs: exit 1 or 2 with one stderr line, never a traceback
 # ---------------------------------------------------------------------------

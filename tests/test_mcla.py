@@ -349,7 +349,8 @@ def test_classify_with_exclusion():
         "work": FrequencyDict.from_counts({"ss": 5, "ud": 4, "dd": 1}),
         "idle": FrequencyDict.from_counts({"ss": 100, "ud": 1, "dd": 9}),
     }
-    label, _ = classify_operation(window, refs, "l1", excluded={"ss"})
+    refs = {label: exclude_symbols(fd, {"ss"}) for label, fd in refs.items()}
+    label, _ = classify_operation(exclude_symbols(window, {"ss"}), refs, "l1")
     assert label == "work"
 
 

@@ -226,9 +226,9 @@ def test_null_space_wider_than_the_first_block_matches_the_oracle(monkeypatch):
     blocks = []
     smallest = operators._smallest_singular
 
-    def counted(band, cols, r, p, rng):
+    def counted(band, cols, r, p, cutoff, rng):
         blocks.append(p)
-        return smallest(band, cols, r, p, rng)
+        return smallest(band, cols, r, p, cutoff, rng)
 
     monkeypatch.setattr(operators, "_smallest_singular", counted)
     a1 = np.ones(60)
@@ -482,10 +482,8 @@ def _stress_ldo(rng):
 
 
 def test_rank_decision_near_the_cutoff_agrees_with_dense_oracle_fuzz():
-    # Teeth: applying every diagonal block of R by its explicit inverse, in
-    # every substitution and without the condition test, changes the null
-    # dimension of some draws; the parent's iteration, without the block
-    # doubling near the cutoff, miscounted a clustered value on another.
+    # Teeth: without the block doubling near the cutoff, the iteration
+    # miscounted a clustered value just below the cutoff on one draw.
     rng = np.random.default_rng(1515)
     sharp = 0
     for _ in range(150):
@@ -520,46 +518,49 @@ def _solve_calls(monkeypatch, n):
     return len(calls)
 
 
-def test_assembly_solves_only_ill_conditioned_blocks_with_lapack(monkeypatch):
-    # 8 inverse steps of two substitutions over n / 64 blocks were 512 LAPACK
-    # block solves at n = 2000; now each substitution solves only the block
-    # with floored pivots, and the last back substitution all of them:
-    # 15 + 32 = 47 at n = 2000, 15 + 313 = 328 at n = 20000
-    assert _solve_calls(monkeypatch, 2000) <= 48
-    assert _solve_calls(monkeypatch, 20000) <= 330
-    n = 2000
-    band = assemble_ldo(LdoSpec(2, [0.0, 0.0, 1.0]), Grid(n, 0.01), 2).band
-    r, _ = operators._qr_sweep(band, operators._band_columns(n, 1)[:, 0], n)
-    d = np.arange(r.blocks.shape[1])
-    pivots = np.abs(r.blocks[:, d, d])
-    floored = (pivots <= EPS * pivots.max()).any(axis=1)
-    _, usable = r.inverses()
-    assert np.flatnonzero(~np.array(usable)).tolist() == np.flatnonzero(floored).tolist() \
-        == [len(usable) - 1]
+def test_assembly_certifies_y2_in_two_inverse_steps(monkeypatch):
+    # a step is two substitutions over ceil(n / 64) blocks; the Ritz-residual
+    # certificate stops y'' after 2 steps (128 and 1252 LAPACK block solves),
+    # where the 8-step cap would take 512 and 5008
+    for n in (2000, 20000):
+        assert _solve_calls(monkeypatch, n) <= 4 * -(-n // 64)
 
 
-def test_block_inverse_products_agree_with_lapack_on_well_conditioned_blocks():
-    rng = np.random.default_rng(8)
-    for degree, accuracy, n in ((2, 2, 700), (1, 4, 500), (3, 6, 400)):
-        grid = Grid(n, 0.1)
-        coeffs = [0.3 * rng.standard_normal() for _ in range(degree)] + [1.0]
-        band = assemble_ldo(LdoSpec(degree, coeffs), grid, accuracy).band
-        r, _ = operators._qr_sweep(band, operators._band_columns(n, band.shape[1] // 2)[:, 0], n)
-        inv, usable = r.inverses()
-        b = r.blocks.shape[1]
-        assert sum(usable) >= len(usable) - 1
-        for t in np.flatnonzero(usable):
-            rtt = r.blocks[t, :, :b]
-            kappa = np.abs(rtt).sum(axis=0).max() * np.abs(inv[t]).sum(axis=0).max()
-            assert kappa * EPS <= 1e-8
-            c = rng.standard_normal((b, 3))
-            for a, x in ((rtt, inv[t] @ c), (rtt.T, inv[t].T @ c)):
-                want = np.linalg.solve(a, c)
-                assert np.all(np.abs(x - want) <= kappa * EPS * np.abs(want).max(axis=0))
-        c = rng.standard_normal((n, 2))
-        for solve in (r.solve, r.solve_transposed):
-            assert np.abs(solve(c, (inv, usable)) - solve(c)).max() \
-                <= 1e-8 * np.abs(solve(c)).max()
+def test_deciding_ritz_value_matches_the_oracle(monkeypatch):
+    # y'' at n = 500: the first non-null Ritz value reads 224 504 cutoffs
+    # against the SVD's 224 106; stopped after 1 step it read 493 771
+    n = 500
+    op = assemble_ldo(LdoSpec(2, [0.0, 0.0, 1.0]), Grid(n, 0.01), 2)
+    want = DenseLdo(op).s[n - op.null_dim - 1] / op.rank_tolerance
+    assert abs(op.nonnull_margin / want - 1.0) <= 0.01, (op.nonnull_margin, want)
+
+    # the stress draws whose last Ritz pairs hold the certificate: the
+    # deciding value lies within its own residual bound rho of the SVD's
+    # (plus the SVD's rounding)
+    pairs = []
+    smallest = operators._smallest_singular
+
+    def recorded(*args):
+        pairs.append(smallest(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(operators, "_smallest_singular", recorded)
+    rng = np.random.default_rng(1515)
+    checked = 0
+    for _ in range(150):
+        op = _stress_ldo(rng)
+        (sigma, y), n, k = pairs[-1], op.grid.n, op.null_dim
+        rng.standard_normal(n)  # the stress fuzz's g and constraints
+        rng.choice(n, k, replace=False)
+        if k == len(sigma):
+            continue
+        ly = op.entries @ y[:, k:]
+        rho = np.linalg.norm(op.entries.T @ ly - sigma[k:] ** 2 * y[:, k:], axis=0) / sigma[k:]
+        if np.all(sigma[k:] - rho > op.rank_tolerance):
+            s = DenseLdo(op).s
+            assert abs(sigma[k] - s[n - k - 1]) <= rho[0] + 8 * EPS * s[0], (op.spec, n)
+            checked += 1
+    assert checked >= 100, checked
 
 
 def test_second_derivative_rank_margins():
@@ -581,8 +582,7 @@ def test_null_space_search_stops_at_the_block_cap():
 
 
 def test_assembly_memory_is_linear_in_n():
-    # R in blocks of 64 x 66 and the inverses of its 64 x 64 diagonal
-    # blocks, 1.05 kB per row together; the rest is O(n (w + p))
+    # R in blocks of 64 x 66, 0.53 kB per row; the rest is O(n (w + p))
     n = 20_000
     tracemalloc.start()
     try:
@@ -590,7 +590,7 @@ def test_assembly_memory_is_linear_in_n():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1500 * n, f"traced peak {peak} bytes"
+    assert peak <= 1100 * n, f"traced peak {peak} bytes"
 
 
 def _window_shapes(monkeypatch, n):

@@ -19,6 +19,7 @@ from siglex import (
     classify_operation,
     compress_runs,
     decompress,
+    exclude_symbols,
     histogram,
     multi_tokens,
     quantize,
@@ -106,15 +107,18 @@ def test_combination_layer_matches_loop_oracles():
                     {k: int(rng.integers(0, 9)) for k in rng.choice(combos, size=3)})
                 for label in ("a", "b", "c")}
         excluded = set(rng.choice(combos, size=int(rng.integers(0, 3))).tolist())
+        refs = {label: exclude_symbols(fd, excluded) for label, fd in refs.items()}
         window = int(rng.integers(1, len(samples) + 1))
         for measure in ("l1", "cosine"):
             for s in range(0, len(samples), window):
                 e = min(s + window, len(samples))
-                got = outcome(classify_operation, histogram(ms, (s, e)), refs,
-                              measure, excluded)
+                got = outcome(classify_operation,
+                              exclude_symbols(histogram(ms, (s, e)), excluded), refs, measure)
                 want = outcome(classify_operation,
-                               FrequencyDict.from_counts(histogram_loop(samples[s:e])),
-                               refs, measure, excluded)
+                               FrequencyDict.from_counts(
+                                   {k: v for k, v in histogram_loop(samples[s:e]).items()
+                                    if k not in excluded}),
+                               refs, measure)
                 assert got == want, (trial, measure, s, e)
                 compared += 1
     assert compared > 500
