@@ -11,7 +11,6 @@ from .errors import SiglexError
 from .grid import Grid
 from .mcla import (
     FrequencyDict,
-    MultiStream,
     align_and_combine,
     classify_operation,
     compare_histograms,
@@ -68,7 +67,6 @@ __all__ = [
     "LdoSpec",
     "LocalKernel",
     "Match",
-    "MultiStream",
     "Runs",
     "SiglexError",
     "StreamingKernel",

@@ -51,7 +51,6 @@ from .errors import (
 )
 from .grid import Grid
 from .operators import (
-    InverseSolution,
     LdoSpec,
     apply_streaming,
     assemble_ldo,
@@ -98,18 +97,21 @@ class ChannelConfig:
     pattern: Optional[pattern.SymbolPattern] = None
 
 
-_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
-          dict: "an object", (str, list): "a string or a list",
-          "numbers": "a list of numbers"}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string",
+          list: "a list", dict: "an object", (str, list): "a string or a list",
+          "numbers": "a list of finite numbers"}
 _REQUIRED = object()
 
 
 def _is(value, kind) -> bool:
-    """JSON type test: bools are not numbers, `float` admits ints."""
+    """JSON type test: bools are not numbers, `float` admits ints, and only
+    finite ones (`json` reads NaN, Infinity and -Infinity)."""
     if kind == "numbers":
         return isinstance(value, list) and all(_is(v, float) for v in value)
-    return not isinstance(value, bool) and isinstance(
-        value, (int, float) if kind is float else kind)
+    if kind is float:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
+    return not isinstance(value, bool) and isinstance(value, kind)
 
 
 def _get(obj: dict, key: str, kind, where: str, default=_REQUIRED):
@@ -147,8 +149,8 @@ def _parse_ldo(raw: dict, where: str) -> LdoConfig:
     accuracy = _get(raw, "accuracy", int, where, 2)
     coefficients = _get(raw, "coefficients", list, where)
     if not all(_is(c, float) or _is(c, "numbers") for c in coefficients):
-        raise ConfigError(f"{where}: each coefficient must be a number or a list of "
-                          f"numbers (one per grid point), got {coefficients!r}")
+        raise ConfigError(f"{where}: each coefficient must be a finite number or a list "
+                          f"of them (one per grid point), got {coefficients!r}")
     constraints = _get(raw, "constraints", list, where, [])
     for pair in constraints:
         if not (isinstance(pair, list) and len(pair) == 2
@@ -275,6 +277,14 @@ def _blank_to_nan(text: str) -> str:
     return _BLANK_CELL.sub("NaN", _BLANK_LINE.sub("", text))
 
 
+def _open_quote(line: str) -> bool:
+    """Whether a line ends inside a quoted field, as numpy's tokenizer reads
+    quotes: only a field's first character opens one, and `""` inside
+    stands for one quote."""
+    closed_field = r'(?:"(?:[^"\n]|"")*"(?!")|(?!"))[^,\n]*'
+    return re.fullmatch(rf'(?:{closed_field},)*"(?:[^"\n]|"")*\n?', line) is not None
+
+
 def _load(lines, dtype, usecols=None) -> np.ndarray:
     return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
                       comments=None, usecols=usecols, ndmin=1)
@@ -286,11 +296,14 @@ def _parse(lines: list, dtype: np.dtype) -> np.ndarray:
     A whitespace-only line or a blank cell of a requested column makes
     numpy's C tokenizer fail, so the lines go to it as they are, and only if
     that fails are blank lines dropped, blank cells set to NaN and the text
-    parsed again.  Raises ValueError.
+    parsed again.  Raises ValueError, also for a quoted field that does not
+    end on its line, which the tokenizer would join to the next.
     """
     text = "".join(lines)
     if not text or text.isspace():
         return np.empty(0, dtype)
+    if '"' in text and any(_open_quote(line) for line in lines if '"' in line):
+        raise ValueError("a quoted field spans lines")
     try:
         return _load(lines, dtype)
     except ValueError:
@@ -328,6 +341,8 @@ def _data_lines(lines: list, first: int, layout: _Layout):
 
 def _row_error(line_no: int, text: str, layout: _Layout) -> MalformedCsvError:
     """Name the field that makes one line fail to parse."""
+    if _open_quote(text):
+        return MalformedCsvError(line_no, "quoted field does not end on its line")
     fields = next(csv.reader([text]), [])
     if len(fields) != layout.width:
         return MalformedCsvError(
@@ -357,7 +372,7 @@ def _first_bad_line(lines: list, first: int, layout: _Layout) -> MalformedCsvErr
                 return MalformedCsvError(line_no, f"bad timestamp {field!r}")
         if not np.isfinite(t):
             return MalformedCsvError(line_no, f"non-finite timestamp {t!r}")
-    # every line parses alone, so a quoted field spans lines
+    # not reached: every line parses alone, so the chunk does too
     return MalformedCsvError(first, "cannot parse the lines from here on")
 
 
@@ -370,14 +385,17 @@ def ingest_csv(path, time_column: str, value_columns) -> dict:
     Each later line is a row with exactly as many comma-separated fields as
     the header; blank lines (empty or whitespace only) are skipped, and
     there are no comment lines.  A field may be quoted with `"` (`""`
-    inside stands for one quote); a quoted field ends on its own line.
+    inside stands for one quote) if the quote is its first character; a
+    quoted field that does not end on the line where it opens is an error
+    naming that line.
     Requested cells are decimal or exponent numbers with optional sign and
     surrounding whitespace, or `nan`/`inf`/`infinity` in any case; digit
     separators (`1_0`) and non-ASCII digits are rejected.  An empty or
     whitespace-only value cell and `NaN` become NaN (handled downstream by
     the alphabet's NaN policy).  Other columns are not checked.
     Timestamps must be finite and strictly increasing with successive
-    deltas within 1e-6 relative of uniform.
+    deltas within 1e-6 relative of uniform; a span whose step or deltas
+    overflow to infinity is not uniform.
 
     The body goes through numpy's C tokenizer in chunks of 8192 lines; only
     when a check fails is a chunk read again line by line to name the
@@ -405,8 +423,13 @@ def ingest_csv(path, time_column: str, value_columns) -> dict:
     if not_increasing is not None:
         raise not_increasing
     t_arr = np.concatenate([b[f"f{layout.time}"] for b in blocks])
-    deltas = np.diff(t_arr)
-    h = float(t_arr[-1] - t_arr[0]) / (n - 1)
+    with np.errstate(over="ignore"):
+        deltas = np.diff(t_arr)
+        h = float(t_arr[-1] - t_arr[0]) / (n - 1)
+    if not (np.isfinite(h) and np.isfinite(deltas).all()):
+        raise NonUniformGridError(
+            f"time span {t_arr[0]:.6g} to {t_arr[-1]:.6g} overflows: the step is "
+            "not finite")
     if np.abs(deltas - h).max() > 1e-6 * h:
         raise NonUniformGridError(
             f"time deltas deviate by {np.abs(deltas - h).max():.3e} "
@@ -430,7 +453,7 @@ def _read_body(fh, layout: _Layout) -> tuple:
             raise _first_bad_line(lines, first, layout)
         if block.size:
             t = block[t_field] if last is None else np.r_[last, block[t_field]]
-            bad = np.flatnonzero(np.diff(t) <= 0)
+            bad = np.flatnonzero(t[1:] <= t[:-1])
             if bad.size and not_increasing is None:
                 row = bad[0] + (1 if last is None else 0)
                 line_no = next(islice(_data_lines(lines, first, layout), row, None))[0]
@@ -462,14 +485,13 @@ class ChannelResult:
     stream: scla.SymbolStream
     tokens: scla.Runs
     band: Optional[ConfidenceBand] = None
-    solution: Optional[InverseSolution] = None
     matches: Optional[list] = None
 
 
 @dataclass
 class PipelineBundle:
     channels: dict
-    multistream: Optional[mcla.MultiStream] = None
+    multistream: Optional[scla.SymbolStream] = None
     histogram: Optional[mcla.FrequencyDict] = None
 
 
@@ -482,7 +504,7 @@ def _stage(channel: str, stage: str, fn, *args, **kwargs):
 
 def _process_channel(cc: ChannelConfig, grid: Grid, values: np.ndarray,
                      level: float) -> ChannelResult:
-    processed, pgrid, sol, band = values, grid, None, None
+    processed, pgrid, band = values, grid, None
     if cc.operator is not None:
         kernel = _stage(cc.name, "operator", extract_local_kernel,
                         cc.operator.order, cc.operator.accuracy, grid.h)
@@ -503,7 +525,7 @@ def _process_channel(cc: ChannelConfig, grid: Grid, values: np.ndarray,
                       sol.y, sol.variance, sigma2, dof, level)
     stream = _stage(cc.name, "quantize", scla.quantize, processed, cc.alphabet, pgrid)
     tokens = _stage(cc.name, "compress", scla.compress_runs, stream)
-    return ChannelResult(processed, pgrid, stream, tokens, band, sol)
+    return ChannelResult(processed, pgrid, stream, tokens, band)
 
 
 def run_pipeline(config: PipelineConfig, ingested: dict) -> PipelineBundle:
@@ -530,7 +552,7 @@ def run_pipeline(config: PipelineConfig, ingested: dict) -> PipelineBundle:
     if len(names) >= 2:
         where = ",".join(names)
         bundle.multistream = _stage(where, "combine", mcla.align_and_combine,
-                                    [channels[n].stream for n in names], channels=names)
+                                    [channels[n].stream for n in names])
         bundle.histogram = _stage(where, "combine", mcla.histogram, bundle.multistream)
     return bundle
 

@@ -1,11 +1,12 @@
 """Multi-channel lexical analysis.
 
 Per-sensor symbol streams are aligned onto the coarsest common grid and
-combined per sample.  A combined stream is a code array over a table of
-combination strings like "ud" (one symbol per channel), so a histogram is a
-`bincount` of codes.  Histograms, sorted into frequency dictionaries,
-characterize operation modes; simple similarity measures (l1 on normalized
-frequencies, cosine on counts) support mode classification.
+combined per sample.  A combined stream is a plain `SymbolStream` whose
+table holds combination strings like "ud" (one symbol per channel, in
+channel order), so a histogram is a `bincount` of its codes.  Histograms,
+sorted into frequency dictionaries, characterize operation modes; simple
+similarity measures (l1 on normalized frequencies, cosine on counts)
+support mode classification.
 """
 
 from __future__ import annotations
@@ -27,24 +28,9 @@ from .grid import Grid
 from .scla import Runs, SymbolStream, compress_runs
 
 
-class MultiStream(SymbolStream):
-    """Sample-aligned symbol combinations of several channels: a coded
-    stream whose table entries concatenate one symbol per channel (channel i
-    of combination k is `table[k][i]`).
-
-    Given per-sample combination strings instead of a code array, the table
-    is their sorted distinct set.
-    """
-
-    def __init__(self, channels: Sequence[str], codes, source_grid: Optional[Grid],
-                 table: Optional[tuple] = None):
-        super().__init__(codes, None, source_grid, table)
-        self.channels = tuple(channels)
-
-
-def align_and_combine(streams: Sequence[SymbolStream],
-                      channels: Optional[Sequence[str]] = None) -> MultiStream:
-    """Resample streams onto the coarsest grid (LOCF) and combine them.
+def align_and_combine(streams: Sequence[SymbolStream]) -> SymbolStream:
+    """Resample streams onto the coarsest grid (LOCF) and combine them into
+    one `SymbolStream` over combination strings.
 
     The output grid is the input grid with the largest step, restricted to
     the time overlap of all inputs; each channel contributes the symbol of
@@ -59,8 +45,6 @@ def align_and_combine(streams: Sequence[SymbolStream],
         raise EmptyInputError("every stream needs a grid for alignment")
     if any(len(s) != g.n for s, g in zip(streams, grids)):
         raise EmptyInputError("stream length differs from its grid")
-    if channels is None:
-        channels = tuple(f"ch{i}" for i in range(len(streams)))
 
     coarse = max(grids, key=lambda g: g.h)
     start = max(g.t0 for g in grids)
@@ -93,10 +77,10 @@ def align_and_combine(streams: Sequence[SymbolStream],
     table = tuple(first)
     # a degenerate single-sample overlap has no representable grid
     out_grid = Grid(len(t), coarse.h, coarse.time_at(k_lo)) if len(t) >= 2 else None
-    return MultiStream(channels, codes, out_grid, table)
+    return SymbolStream(codes, None, out_grid, table)
 
 
-def multi_tokens(ms: MultiStream) -> Runs:
+def multi_tokens(ms: SymbolStream) -> Runs:
     """Run-length tokens over the combined per-sample symbols."""
     return compress_runs(ms)
 
@@ -121,7 +105,7 @@ class FrequencyDict:
 
     @classmethod
     def from_samples(cls, samples: Iterable[str]) -> "FrequencyDict":
-        return histogram(MultiStream((), list(samples), None))
+        return histogram(SymbolStream(list(samples)))
 
     def to_json(self) -> str:
         """`{"<key>": count, ..., "total": N}`, keys sorted, two-space indent."""
@@ -144,7 +128,7 @@ class FrequencyDict:
         return cls.from_counts(counts)
 
 
-def histogram(ms: MultiStream, window: Optional[tuple] = None) -> FrequencyDict:
+def histogram(ms: SymbolStream, window: Optional[tuple] = None) -> FrequencyDict:
     """Count symbol combinations per sample over [start, stop)."""
     n = len(ms)
     if window is None:

@@ -44,6 +44,7 @@ from .errors import (
     GridTooShortError,
     LeadingCoefficientZeroError,
     LengthMismatchError,
+    NonFiniteSampleError,
     NullSpaceTooLargeError,
     OrderExceedsAccuracyError,
     SingularConstraintSystemError,
@@ -148,11 +149,14 @@ def _stencil_sum(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
     stencil shared by every output, shape (2w+1,), or one per output,
     shape (m, 2w+1).  The sum runs j = 0, 1, ..., 2w in that order for
     every output, so equal weights and samples give equal bits whichever
-    caller (and however the stream was chunked) produced them.
+    caller (and however the stream was chunked) produced them.  A
+    non-finite sample gives a non-finite output (NaN for inf - inf), and no
+    warning: its channel's NaN policy decides.
     """
-    out = weights[..., 0] * windows[:, 0]
-    for j in range(1, windows.shape[1]):
-        out += weights[..., j] * windows[:, j]
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = weights[..., 0] * windows[:, 0]
+        for j in range(1, windows.shape[1]):
+            out += weights[..., j] * windows[:, j]
     return out
 
 
@@ -363,14 +367,14 @@ class _BlockR:
         """
         nblocks, b, width = self.blocks.shape
         w2 = width - b
-        inv = np.linalg.inv(self.blocks[:, :, :b])
-        z = inv @ self.blocks[:, :, b:]
-        diag = np.einsum("tij,tij->ti", inv, inv)
+        diag = np.empty((nblocks, b))
         corner = np.zeros((w2, w2))
         for t in range(nblocks - 1, -1, -1):
-            zc = z[t] @ corner
-            diag[t] += np.einsum("ij,ij->i", zc, z[t])
-            corner = inv[t, :w2] @ inv[t, :w2].T + zc[:w2] @ z[t, :w2].T
+            inv = np.linalg.inv(self.blocks[t, :, :b])
+            z = inv @ self.blocks[t, :, b:]
+            zc = z @ corner
+            diag[t] = np.einsum("ij,ij->i", inv, inv) + np.einsum("ij,ij->i", zc, z)
+            corner = inv[:w2] @ inv[:w2].T + zc[:w2] @ z[:w2].T
         return self._flat(diag)
 
 
@@ -625,11 +629,17 @@ def solve_inverse(op: LdoMatrix, g: np.ndarray,
         lies outside the grid.
     SingularConstraintSystemError
         If the constraint rows of the null basis are rank deficient.
+    NonFiniteSampleError
+        If g holds a NaN or an infinity, which back substitution would
+        spread to every free y_j.
     """
     n = op.grid.n
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (n,):
         raise LengthMismatchError(f"g must have length {n}, got {g.shape}")
+    bad = ~np.isfinite(g)
+    if bad.any():
+        raise NonFiniteSampleError(f"non-finite sample at index {int(np.argmax(bad))}")
     constraints = list(constraints)
     rows, _ = _constraint_rows(op, [i for i, _ in constraints])
     y = np.zeros(n)

@@ -108,9 +108,11 @@ def usd_alphabet(epsilon: float, nan_policy: str = "reject") -> Alphabet:
 class SymbolStream:
     """A channel's samples as codes into `table`, with its originating grid.
 
-    The table defaults to the alphabet's.  Given text (a str, or a sized
-    sequence of str) instead of a code array, the constructor encodes it
-    against that table, or without one against the sorted distinct items.
+    A combined stream (`mcla.align_and_combine`) is one too: it has no
+    alphabet, and its table holds combination strings.  The table defaults
+    to the alphabet's.  Given text (a str, or a sized sequence of str)
+    instead of a code array, the constructor encodes it against that table,
+    or without one against the sorted distinct items.
     """
 
     codes: np.ndarray

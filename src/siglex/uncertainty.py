@@ -82,36 +82,24 @@ def estimate_residual_variance(residual: np.ndarray, rank: int) -> tuple[float, 
 # ---------------------------------------------------------------------------
 
 def _beta_cf(a: float, b: float, x: float) -> float:
-    """Lentz continued fraction for the incomplete beta integral."""
+    """Lentz continued fraction 1 / (1 + d_1 / (1 + d_2 / ...)) for the
+    incomplete beta integral.  Each term d_j takes the same update; from
+    c = inf, d_1's sets h = d = 1 / (1 + d_1) and c = 1."""
+    def nonzero(v):  # a vanishing denominator is raised to a tiny one
+        return 1e-300 if abs(v) < 1e-300 else v
+
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < 1e-300:
-        d = 1e-300
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
+    c, d, h = math.inf, 1.0, 1.0
+    for m in range(400):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 3e-16:
+        terms = ((-qab * x / qap,) if m == 0 else
+                 (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                  -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))))
+        for aa in terms:
+            d = 1.0 / nonzero(1.0 + aa * d)
+            c = nonzero(1.0 + aa / c)
+            h *= d * c
+        if m and abs(d * c - 1.0) < 3e-16:
             break
     return h
 
@@ -283,9 +271,7 @@ def prediction_band(solution: InverseSolution, op: LdoMatrix,
             raise ValueError(
                 f"prediction needs constant coefficients, coefficient {i} is a vector")
 
-    k = op.null_dim
-    m = max(int(round(_TAIL_FRACTION * n)), k + 1, 2)
-    m = min(m, n)
+    m = min(max(int(round(_TAIL_FRACTION * n)), op.null_dim + 1, 2), n)
     if horizon > _MAX_HORIZON_FACTOR * m:
         raise HorizonTooLargeError(
             f"horizon {horizon} exceeds {_MAX_HORIZON_FACTOR} x tail window ({m})")
@@ -300,7 +286,6 @@ def prediction_band(solution: InverseSolution, op: LdoMatrix,
 
     dof = max(m - A.shape[1], 1)
     sigma2 = float(resid @ resid) / dof
-    hw = _band_quantile(level, dof) * np.sqrt(
-        sigma2 * (np.clip(leverage, 0.0, None) + 1.0))
-    hw = np.maximum.accumulate(hw)
-    return ConfidenceBand(center, hw, level)
+    band = confidence_band(center, np.clip(leverage, 0, None) + 1, sigma2, dof, level)
+    band.half_width = np.maximum.accumulate(band.half_width)
+    return band

@@ -155,14 +155,16 @@ def histogram_loop(samples) -> dict:
 
 
 def ingest_csv_loop(path, time_column: str, value_columns) -> dict:
-    """Row-by-row ``csv.reader`` ingest with ``float()`` per cell."""
+    """Line-by-line ``csv.reader`` ingest with ``float()`` per cell.  Each
+    line is its own record: a quoted field still open at the line's end,
+    which ``csv`` would continue on the next line, is an error there."""
     times: list[float] = []
     line_nos: list[int] = []
     cols: dict[str, list[float]] = {c: [] for c in value_columns}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        lines = iter(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader([next(lines)]))
         except StopIteration:
             raise MalformedCsvError(1, "empty file") from None
         header = [h.strip() for h in header]
@@ -174,7 +176,10 @@ def ingest_csv_loop(path, time_column: str, value_columns) -> dict:
             if c not in header:
                 raise MalformedCsvError(1, f"missing value column '{c}'")
             idx[c] = header.index(c)
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, line in enumerate(lines, start=2):
+            row = next(csv.reader([line.rstrip("\r\n") + "\n"]), [])
+            if any("\n" in field for field in row):
+                raise MalformedCsvError(line_no, "quoted field does not end on its line")
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(header):
@@ -203,12 +208,17 @@ def ingest_csv_loop(path, time_column: str, value_columns) -> dict:
     if n < 2:
         raise MalformedCsvError(n + 1, f"need at least 2 data rows, got {n}")
     t_arr = np.array(times)
-    deltas = np.diff(t_arr)
+    with np.errstate(over="ignore"):
+        deltas = np.diff(t_arr)
+        h = float(t_arr[-1] - t_arr[0]) / (n - 1)
     if np.any(deltas <= 0):
         bad = int(np.argmax(deltas <= 0))
         raise NonMonotoneTimeError(
             f"timestamps not strictly increasing at line {line_nos[bad + 1]}")
-    h = float(t_arr[-1] - t_arr[0]) / (n - 1)
+    if not (np.isfinite(h) and np.isfinite(deltas).all()):
+        raise NonUniformGridError(
+            f"time span {t_arr[0]:.6g} to {t_arr[-1]:.6g} overflows: the step is "
+            "not finite")
     if np.abs(deltas - h).max() > 1e-6 * h:
         raise NonUniformGridError(
             f"time deltas deviate by {np.abs(deltas - h).max():.3e} "

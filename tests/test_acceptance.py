@@ -41,7 +41,7 @@ from siglex import (
     usd_alphabet,
 )
 from siglex.cli import main as cli_main
-from siglex.mcla import FrequencyDict, MultiStream, classify_operation
+from siglex.mcla import FrequencyDict, classify_operation
 from siglex.scla import SymbolStream
 
 from dense_ldo import pseudo_inverse, solution_operator
@@ -255,8 +255,7 @@ def test_criterion_8_mcla():
         n = int(rng.integers(1, 2000))
         arity = int(rng.integers(2, 4))
         samples = ["".join(rng.choice(list("usd"), arity)) for _ in range(n)]
-        ms = MultiStream(tuple(f"c{i}" for i in range(arity)), samples,
-                         Grid(max(n, 2), 1.0))
+        ms = SymbolStream(samples, None, Grid(max(n, 2), 1.0))
         fd = histogram(ms)
         assert fd.counts == dict(Counter(samples))
         assert fd.total == n
@@ -377,7 +376,7 @@ def test_criterion_10_mode_recognition_and_determinism(tmp_path):
     s2 = quantize(apply_streaming(kernel, x2), alpha)
     combined = [a + b for a, b in zip(s1.symbols, s2.symbols)]
     total = len(combined)
-    ms = MultiStream(("x1", "x2"), combined, Grid(total, 1.0, 1.0))
+    ms = SymbolStream(combined, None, Grid(total, 1.0, 1.0))
 
     references = {SAW: _mode_histogram(SAW), SQR: _mode_histogram(SQR)}
 

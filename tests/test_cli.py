@@ -188,7 +188,7 @@ def test_pipeline_solve_band(tmp_path):
     bundle = run_pipeline(cfg, ingested)
     pos = bundle.channels["pos"]
     t = np.arange(n) * 0.1
-    assert np.abs(pos.solution.y - t).max() < 1e-8
+    assert np.abs(pos.processed - t).max() < 1e-8
     assert pos.band is not None
     assert pos.band.half_width.min() >= 0.0
 
@@ -611,6 +611,46 @@ def test_cli_oversized_pattern_exits_1_before_reading_the_log(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def _run_subprocess(tmp_path, command, config, log_text):
+    """Run the CLI in a fresh interpreter, so its stderr holds any warning."""
+    cfg = write(tmp_path / "c.json", json.dumps(config))
+    data = write(tmp_path / "log.csv", log_text)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "siglex.cli", command, "--config", str(cfg),
+         "--input", str(data), "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+
+
+def test_cli_ldo_channel_refuses_a_non_finite_sample(tmp_path):
+    # a gap in g would spread through the back substitution to every free y_j
+    n = 40
+    config = {"channels": [
+        {"name": "y", "csv_column": "g",
+         "alphabet": {"symbols": "lmh", "boundaries": [-0.5, 0.5], "nan": "gap"},
+         "ldo": {"degree": 2, "coefficients": [0.0, 0.0, 1.0], "accuracy": 2,
+                 "constraints": [[0, 0.0], [n - 1, 1.0]]}}]}
+    log = "t,g\n" + "".join(f"{k},{'' if k == 17 else 1.0}\n" for k in range(n))
+    res = _run_subprocess(tmp_path, "solve", config, log)
+    assert res.returncode == 2 and res.stderr.count("\n") == 1, res.stderr
+    assert ("channel 'y', stage 'solve': non-finite sample at index 17"
+            in res.stderr), res.stderr
+
+
+@pytest.mark.parametrize("policy, code, lines", [("gap", 0, 0), ("reject", 2, 1)])
+def test_cli_inf_cell_in_an_operator_channel_warns_nothing(tmp_path, policy, code,
+                                                          lines):
+    config = {"channels": [
+        {"name": "ramp", "csv_column": "a",
+         "alphabet": {"kind": "usd", "epsilon": 0.5, "nan": policy},
+         "operator": {"order": 1, "accuracy": 2}}]}
+    log = "t,a\n" + "".join(f"{k},{'inf' if k == 9 else float(k)}\n" for k in range(24))
+    res = _run_subprocess(tmp_path, "symbolize", config, log)
+    assert res.returncode == code and res.stderr.count("\n") == lines, res.stderr
+    if lines:
+        assert "stage 'quantize'" in res.stderr, res.stderr
+
+
 def test_cli_error_names_channel_and_stage(tmp_path, capsys):
     ncfg = write(tmp_path / "n.json", json.dumps({
         "channels": [{"name": "pos", "csv_column": "a",
@@ -869,3 +909,29 @@ def test_cli_rejects_corrupted_inputs(tmp_path, capsys):
         code, err = run(config, csv_body, refs_body)
         assert code in (1, 2), (desc, code, err)
         assert len(err.splitlines()) == 1 and "Traceback" not in err, (desc, err)
+
+
+# every numeric config field goes through one finiteness check
+NUMBER_SITES = [
+    ("channels", 0, "alphabet", "epsilon"),
+    ("channels", 1, "alphabet", "boundaries", 0),
+    ("channels", 1, "alphabet", "range", 1),
+    ("channels", 2, "ldo", "coefficients", 1),
+    ("channels", 2, "ldo", "constraints", 0, 1),
+    ("band", "level"),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("path", NUMBER_SITES, ids=lambda p: ".".join(map(str, p)))
+def test_cli_non_finite_config_numbers_exit_1_before_reading_the_log(
+        tmp_path, capsys, path, value):
+    cfg = _mutated_config(path, value)
+    text = json.dumps(cfg)
+    assert "NaN" in text or "Infinity" in text  # json writes them as literals
+    code = main(["derive", "--config", str(write(tmp_path / "c.json", text)),
+                 "--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1 and len(err.splitlines()) == 1, err
+    assert err.startswith("siglex: usage error: ") and "Traceback" not in err, err

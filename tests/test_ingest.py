@@ -136,6 +136,18 @@ def test_ingest_errors_at_chunk_boundaries(tmp_path, monkeypatch):
             assert outcome(ingest_csv, path) == outcome(ingest_csv_loop, path), (j, row)
 
 
+@pytest.mark.parametrize("chunk_lines", [2, 3, 8192])
+def test_ingest_quoted_field_spanning_lines_fails_at_every_chunk_size(
+        tmp_path, monkeypatch, chunk_lines):
+    """The field opens on line 3 and closes on line 4: at chunk size 2 the
+    chunk ends after line 3, at 3 both lines share a chunk."""
+    monkeypatch.setattr(cli, "_CHUNK_LINES", chunk_lines)
+    path = write(tmp_path / "log.csv", 't,a,b\n0,0,0\n1,2,"multi\nline"\n2,4,4\n3,6,6\n')
+    got = outcome(ingest_csv, path, ["a"])
+    assert got == ("MalformedCsvError", 3, "quoted field does not end on its line")
+    assert got == outcome(ingest_csv_loop, path, ["a"])
+
+
 @pytest.mark.parametrize("row, line", [
     ("# 1,2", 3),      # numpy would skip a comment line; it is a short row here
     ("1,2,3", 3),      # a long row: usecols alone would not check the width
@@ -184,7 +196,12 @@ def test_ingest_error_messages(tmp_path):
              "t,v\n0,1\n1, abc \n": "line 3: bad value 'abc' in column 'v'",
              "t,v\n0,1\n\n1,2\n0.5,3\n": "timestamps not strictly increasing at line 5",
              "": "line 1: empty file",
-             "t,v\n0,1\n": "line 2: need at least 2 data rows, got 1"}
+             "t,v\n0,1\n": "line 2: need at least 2 data rows, got 1",
+             "x,v\n0,1\n1,2\n": "line 1: missing time column 't'",
+             "t,v\n-1e308,1\n0,2\n1e308,3\n":
+                 "time span -1e+308 to 1e+308 overflows: the step is not finite",
+             "t,v\n-1e308,1\n1e308,2\n":
+                 "time span -1e+308 to 1e+308 overflows: the step is not finite"}
     for text, message in cases.items():
         path = write(tmp_path / "x.csv", text)
         with pytest.raises(Exception) as exc:

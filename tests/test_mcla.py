@@ -25,7 +25,6 @@ from siglex.errors import (
     NoOverlapError,
     NoReferencesError,
 )
-from siglex.mcla import MultiStream
 from siglex.scla import SymbolStream
 
 from loop_oracles import align_and_combine_loop, histogram_loop
@@ -38,11 +37,11 @@ def stream(symbols, grid):
 
 
 def ms_from_samples(samples):
-    return MultiStream(("a", "b"), list(samples), Grid(max(len(samples), 2), 1.0))
+    return SymbolStream(list(samples), None, Grid(max(len(samples), 2), 1.0))
 
 
 def combos(ms):
-    """The per-sample combination strings of a multistream."""
+    """The per-sample combination strings of a combined stream."""
     return [ms.table[c] for c in ms.codes.tolist()]
 
 
@@ -101,8 +100,8 @@ def test_combine_channels_with_256_codes():
 def test_combine_gives_each_combination_one_code():
     # combined streams as inputs spell "abc" as "ab" + "c" and as "a" + "bc"
     g = Grid(3, 1.0)
-    a = MultiStream(("x", "y"), ["ab", "a", "ab"], g)
-    b = MultiStream(("z",), ["c", "bc", "bc"], g)
+    a = SymbolStream(["ab", "a", "ab"], None, g)
+    b = SymbolStream(["c", "bc", "bc"], None, g)
     ms = align_and_combine([a, b])
     assert ms.table == ("abc", "abbc") and ms.codes.tolist() == [0, 0, 1]
     assert histogram(ms).counts == {"abc": 2, "abbc": 1}

@@ -21,6 +21,7 @@ from siglex.errors import (
     GridTooShortError,
     LeadingCoefficientZeroError,
     LengthMismatchError,
+    NonFiniteSampleError,
     NullSpaceTooLargeError,
     OrderExceedsAccuracyError,
     SiglexError,
@@ -591,6 +592,31 @@ def test_assembly_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak <= 1100 * n, f"traced peak {peak} bytes"
+
+
+def test_solve_memory_is_linear_in_n():
+    # R in blocks of 64 x 66 is 0.53 kB per row; the Takahashi recursion
+    # inverts one diagonal block at a time on top of it
+    n = 20_000
+    grid = Grid(n, 0.01)
+    op = assemble_ldo(LdoSpec(2, [0.0, 0.0, 1.0]), grid, 2)
+    g = np.sin(grid.times())
+    tracemalloc.start()
+    try:
+        solve_inverse(op, g, [(0, 0.0), (n - 1, 1.0)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 750 * n, f"traced peak {peak} bytes"
+
+
+def test_solve_refuses_non_finite_samples():
+    op = assemble_ldo(LdoSpec(2, [0.0, 0.0, 1.0]), Grid(30, 0.1), 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        g = np.ones(30)
+        g[[7, 12]] = bad
+        with pytest.raises(NonFiniteSampleError, match="at index 7$"):
+            solve_inverse(op, g, [(0, 0.0), (29, 1.0)])
 
 
 def _window_shapes(monkeypatch, n):

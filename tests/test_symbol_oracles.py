@@ -15,6 +15,7 @@ from siglex import (
     Alphabet,
     FrequencyDict,
     Grid,
+    SymbolStream,
     align_and_combine,
     classify_operation,
     compress_runs,
@@ -26,7 +27,6 @@ from siglex import (
     usd_alphabet,
 )
 from siglex.errors import NoOverlapError, SiglexError
-from siglex.mcla import MultiStream
 
 from loop_oracles import (
     align_and_combine_loop,
@@ -126,7 +126,7 @@ def test_combination_layer_matches_loop_oracles():
 
 def test_short_multistreams_match_loop_oracles():
     for samples in ([], ["Ωé"], ["ud", "ud", "_x", "ud"]):
-        ms = MultiStream(("a", "b"), samples, None)
+        ms = SymbolStream(samples)
         assert len(ms) == len(samples)
         assert histogram(ms).counts == histogram_loop(samples)
         assert FrequencyDict.from_samples(samples).counts == histogram_loop(samples)
@@ -152,7 +152,7 @@ def _symbol_layer(n: int):
             stream = quantize(values, alpha, grid)
             compress_runs(stream)
             streams.append(stream)
-        ms = align_and_combine(streams, ["drive", "level", "temp"])
+        ms = align_and_combine(streams)
         histogram(ms)
         multi_tokens(ms)
     return run
