@@ -41,7 +41,6 @@ from .scla import (
     compress_runs,
     decompress,
     quantize,
-    run_scla,
     usd_alphabet,
 )
 from .uncertainty import (
@@ -94,7 +93,6 @@ __all__ = [
     "prediction_band",
     "propagate_forward",
     "quantize",
-    "run_scla",
     "solve_inverse",
     "student_t_cdf",
     "student_t_quantile",

@@ -490,9 +490,10 @@ class ChannelResult:
 
 @dataclass
 class PipelineBundle:
+    """Per-channel results by name, and the names of the channels to combine."""
+
     channels: dict
-    multistream: Optional[scla.SymbolStream] = None
-    histogram: Optional[mcla.FrequencyDict] = None
+    combine: list
 
 
 def _stage(channel: str, stage: str, fn, *args, **kwargs):
@@ -525,12 +526,14 @@ def _process_channel(cc: ChannelConfig, grid: Grid, values: np.ndarray,
                       sol.y, sol.variance, sigma2, dof, level)
     stream = _stage(cc.name, "quantize", scla.quantize, processed, cc.alphabet, pgrid)
     tokens = _stage(cc.name, "compress", scla.compress_runs, stream)
-    return ChannelResult(processed, pgrid, stream, tokens, band)
+    matches = (None if cc.pattern is None
+               else _stage(cc.name, "match", pattern.find_all, cc.pattern, stream))
+    return ChannelResult(processed, pgrid, stream, tokens, band, matches)
 
 
 def run_pipeline(config: PipelineConfig, ingested: dict) -> PipelineBundle:
-    """Run every configured channel, and the combine stage if `combine`
-    names at least 2 channels.
+    """Run the per-channel stages of every configured channel; only the
+    commands that write the combined stream build it (`_combined`).
 
     `ingested` maps csv columns to (Grid, values) as produced by ingest_csv.
     Identical inputs and config yield identical bundles.
@@ -541,20 +544,14 @@ def run_pipeline(config: PipelineConfig, ingested: dict) -> PipelineBundle:
             raise ConfigError(f"channel '{cc.name}': column '{cc.csv_column}' "
                               "not found in ingested data")
         grid, values = ingested[cc.csv_column]
-        cr = _process_channel(cc, grid, values, config.band_level)
-        if cc.pattern is not None:
-            cr.matches = _stage(cc.name, "match", pattern.find_all,
-                                cc.pattern, cr.stream)
-        channels[cc.name] = cr
+        channels[cc.name] = _process_channel(cc, grid, values, config.band_level)
+    return PipelineBundle(channels, config.combine)
 
-    bundle = PipelineBundle(channels)
-    names = config.combine
-    if len(names) >= 2:
-        where = ",".join(names)
-        bundle.multistream = _stage(where, "combine", mcla.align_and_combine,
-                                    [channels[n].stream for n in names])
-        bundle.histogram = _stage(where, "combine", mcla.histogram, bundle.multistream)
-    return bundle
+
+def _combined(bundle: PipelineBundle) -> scla.SymbolStream:
+    """The `combine` channels aligned and combined into one stream."""
+    return _stage(",".join(bundle.combine), "combine", mcla.align_and_combine,
+                  [bundle.channels[n].stream for n in bundle.combine])
 
 
 # ---------------------------------------------------------------------------
@@ -590,20 +587,21 @@ def _cmd_symbolize(bundle: PipelineBundle, outdir: Path, args) -> None:
 
 
 def _cmd_combine(bundle: PipelineBundle, outdir: Path, args) -> None:
-    scla.tokens_to_csv(mcla.multi_tokens(bundle.multistream),
+    scla.tokens_to_csv(mcla.multi_tokens(_combined(bundle)),
                        outdir / "combined.tokens.csv")
 
 
 def _cmd_hist(bundle: PipelineBundle, outdir: Path, args) -> None:
+    text = mcla.histogram(_combined(bundle)).to_json()
     with open_output(outdir / "histogram.json") as fh:
-        fh.write(bundle.histogram.to_json().encode("utf-8"))
+        fh.write(text.encode("utf-8"))
 
 
 def _cmd_classify(bundle: PipelineBundle, outdir: Path, args) -> None:
     excluded = set(args.exclude.split(",")) - {""} if args.exclude else set()
-    ms = bundle.multistream
+    ms = _combined(bundle)
     total = len(ms)
-    size = total if args.window is None else args.window
+    size = total if args.window is None else min(args.window, total)
     starts = np.arange(0, total, size)
     refs = {label: mcla.exclude_symbols(fd, excluded)
             for label, fd in args.references.items()}

@@ -12,6 +12,7 @@ support mode classification.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -117,7 +118,8 @@ class FrequencyDict:
     def from_json_obj(cls, obj) -> "FrequencyDict":
         """Parse a loaded `to_json` object; "total" is recomputed, not read.
 
-        Raises ValueError unless `obj` maps keys to non-negative integers.
+        Raises ValueError unless `obj` maps keys to non-negative integers
+        below 2^53, which float64 holds exactly.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"histogram must be an object, got {type(obj).__name__}")
@@ -125,6 +127,9 @@ class FrequencyDict:
         for k, v in counts.items():
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"count of {k!r} is not an integer: {v!r}")
+            if v >= 2 ** 53:
+                raise ValueError(f"count of {k!r} is 2^53 or more, which float64 "
+                                 "does not hold exactly")
         return cls.from_counts(counts)
 
 
@@ -177,8 +182,8 @@ def compare_histograms(a: FrequencyDict, b: FrequencyDict,
         if a.total == 0 or b.total == 0:
             return 0.0
         dot = sum(a.counts.get(k, 0) * b.counts.get(k, 0) for k in keys)
-        na = np.sqrt(sum(v * v for v in a.counts.values()))
-        nb = np.sqrt(sum(v * v for v in b.counts.values()))
+        na = math.sqrt(sum(v * v for v in a.counts.values()))
+        nb = math.sqrt(sum(v * v for v in b.counts.values()))
         return float(dot / (na * nb))
     raise ValueError(f"unknown measure {measure!r}")
 

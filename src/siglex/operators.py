@@ -262,7 +262,7 @@ def _staircase(band: np.ndarray, fixed: Sequence[int]) -> tuple[np.ndarray, np.n
 
 
 def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
-              rhs: np.ndarray | None = None) -> tuple[_BlockR, np.ndarray | None]:
+              rhs: np.ndarray) -> tuple[_BlockR, np.ndarray]:
     """Blocked Householder QR of an m-column staircase matrix A = Q R.
 
     Row i of A holds `weights[i]` from column `starts[i]` on (see
@@ -270,41 +270,38 @@ def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
     2w rows carried from window t-1 and the rows starting in columns
     t*b .. t*b+b-1, over columns t*b .. t*b+b+2w-1 and `rhs`.  Its first b
     rows are rows of R, the next 2w are carried, the rest hold only
-    residual.  Returns R and the first m entries of Q^T rhs (None without
-    `rhs`).  O(m (b+2w)^2) time, O(m (b+2w)) memory.
+    residual.  Returns R and the first m entries of Q^T rhs.
+    O(m (b+2w)^2) time, O(m (b+2w)) memory.
     """
     n, width = weights.shape
     b, w2 = _BLOCK, width - 1
     nblocks = -(-m // b)
     blocks = np.zeros((nblocks, b, b + w2))
-    extra = 0 if rhs is None else 1
     qtr = np.zeros(m)
     bounds = np.searchsorted(starts, b * np.arange(nblocks + 1))
     bounds[-1] = n
-    carry = np.zeros((0, w2 + extra))
+    carry = np.zeros((0, w2 + 1))  # the carried rows of R, then of Q^T rhs
     for t in range(nblocks):
         j0, lo, hi = t * b, bounds[t], bounds[t + 1]
         nb, ncols, c = min(b, m - j0), min(b + w2, m - j0), len(carry)
-        win = np.zeros((c + hi - lo, ncols + extra))
+        win = np.zeros((c + hi - lo, ncols + 1))
         win[:c, :min(w2, ncols)] = carry[:, :min(w2, ncols)]
+        win[:c, -1] = carry[:, -1]
         cols = (starts[lo:hi] - j0)[:, None] + np.arange(width)
         i, d = np.nonzero(cols < ncols)
         win[c + i, cols[i, d]] = weights[lo + i, d]
-        if extra:
-            win[:c, -1] = carry[:, -1]
-            win[c:, -1] = rhs[lo:hi]
+        win[c:, -1] = rhs[lo:hi]
         r = np.linalg.qr(win, mode="r")
         if len(r) < ncols:  # fewer rows than columns: the missing pivots are 0
             r = np.concatenate((r, np.zeros((ncols - len(r), r.shape[1]))))
         blocks[t, :nb, :ncols] = r[:nb, :ncols]
-        carry = np.zeros((ncols - nb, w2 + extra))
+        qtr[j0:j0 + nb] = r[:nb, -1]
+        carry = np.zeros((ncols - nb, w2 + 1))
         carry[:, :ncols - nb] = r[nb:ncols, nb:ncols]
-        if extra:
-            qtr[j0:j0 + nb] = r[:nb, -1]
-            carry[:, -1] = r[nb:ncols, -1]
+        carry[:, -1] = r[nb:ncols, -1]
     pad = np.arange(m - (nblocks - 1) * b, b)
     blocks[-1, pad, pad] = 1.0
-    return _BlockR(blocks, m), (qtr if extra else None)
+    return _BlockR(blocks, m), qtr
 
 
 class _BlockR:
@@ -535,23 +532,27 @@ def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int) -> LdoMatrix:
     band = np.zeros((n, 2 * w + 1))
     for i, a in enumerate(spec.coefficient_values(grid)):
         band += a[:, None] * build_diff_operator(grid, i, accuracy).band
+    # the search runs on L / 2^e with max|entry| in [0.5, 1), so its power
+    # steps cannot overflow; a power of two changes no bits
+    e = int(np.frexp(np.abs(band).max())[1])
+    unit = np.ldexp(band, -e)
     rng = np.random.default_rng(0)
     cols = _band_columns(n, w)
     x = rng.standard_normal(n)
     for _ in range(_POWER_STEPS):  # x <- L^T L x
-        x = _apply_transposed(band, cols, _stencil_sum(band, x[cols]))
+        x = _apply_transposed(unit, cols, _stencil_sum(unit, x[cols]))
         x /= np.sqrt(np.sum(x * x))
-    s_max = float(np.sqrt(np.sum(_stencil_sum(band, x[cols]) ** 2)))
+    s_max = float(np.sqrt(np.sum(_stencil_sum(unit, x[cols]) ** 2)))
     cutoff = s_max * max(n * _EPS, 1e-10)
 
     # each zero row of L is one more null direction: no search needed
     zero_rows = n - int(np.count_nonzero(band.any(axis=1)))
     if zero_rows >= _MAX_NULL_BLOCK:
         raise _null_space_too_large(zero_rows, spec.degree)
-    r, _ = _qr_sweep(band, cols[:, 0], n)
+    r, _ = _qr_sweep(unit, cols[:, 0], n, np.zeros(n))
     p = min(spec.degree + 2, n)
     while True:
-        sigma, vectors = _smallest_singular(band, cols, r, p, cutoff, rng)
+        sigma, vectors = _smallest_singular(unit, cols, r, p, cutoff, rng)
         null = int(np.count_nonzero(sigma <= cutoff))
         settled = null < p and (sigma[null] > _CLOSE * cutoff or p == _MAX_NULL_BLOCK)
         if settled or p == n:
@@ -562,7 +563,7 @@ def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int) -> LdoMatrix:
     nonnull_margin = float(sigma[null]) / cutoff if null < p else inf
     null_margin = cutoff / float(sigma[null - 1]) if null and sigma[null - 1] > 0 else inf
     return LdoMatrix(spec, grid, band, vectors[:, :null].copy(), n - null, accuracy,
-                     cutoff, nonnull_margin, null_margin)
+                     float(np.ldexp(cutoff, e)), nonnull_margin, null_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -644,13 +645,14 @@ def solve_inverse(op: LdoMatrix, g: np.ndarray,
     rows, _ = _constraint_rows(op, [i for i, _ in constraints])
     y = np.zeros(n)
     y[rows] = [float(v) for _, v in constraints]
-    weights, starts = _staircase(op.band, rows)
-    r, qtr = _qr_sweep(weights, starts, n - len(rows), g - op.apply(y))
+    e = int(np.frexp(np.abs(op.band).max())[1])  # L / 2^e, as in assemble_ldo
+    weights, starts = _staircase(np.ldexp(op.band, -e), rows)
+    r, qtr = _qr_sweep(weights, starts, n - len(rows), np.ldexp(g - op.apply(y), -e))
     free = np.ones(n, dtype=bool)
     free[rows] = False
     y[free] = r.solve(qtr)
     variance = np.zeros(n)
-    variance[free] = r.gram_inverse_diagonal()
+    variance[free] = np.ldexp(r.gram_inverse_diagonal(), -2 * e)
     return InverseSolution(y, op.apply(y) - g, variance)
 
 

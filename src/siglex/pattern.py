@@ -225,8 +225,11 @@ def _compile(node, prog: list) -> None:
             else:
                 prog.append(("count", body, lo, hi))
             return
-        rest = repeat(("star", body), 1) if hi is None else repeat(("opt", body), hi - lo)
-        for part in chain(repeat(body, lo), rest):
+        # copies past MAX_PROGRAM exceed the limit anyway (each emits an
+        # instruction), and a count past 2^63 would overflow `repeat`
+        rest = (repeat(("star", body), 1) if hi is None
+                else repeat(("opt", body), min(hi - lo, MAX_PROGRAM)))
+        for part in chain(repeat(body, min(lo, MAX_PROGRAM)), rest):
             size = len(prog)
             _compile(part, prog)
             if len(prog) == size:

@@ -1,7 +1,7 @@
 """Single-channel lexical analysis: quantize a signal and run-length pack it.
 
-One channel = optional derivative kernel, interval quantization against an
-alphabet, run-length compression.  A symbol sequence is a small-int code
+One channel = interval quantization of its (maybe derived) samples against
+an alphabet, run-length compression.  A symbol sequence is a small-int code
 array plus its table: code k stands for `table[k]`.  A channel's table is
 its alphabet's symbols, then the catch-all (if set and not a symbol),
 then the gap symbol '_'; no string has two codes.  Runs are three int
@@ -27,7 +27,6 @@ from .errors import (
     UnknownSymbolError,
 )
 from .grid import Grid
-from .operators import LocalKernel, apply_streaming
 
 GAP_SYMBOL = "_"
 # Characters no symbol or CSV label may hold: NUL reads back as "" from
@@ -243,22 +242,6 @@ def decompress(runs: Runs) -> SymbolStream:
     """Exact inverse of compress_runs; validates the run invariants."""
     validate_tokens(runs)
     return SymbolStream(np.repeat(runs.codes, runs.lengths), table=runs.table)
-
-
-def run_scla(raw, kernel: Optional[LocalKernel], alphabet: Alphabet,
-             grid: Optional[Grid] = None) -> Runs:
-    """Full single-channel pipeline: kernel (optional) -> quantize -> compress.
-
-    With a kernel the output covers the interior samples only (boundary
-    "valid"); the returned runs index into that trimmed sequence.
-    """
-    if kernel is None:
-        values = np.asarray(raw, dtype=np.float64)
-    else:
-        values = apply_streaming(kernel, raw)
-        if grid is not None:
-            grid = grid.interior(kernel.half_width)
-    return compress_runs(quantize(values, alphabet, grid))
 
 
 def tokens_to_csv(runs: Runs, path) -> None:

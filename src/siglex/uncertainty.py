@@ -26,6 +26,7 @@ from .errors import (
     InvalidProbabilityError,
     NegativeDiagonalError,
     NotSymmetricError,
+    SiglexError,
 )
 from .grid import Grid
 from .operators import InverseSolution, LdoMatrix, LdoSpec, assemble_ldo
@@ -68,13 +69,19 @@ def propagate_forward(L, lambda_x) -> np.ndarray:
 
 
 def estimate_residual_variance(residual: np.ndarray, rank: int) -> tuple[float, int]:
-    """Unbiased residual variance: (r.T r) / (n - rank), with dof = n - rank."""
+    """Unbiased residual variance: (r.T r) / (n - rank), with dof = n - rank.
+    Raises SiglexError if r.T r overflows."""
     r = np.asarray(residual, dtype=np.float64)
     n = r.shape[0]
     if n <= rank:
         raise InsufficientDofError(f"n={n} residuals with rank={rank} leaves no dof")
     dof = n - rank
-    return float(r @ r) / dof, dof
+    with np.errstate(over="ignore"):
+        squares = float(r @ r)
+    if not np.isfinite(squares):
+        raise SiglexError(f"residual sum of squares is {squares}: the residuals are "
+                          "too large for float64")
+    return squares / dof, dof
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import siglex
-from siglex import cli, csvout, errors, usd_alphabet
+from siglex import cli, csvout, errors, mcla, usd_alphabet
 from siglex.cli import (
     OperatorConfig,
     PipelineConfig,
@@ -169,8 +169,9 @@ def test_pipeline_ramp_and_flat(tmp_path):
     flat = bundle.channels["flat"]
     assert list(ramp.tokens) == [("u", 22, 0)]
     assert [t.symbol for t in flat.tokens] == ["s"]
-    assert bundle.histogram.counts == {"us": 22}
-    assert bundle.histogram.total == 22
+    combined = mcla.histogram(cli._combined(bundle))
+    assert combined.counts == {"us": 22}
+    assert combined.total == 22
 
 
 def test_pipeline_solve_band(tmp_path):
@@ -294,6 +295,61 @@ def test_cli_byte_identical_reruns(tmp_path):
                 outputs.setdefault((cmd, f.name), []).append(f.read_bytes())
     for key, blobs in outputs.items():
         assert len(blobs) == 2 and blobs[0] == blobs[1], key
+
+
+def test_cli_combines_channels_only_for_the_commands_that_write_them(
+        tmp_path, monkeypatch):
+    n = 40
+    config = {"channels": [
+        dict(TWO_CHANNEL_CONFIG["channels"][0], pattern="u+"),
+        {"name": "y", "csv_column": "b",
+         "alphabet": {"symbols": "lmh", "boundaries": [-0.5, 0.5]},
+         "ldo": {"degree": 2, "coefficients": [0.0, 0.0, 1.0], "accuracy": 2,
+                 "constraints": [[0, 0.0], [n - 1, 1.0]]}}],
+        "combine": ["ramp", "y"]}
+    refs = write(tmp_path / "refs.json", json.dumps({"up": {"ul": 1}}))
+    calls = []
+    combine = mcla.align_and_combine
+    monkeypatch.setattr(mcla, "align_and_combine",
+                        lambda streams: calls.append(1) or combine(streams))
+    counts = {}
+    for command in ("derive", "symbolize", "solve", "match", "combine", "hist",
+                    "classify"):
+        extra = ["--references", str(refs)] if command == "classify" else []
+        code, _ = run_cli(tmp_path, command, config, ramp_csv_text(n), command, extra)
+        assert code == 0, command
+        counts[command] = len(calls)
+        calls.clear()
+    assert counts == {"derive": 0, "symbolize": 0, "solve": 0, "match": 0,
+                      "combine": 1, "hist": 1, "classify": 1}
+
+
+def test_cli_classify_window_past_int64_is_the_whole_stream(tmp_path, capsys):
+    refs = write(tmp_path / "refs.json", json.dumps({"steady": {"us": 10}}))
+    outputs = []
+    for window in ("100000000000000000000", "22"):  # 22 = the combined length
+        code, out = run_cli(tmp_path, "classify", TWO_CHANNEL_CONFIG, ramp_csv_text(),
+                            f"o{window}",
+                            extra=["--references", str(refs), "--window", window])
+        assert code == 0 and capsys.readouterr().err == ""
+        outputs.append((out / "classify.csv").read_bytes())
+    assert outputs[0] == outputs[1] == b"start,end,label,score\n0,22,steady,0\n"
+
+
+def test_cli_cosine_classify_of_large_reference_counts(tmp_path, capsys):
+    refs = write(tmp_path / "refs.json", json.dumps({"big": {"us": 2 ** 32, "ds": 1}}))
+    code, out = run_cli(tmp_path, "classify", TWO_CHANNEL_CONFIG, ramp_csv_text(), "o",
+                        extra=["--references", str(refs), "--measure", "cosine"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert (out / "classify.csv").read_text() == \
+        f"start,end,label,score\n0,22,big,{2 ** 32 / (2 ** 64 + 1) ** 0.5:.17g}\n"
+    # a count float64 cannot hold exactly is refused before the log is read
+    refs.write_text(json.dumps({"big": {"us": 1, "ds": 2 ** 53}}), encoding="utf-8")
+    cfg = write(tmp_path / "c.json", json.dumps(TWO_CHANNEL_CONFIG))
+    assert main(["classify", "--config", str(cfg), "--input", str(tmp_path / "none.csv"),
+                 "--references", str(refs), "--out", str(tmp_path / "o2")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "references 'big': count of 'ds' is 2^53" in err, err
 
 
 def test_cli_subprocess_hash_seed_independence(tmp_path):
@@ -595,20 +651,23 @@ def test_cli_bad_pattern_exits_1_before_reading_the_log(tmp_path, capsys):
 
 def test_cli_oversized_pattern_exits_1_before_reading_the_log(tmp_path, capsys):
     # counted multi-sample bodies still unroll: unrolling stops at the
-    # instruction limit, before the log is read
+    # instruction limit, before the log is read, also for bounds past 2^63
     missing = str(tmp_path / "missing.csv")
-    huge = "(ud){100000000}"
-    for text, flag in ((huge, None), ("u+", huge)):
-        channel = dict(TWO_CHANNEL_CONFIG["channels"][0], pattern=text)
-        cfg = write(tmp_path / "c.json", json.dumps({"channels": [channel]}))
-        argv = ["match", "--config", str(cfg), "--input", missing,
-                "--out", str(tmp_path / "out")]
-        t0 = time.perf_counter()
-        assert main(argv + (["--pattern", flag] if flag else [])) == 1, (text, flag)
-        assert time.perf_counter() - t0 < 1.0
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "instructions, over the limit of 10000" in err, err
-        assert not (tmp_path / "out").exists()
+    bound = "99999999999999999999"
+    for huge in ("(ud){100000000}", f"(ud){{{bound}}}", f"(ud){{0,{bound}}}",
+                 f"(ud){{2,{bound}}}"):
+        for text, flag in ((huge, None), ("u+", huge)):
+            channel = dict(TWO_CHANNEL_CONFIG["channels"][0], pattern=text)
+            cfg = write(tmp_path / "c.json", json.dumps({"channels": [channel]}))
+            argv = ["match", "--config", str(cfg), "--input", missing,
+                    "--out", str(tmp_path / "out")]
+            t0 = time.perf_counter()
+            assert main(argv + (["--pattern", flag] if flag else [])) == 1, (text, flag)
+            assert time.perf_counter() - t0 < 1.0
+            err = capsys.readouterr().err
+            assert (len(err.splitlines()) == 1
+                    and "instructions, over the limit of 10000" in err), err
+            assert not (tmp_path / "out").exists()
 
 
 def _run_subprocess(tmp_path, command, config, log_text):
@@ -635,6 +694,44 @@ def test_cli_ldo_channel_refuses_a_non_finite_sample(tmp_path):
     assert res.returncode == 2 and res.stderr.count("\n") == 1, res.stderr
     assert ("channel 'y', stage 'solve': non-finite sample at index 17"
             in res.stderr), res.stderr
+
+
+def _second_derivative(coefficient, n=200):
+    return {"channels": [
+        {"name": "y", "csv_column": "g",
+         "alphabet": {"symbols": "lmh", "boundaries": [-0.5, 0.5]},
+         "ldo": {"degree": 2, "coefficients": [0.0, 0.0, coefficient], "accuracy": 2,
+                 "constraints": [[0, 0.0], [n - 1, 1.0]]}}]}
+
+
+def test_cli_solve_of_a_huge_operator_is_the_scaled_solve(tmp_path):
+    # L = 2^500 D2 with g 2^500: the rank search and the solve run on L / 2^e,
+    # so the files equal those of D2 and g bit for bit; the power steps on L
+    # itself overflowed and found rank n
+    n = 200
+    g = np.sin(0.01 * np.arange(n))
+    outputs = []
+    for scale in (1.0, 2.0 ** 500):
+        log = "t,g\n" + "".join(f"{0.01 * k:.17g},{v * scale:.17g}\n"
+                                for k, v in enumerate(g))
+        work = tmp_path / f"{scale:g}"
+        work.mkdir()
+        res = _run_subprocess(work, "solve", _second_derivative(scale, n), log)
+        assert res.returncode == 0 and res.stderr == "", res.stderr
+        out = work / "o"
+        outputs.append([(out / f).read_bytes() for f in ("y.band.csv", "y.solution.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_residuals_that_overflow_exit_3_at_the_covariance_stage(tmp_path):
+    # with L = 1e300 D2, rounding leaves residuals near 1e288, whose squares
+    # overflow
+    n = 200
+    log = "t,g\n" + "".join(f"{0.01 * k:.17g},{np.sin(0.01 * k):.17g}\n"
+                            for k in range(n))
+    res = _run_subprocess(tmp_path, "solve", _second_derivative(1e300, n), log)
+    assert res.returncode == 3 and res.stderr.count("\n") == 1, res.stderr
+    assert "channel 'y', stage 'covariance': residual sum of squares" in res.stderr
 
 
 @pytest.mark.parametrize("policy, code, lines", [("gap", 0, 0), ("reject", 2, 1)])

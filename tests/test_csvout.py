@@ -163,8 +163,8 @@ def test_classify_csv_matches_the_loop_writer(tmp_path, rows, window):
                      *extra]) == 0
 
     references = cli.load_references(str(ref_path))
-    ms = cli.run_pipeline(cli.load_config(cfg),
-                          cli.ingest_csv(log, "t", ["a", "b"])).multistream
+    ms = cli._combined(cli.run_pipeline(cli.load_config(cfg),
+                                        cli.ingest_csv(log, "t", ["a", "b"])))
     size = len(ms) if window is None else window
     starts = range(0, len(ms), size)
 

@@ -259,6 +259,10 @@ def test_frequency_dict_json_round_trip():
     for bad in ([["ud", 2]], {"ud": -1}, {"ud": "2"}, {"ud": 1.5}, {"ud": True}):
         with pytest.raises(ValueError):
             FrequencyDict.from_json_obj(bad)
+    # every count is exact in float64
+    assert FrequencyDict.from_json_obj({"ud": 2 ** 53 - 1}).total == 2 ** 53 - 1
+    with pytest.raises(ValueError, match="'ud' is 2\\^53 or more"):
+        FrequencyDict.from_json_obj({"ss": 1, "ud": 2 ** 53})
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +311,17 @@ def test_l1_symmetry_and_bounds():
         l1 = compare_histograms(fa, fb, "l1")
         assert abs(l1 - compare_histograms(fb, fa, "l1")) <= 1e-15
         assert 0.0 <= l1 <= 2.0
+
+
+def test_cosine_of_counts_whose_squares_pass_int64():
+    # a sum of squares of 2^64 or more is a Python int numpy cannot take
+    # the root of; math.sqrt rounds it to float first
+    for big in (2 ** 32, 2 ** 40, 2 ** 53 - 1):
+        a = FrequencyDict.from_counts({"uu": big, "dd": 3})
+        b = FrequencyDict.from_counts({"uu": 1, "ss": 1})
+        want = big / (float(big * big + 9) ** 0.5 * 2 ** 0.5)
+        assert abs(compare_histograms(a, b, "cosine") - want) <= 1e-15
+        assert compare_histograms(a, a, "cosine") == 1.0
 
 
 def test_cosine_both_empty():

@@ -537,7 +537,7 @@ def test_deciding_ritz_value_matches_the_oracle(monkeypatch):
 
     # the stress draws whose last Ritz pairs hold the certificate: the
     # deciding value lies within its own residual bound rho of the SVD's
-    # (plus the SVD's rounding)
+    # (plus the SVD's rounding); the search ran on L / 2^e
     pairs = []
     smallest = operators._smallest_singular
 
@@ -551,6 +551,7 @@ def test_deciding_ritz_value_matches_the_oracle(monkeypatch):
     for _ in range(150):
         op = _stress_ldo(rng)
         (sigma, y), n, k = pairs[-1], op.grid.n, op.null_dim
+        sigma = np.ldexp(sigma, np.frexp(np.abs(op.band).max())[1])
         rng.standard_normal(n)  # the stress fuzz's g and constraints
         rng.choice(n, k, replace=False)
         if k == len(sigma):

@@ -351,12 +351,15 @@ def test_counters_compile_to_one_instruction():
 
 def test_program_size_limit():
     t0 = time.perf_counter()
-    for text in ("(ud){100000000}", "((ud){100000}){100000}", "(ud){5000}"):
+    # bounds past 2^63 as well: unrolling stops at the limit
+    huge = "99999999999999999999"
+    for text in ("(ud){100000000}", "((ud){100000}){100000}", "(ud){5000}",
+                 f"(ud){{{huge}}}", f"(ud){{0,{huge}}}", f"(ud){{2,{huge}}}"):
         with pytest.raises(PatternSyntaxError, match="instructions"):
             compile_pattern(text, ALPHA)
     # a body that compiles to nothing repeats to nothing
-    assert [op[0] for op in compile_pattern("(){100000000}u", ALPHA).program] == \
-        ["char", "match"]
+    for text in ("(){100000000}u", f"(){{{huge}}}u"):
+        assert [op[0] for op in compile_pattern(text, ALPHA).program] == ["char", "match"]
     assert time.perf_counter() - t0 < 1.0
     assert compile_pattern("(ud){4999}s", ALPHA).n_states == MAX_PROGRAM
 

@@ -6,12 +6,12 @@ from siglex import (
     Grid,
     Runs,
     SymbolStream,
+    apply_streaming,
     build_diff_operator,
     compress_runs,
     decompress,
     extract_local_kernel,
     quantize,
-    run_scla,
     usd_alphabet,
 )
 from siglex.errors import (
@@ -280,19 +280,20 @@ def test_tokens_csv_round_trip(tmp_path):
 
 def test_scla_constant_slope():
     k = extract_local_kernel(1, 2, 1.0)
-    toks = run_scla([0.0, 1.0, 2.0, 3.0, 4.0], k, usd_alphabet(0.5))
+    toks = compress_runs(quantize(apply_streaming(k, [0.0, 1.0, 2.0, 3.0, 4.0]),
+                                  usd_alphabet(0.5)))
     assert columns(toks) == ([2], [3], [0])
 
 
 def test_scla_constant_signal():
     k = extract_local_kernel(1, 2, 1.0)
     n = 40
-    toks = run_scla(np.full(n, 2.5), k, usd_alphabet(0.5))
+    toks = compress_runs(quantize(apply_streaming(k, np.full(n, 2.5)), usd_alphabet(0.5)))
     assert columns(toks) == ([1], [n - 2], [0])
 
 
 def test_scla_without_kernel_is_identity_stage():
-    toks = run_scla([1.0, 1.0, -1.0], None, usd_alphabet(0.5))
+    toks = compress_runs(quantize([1.0, 1.0, -1.0], usd_alphabet(0.5)))
     assert columns(toks) == ([2, 0], [2, 1], [0, 2])
 
 
@@ -306,7 +307,8 @@ def test_scla_triangle_wave_matches_dense_pipeline():
     grid = Grid(n, 1.0)
     k = extract_local_kernel(1, 2, 1.0)
     alpha = usd_alphabet(1e-3)
-    got = run_scla(tri, k, alpha, grid=grid)
+    got = compress_runs(quantize(apply_streaming(k, tri), alpha,
+                                 grid.interior(k.half_width)))
 
     dense = build_diff_operator(grid, 1, 2)
     w = dense.support
@@ -323,5 +325,6 @@ def test_scla_triangle_wave_matches_dense_pipeline():
 def test_scla_trims_grid():
     grid = Grid(10, 0.5, t0=2.0)
     k = extract_local_kernel(1, 4, grid.h)
-    toks = run_scla(np.arange(10.0), k, usd_alphabet(0.1), grid=grid)
-    assert sum(t.run_length for t in toks) == 10 - 2 * k.half_width
+    stream = quantize(apply_streaming(k, np.arange(10.0)), usd_alphabet(0.1),
+                      grid.interior(k.half_width))
+    assert sum(t.run_length for t in compress_runs(stream)) == 10 - 2 * k.half_width
