@@ -30,6 +30,7 @@ import csv
 import json
 import re
 import sys
+import warnings
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -233,7 +234,7 @@ def _read_json(path, what: str):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's int-string limit
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -285,9 +286,9 @@ def _open_quote(line: str) -> bool:
     return re.fullmatch(rf'(?:{closed_field},)*"(?:[^"\n]|"")*\n?', line) is not None
 
 
-def _load(lines, dtype, usecols=None) -> np.ndarray:
-    return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
-                      comments=None, usecols=usecols, ndmin=1)
+def _load(source, dtype, **kwargs) -> np.ndarray:
+    return np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"',
+                      comments=None, ndmin=1, **kwargs)
 
 
 def _parse(lines: list, dtype: np.dtype) -> np.ndarray:
@@ -350,7 +351,7 @@ def _row_error(line_no: int, text: str, layout: _Layout) -> MalformedCsvError:
     clean = _blank_to_nan(text).split("\n")
     for name, j in [(None, layout.time), *layout.columns.items()]:
         try:
-            _load(clean, np.float64, [j])
+            _load(clean, np.float64, usecols=[j])
         except ValueError:
             if name is None:
                 return MalformedCsvError(line_no, f"bad timestamp {fields[j]!r}")
@@ -397,9 +398,9 @@ def ingest_csv(path, time_column: str, value_columns) -> dict:
     deltas within 1e-6 relative of uniform; a span whose step or deltas
     overflow to infinity is not uniform.
 
-    The body goes through numpy's C tokenizer in chunks of 8192 lines; only
-    when a check fails is a chunk read again line by line to name the
-    1-based line in the MalformedCsvError.
+    The body goes to numpy's C tokenizer in one call (`_read_whole`); after
+    a blank line or cell, a CR line end, a quote open past its line or a bad
+    row, `_read_body` reads it in 8192-line chunks and names a bad line.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -414,7 +415,7 @@ def ingest_csv(path, time_column: str, value_columns) -> dict:
                     raise MalformedCsvError(1, f"missing value column '{c}'")
             layout = _Layout(len(header), header.index(time_column),
                              {c: header.index(c) for c in value_columns})
-            blocks, not_increasing = _read_body(fh, layout)
+            blocks, not_increasing = _read_whole(path, layout) or _read_body(fh, layout)
     except UnicodeDecodeError:
         raise MalformedCsvError(_undecodable_line(path), "not UTF-8 text") from None
     n = sum(len(b) for b in blocks)
@@ -437,6 +438,40 @@ def ingest_csv(path, time_column: str, value_columns) -> dict:
     grid = Grid(n, h, float(t_arr[0]))
     return {c: (grid, np.concatenate([b[f"f{j}"] for b in blocks]))
             for c, j in layout.columns.items()}
+
+
+def _read_whole(path, layout: _Layout) -> Optional[tuple]:
+    """`_read_body`'s result from one tokenizer call, or None unless it has
+    one row per line, and finite, strictly increasing timestamps."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = _load(path, layout.dtype, skiprows=1, encoding="utf-8-sig")
+    except ValueError:
+        return None
+    t = rows[f"f{layout.time}"]
+    if (len(rows) + 1 != _line_count(path) or not np.isfinite(t).all()
+            or (t[1:] <= t[:-1]).any()):
+        return None
+    return [rows], None
+
+
+def _line_count(path) -> Optional[int]:
+    """Lines of a file as text mode splits them; None if a lone CR ends one,
+    or the last ends inside a quoted field, which numpy reads on to the end."""
+    count, last = 0, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if chunk.endswith(b"\r"):
+                chunk += fh.read(1)
+            if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
+                return None
+            count += chunk.count(b"\n")
+            cut = chunk.rfind(b"\n", 0, len(chunk) - 1)
+            last = last + chunk if cut < 0 else chunk[cut + 1:]
+    if b'"' in last and _open_quote(last.decode("utf-8", "replace")):
+        return None
+    return count + (not last.endswith(b"\n"))
 
 
 def _read_body(fh, layout: _Layout) -> tuple:

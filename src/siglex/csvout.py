@@ -151,10 +151,12 @@ def _int_field(values: np.ndarray) -> np.ndarray:
     top = int(values.max())
     if int(values.min()) < 0 or top >= 2**63:
         raise ValueError("integer CSV columns must lie in [0, 2**63)")
-    digits = _digits(values, len(str(top)))
-    keep = np.logical_or.accumulate(digits != ord("0"), axis=1)
-    keep[:, -1] = True
-    return digits * keep
+    width = len(str(top))
+    values = values.astype(np.int64)
+    # a value reaching k of 10, 100, ..., 10**18 keeps its last k + 1 digits
+    reached = np.searchsorted(10 ** np.arange(1, 19), values, side="right")
+    keep = np.arange(width - 1, -1, -1) <= np.arange(19)[:, None]
+    return _digits(values, width) * np.take(keep, reached, axis=0)
 
 
 # -- floats -----------------------------------------------------------------

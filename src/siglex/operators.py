@@ -47,6 +47,7 @@ from .errors import (
     NonFiniteSampleError,
     NullSpaceTooLargeError,
     OrderExceedsAccuracyError,
+    SiglexError,
     SingularConstraintSystemError,
 )
 from .grid import Grid
@@ -530,8 +531,11 @@ def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int) -> LdoMatrix:
     """
     n, w = grid.n, _half_width(accuracy)
     band = np.zeros((n, 2 * w + 1))
-    for i, a in enumerate(spec.coefficient_values(grid)):
-        band += a[:, None] * build_diff_operator(grid, i, accuracy).band
+    with np.errstate(over="ignore"):
+        for i, a in enumerate(spec.coefficient_values(grid)):
+            band += a[:, None] * build_diff_operator(grid, i, accuracy).band
+    if not np.isfinite(band).all():
+        raise SiglexError("an operator entry overflows float64")
     # the search runs on L / 2^e with max|entry| in [0.5, 1), so its power
     # steps cannot overflow; a power of two changes no bits
     e = int(np.frexp(np.abs(band).max())[1])
@@ -646,13 +650,16 @@ def solve_inverse(op: LdoMatrix, g: np.ndarray,
     y = np.zeros(n)
     y[rows] = [float(v) for _, v in constraints]
     e = int(np.frexp(np.abs(op.band).max())[1])  # L / 2^e, as in assemble_ldo
-    weights, starts = _staircase(np.ldexp(op.band, -e), rows)
-    r, qtr = _qr_sweep(weights, starts, n - len(rows), np.ldexp(g - op.apply(y), -e))
     free = np.ones(n, dtype=bool)
     free[rows] = False
-    y[free] = r.solve(qtr)
     variance = np.zeros(n)
-    variance[free] = np.ldexp(r.gram_inverse_diagonal(), -2 * e)
+    with np.errstate(over="ignore", invalid="ignore"):  # scaled back 2^e: checked below
+        weights, starts = _staircase(np.ldexp(op.band, -e), rows)
+        r, qtr = _qr_sweep(weights, starts, n - len(rows), np.ldexp(g - op.apply(y), -e))
+        y[free] = r.solve(qtr)
+        variance[free] = np.ldexp(r.gram_inverse_diagonal(), -2 * e)
+    if not (np.isfinite(y).all() and np.isfinite(variance).all()):
+        raise SiglexError("the solution or its variance overflows float64")
     return InverseSolution(y, op.apply(y) - g, variance)
 
 

@@ -352,6 +352,26 @@ def test_cli_cosine_classify_of_large_reference_counts(tmp_path, capsys):
     assert err.count("\n") == 1 and "references 'big': count of 'ds' is 2^53" in err, err
 
 
+@pytest.mark.parametrize("what", ["config", "references"])
+def test_cli_json_integer_past_the_digit_limit_is_a_usage_error(tmp_path, capsys, what):
+    # json.loads raises a plain ValueError past 4300 digits, not JSONDecodeError
+    huge = "9" * 5000
+    config = json.dumps(TWO_CHANNEL_CONFIG)
+    refs = json.dumps({"big": {"us": 1, "ds": 1}})
+    if what == "config":
+        config = config.replace('"epsilon": 0.5', f'"epsilon": {huge}', 1)
+    else:
+        refs = refs.replace('"ds": 1', f'"ds": {huge}')
+    assert huge in config + refs
+    code = main(["classify", "--config", str(write(tmp_path / "c.json", config)),
+                 "--input", str(two_channel_csv(tmp_path)),
+                 "--references", str(write(tmp_path / "r.json", refs)),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1, err
+    assert f"usage error: {what} is not valid JSON: " in err, err
+
+
 def test_cli_subprocess_hash_seed_independence(tmp_path):
     # fresh interpreters with different hash seeds must emit identical bytes
     cfg = write(tmp_path / "c.json", json.dumps(TWO_CHANNEL_CONFIG))
@@ -732,6 +752,24 @@ def test_cli_residuals_that_overflow_exit_3_at_the_covariance_stage(tmp_path):
     res = _run_subprocess(tmp_path, "solve", _second_derivative(1e300, n), log)
     assert res.returncode == 3 and res.stderr.count("\n") == 1, res.stderr
     assert "channel 'y', stage 'covariance': residual sum of squares" in res.stderr
+
+
+@pytest.mark.parametrize("coefficient, stage", [
+    (1e-300, "solve"),   # the variance scaled back by 2^-2e overflows
+    (1e-320, "solve"),   # so does the right-hand side scaled by 2^-e
+    (1e306, "ldo"),      # 1e306 / h^2 overflows in the band
+])
+def test_cli_tiny_or_huge_coefficients_exit_3_naming_the_stage(tmp_path, coefficient,
+                                                              stage):
+    # 1e-300 printed a RuntimeWarning and wrote -inf,inf band bounds with exit 0;
+    # 1e306 warned and exited 3 naming no channel or stage
+    n = 200
+    log = "t,g\n" + "".join(f"{0.01 * k:.17g},{np.sin(0.01 * k):.17g}\n"
+                            for k in range(n))
+    res = _run_subprocess(tmp_path, "solve", _second_derivative(coefficient, n), log)
+    assert res.returncode == 3 and res.stderr.count("\n") == 1, res.stderr
+    assert f"channel 'y', stage '{stage}': " in res.stderr, res.stderr
+    assert "overflows float64" in res.stderr, res.stderr
 
 
 @pytest.mark.parametrize("policy, code, lines", [("gap", 0, 0), ("reject", 2, 1)])

@@ -1,4 +1,5 @@
-"""CSV ingest: the chunked numpy reader against the csv.reader/float() loop.
+"""CSV ingest: numpy's one pass and the chunked reader behind it, against
+the csv.reader/float() loop.
 
 `ingest_csv_loop` in loop_oracles.py is the reader this one replaced.  On
 every input of the fuzz both must give bitwise-equal columns and grids, or
@@ -221,6 +222,87 @@ def test_ingest_reports_undecodable_line(tmp_path):
     with pytest.raises(MalformedCsvError) as exc:
         ingest_csv(path, "t", ["v"])
     assert exc.value.line == 3
+
+
+# ---------------------------------------------------------------------------
+# one tokenizer pass over a plain log; the chunked reader repairs the rest
+# ---------------------------------------------------------------------------
+
+PLAIN = "t,a,b\n" + "".join(f"{0.5 * k!r},{k % 7 - 3.25!r},{1e-3 * k!r}\n"
+                             for k in range(600))
+
+
+@pytest.mark.parametrize("bom, eol, final", [
+    ("", "\n", True), ("\ufeff", "\n", True), ("", "\r\n", True),
+    ("", "\n", False), ("\ufeff", "\r\n", False)])
+def test_ingest_plain_log_is_one_tokenizer_pass(tmp_path, monkeypatch, bom, eol, final):
+    want = outcome(ingest_csv_loop, write(tmp_path / "loop.csv", PLAIN))
+    text = bom + PLAIN.replace("\n", eol)
+    path = write(tmp_path / "log.csv", text if final else text[:-len(eol)])
+
+    def refuse(*args):
+        raise AssertionError("a plain log reached the chunked reader")
+    monkeypatch.setattr(cli, "_read_body", refuse)
+    assert want[0] == "ok" and outcome(ingest_csv, path) == want
+
+
+def replace_line(text: str, line_no: int, new: str) -> str:
+    lines = text.split("\n")
+    lines[line_no - 1] = new
+    return "\n".join(lines)
+
+
+FALLBACKS = {  # name: (log from PLAIN, whether the chunked reader runs)
+    "blank line": (lambda s: replace_line(s, 10, "\n" + s.split("\n")[9]), True),
+    "whitespace line": (lambda s: replace_line(s, 10, " \t\n" + s.split("\n")[9]), True),
+    "trailing blank line": (lambda s: s + "\n", True),
+    "trailing spaces": (lambda s: s + " \n", True),
+    "quote spans lines": (lambda s: replace_line(s, 10, '4,"1\n2",3'), True),
+    "quote open at the end": (lambda s: replace_line(s, 601, '299.5,1,"2'), True),
+    "quote open, no newline": (lambda s: replace_line(s, 601, '299.5,1,"2')[:-1], True),
+    "CR inside a quote": (lambda s: replace_line(s, 10, '4,"1\r",3'), True),
+    "blank value cell": (lambda s: replace_line(s, 10, "4,,3"), True),
+    "CR endings": (lambda s: s.replace("\n", "\r"), True),
+    "mixed CR endings": (lambda s: s.replace("\n", "\r", 7), True),
+    "mixed CRLF endings": (lambda s: s.replace("\n", "\r\n", 7), False),
+    # the header read decodes the first 8 KiB
+    "not UTF-8, early": (lambda s: replace_line(s, 10, "4,\udcff,3"), False),
+    "not UTF-8": (lambda s: replace_line(s, 590, "4,\udcff,3"), True),
+    "header only": (lambda s: "t,a,b\n", False),
+    "header, no newline": (lambda s: "t,a,b", False),
+    "one row": (lambda s: "t,a,b\n0,1,2\n", False),
+    "infinite time": (lambda s: replace_line(s, 10, "inf,1,2"), True),
+    "NaN time": (lambda s: replace_line(s, 10, "nan,1,2"), True),
+    "last time repeats": (lambda s: replace_line(s, 601, "0,1,2"), True),
+}
+
+
+@pytest.mark.parametrize("make, fallback", FALLBACKS.values(), ids=FALLBACKS)
+def test_ingest_fallback_gives_the_loop_outcome(tmp_path, monkeypatch, make, fallback):
+    text = make(PLAIN)
+    path = tmp_path / "log.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    want = outcome(ingest_csv_loop, path)
+    if want[0] == "UnicodeDecodeError":  # the loop does not say where
+        want = ("MalformedCsvError", text[:text.index("\udcff")].count("\n") + 1,
+                "not UTF-8 text")
+    calls, read_body = [], cli._read_body
+    monkeypatch.setattr(cli, "_read_body",
+                        lambda *args: calls.append(1) or read_body(*args))
+    assert outcome(ingest_csv, path) == want, text
+    assert bool(calls) == fallback
+
+
+def test_line_count_across_read_boundaries(tmp_path):
+    """The count reads 1 MiB at a time: a CRLF split between two reads is one
+    line end, and the last line may begin in an earlier read."""
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"x" * ((1 << 20) - 1) + b"\r\ny\r\n")
+    assert cli._line_count(path) == 2
+    path.write_bytes(b"t\n1,\"" + b"z" * (1 << 20))
+    assert cli._line_count(path) is None
+    path.write_bytes(b"t\n1,\"" + b"z" * (1 << 20) + b'"\n')
+    assert cli._line_count(path) == 2
 
 
 # ---------------------------------------------------------------------------
