@@ -13,6 +13,7 @@ from .mcla import (
     FrequencyDict,
     align_and_combine,
     classify_operation,
+    classify_windows,
     compare_histograms,
     exclude_symbols,
     frequency_dictionary,
@@ -77,6 +78,7 @@ __all__ = [
     "assemble_ldo",
     "build_diff_operator",
     "classify_operation",
+    "classify_windows",
     "compare_histograms",
     "compile_pattern",
     "compress_runs",

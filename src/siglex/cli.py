@@ -234,7 +234,8 @@ def _read_json(path, what: str):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except ValueError as exc:  # also an integer past Python's int-string limit
+    # ValueError also covers an integer past Python's int-string limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -638,22 +639,12 @@ def _cmd_classify(bundle: PipelineBundle, outdir: Path, args) -> None:
     total = len(ms)
     size = total if args.window is None else min(args.window, total)
     starts = np.arange(0, total, size)
-    refs = {label: mcla.exclude_symbols(fd, excluded)
-            for label, fd in args.references.items()}
-    table = sorted(refs)
-    codes = {label: i for i, label in enumerate(table)}
-
-    def windows(a, b):
-        stops = np.minimum(starts[a:b] + size, total)
-        labels, scores = zip(*(
-            mcla.classify_operation(
-                mcla.exclude_symbols(mcla.histogram(ms, (s, e)), excluded), refs,
-                args.measure)
-            for s, e in zip(starts[a:b].tolist(), stops.tolist())))
-        return (starts[a:b], stops, Text(np.array([codes[x] for x in labels]), table),
-                np.array(scores))
-
-    write_csv(outdir / "classify.csv", "start,end,label,score\n", len(starts), windows)
+    labels, scores = mcla.classify_windows(ms, size, args.references, args.measure,
+                                           excluded)
+    table = sorted(args.references)
+    write_csv(outdir / "classify.csv", "start,end,label,score\n", len(starts),
+              lambda a, b: (starts[a:b], np.minimum(starts[a:b] + size, total),
+                            Text(labels[a:b], table), scores[a:b]))
 
 
 def _cmd_match(bundle: PipelineBundle, outdir: Path, args) -> None:

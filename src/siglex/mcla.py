@@ -158,6 +158,39 @@ def exclude_symbols(fd: FrequencyDict, keys: Iterable[str]) -> FrequencyDict:
         {k: v for k, v in fd.counts.items() if k not in drop})
 
 
+def _count_matrix(hists: Sequence[FrequencyDict], keys: list) -> np.ndarray:
+    """Counts over `keys`, one row per histogram, as exact Python ints."""
+    return np.array([[h.counts.get(k, 0) for k in keys] for h in hists],
+                    dtype=object).reshape(len(hists), len(keys))
+
+
+def _scores(a: np.ndarray, b: np.ndarray, measure: str) -> np.ndarray:
+    """Similarity of every row of `a` to every row of `b`, shape (len(a), len(b)).
+
+    Rows are counts over one sorted key list: Python ints, or int64 rows
+    summing below 2^53.  l1 adds |p_a - p_b| in key order, a running sum
+    (the last column of `np.cumsum`, not numpy's pairwise sum); keys that
+    neither row holds add 0.0, which changes no sum.  cosine takes its dot
+    products and norms on exact Python ints, whose products int64 would
+    overflow.  Both give `compare_histograms` of each pair bit for bit.
+    """
+    if measure == "l1":
+        if a.shape[1] == 0:
+            return np.zeros((len(a), len(b)))
+        pa, pb = ((m / np.maximum(m.sum(axis=1), 1)[:, None]).astype(float) for m in (a, b))
+        return np.cumsum(np.abs(pa[:, None, :] - pb[None, :, :]), axis=2)[:, :, -1]
+    if measure == "cosine":
+        if (a.sum(axis=1) == 0).any() and (b.sum(axis=1) == 0).any():
+            raise BothEmptyError("cosine similarity undefined for two empty histograms")
+        a, b = a.astype(object), b.astype(object)
+        na, nb = (np.array([math.sqrt(v) for v in (m * m).sum(axis=1)], dtype=object)
+                  for m in (a, b))
+        norms = np.multiply.outer(na, nb)
+        norms[norms == 0] = 1.0  # an empty side has a zero dot product
+        return (a @ b.T / norms).astype(float)
+    raise ValueError(f"unknown measure {measure!r}")
+
+
 def compare_histograms(a: FrequencyDict, b: FrequencyDict,
                        measure: str = "l1") -> float:
     """Histogram similarity.
@@ -169,23 +202,13 @@ def compare_histograms(a: FrequencyDict, b: FrequencyDict,
     hashing.
     """
     keys = sorted(set(a.counts) | set(b.counts))
-    if measure == "l1":
-        if not keys:
-            return 0.0
-        ta = a.total or 1
-        tb = b.total or 1
-        return float(sum(abs(a.counts.get(k, 0) / ta - b.counts.get(k, 0) / tb)
-                         for k in keys))
-    if measure == "cosine":
-        if a.total == 0 and b.total == 0:
-            raise BothEmptyError("cosine similarity undefined for two empty histograms")
-        if a.total == 0 or b.total == 0:
-            return 0.0
-        dot = sum(a.counts.get(k, 0) * b.counts.get(k, 0) for k in keys)
-        na = math.sqrt(sum(v * v for v in a.counts.values()))
-        nb = math.sqrt(sum(v * v for v in b.counts.values()))
-        return float(dot / (na * nb))
-    raise ValueError(f"unknown measure {measure!r}")
+    return float(_scores(_count_matrix([a], keys), _count_matrix([b], keys), measure)[0, 0])
+
+
+def _best(scores: np.ndarray, measure: str) -> np.ndarray:
+    """Per row, the first column with the least l1 distance or the largest
+    cosine similarity."""
+    return (np.argmin if measure == "l1" else np.argmax)(scores, axis=1)
 
 
 def classify_operation(window: FrequencyDict,
@@ -199,12 +222,35 @@ def classify_operation(window: FrequencyDict,
     """
     if not references:
         raise NoReferencesError("no reference histograms given")
-    best = None
-    for label in sorted(references):
-        score = compare_histograms(window, references[label], measure)
-        better = (best is None
-                  or (measure == "l1" and score < best[1])
-                  or (measure == "cosine" and score > best[1]))
-        if better:
-            best = (label, score)
-    return best
+    labels = sorted(references)
+    refs = [references[label] for label in labels]
+    keys = sorted(set(window.counts).union(*(r.counts for r in refs)))
+    scores = _scores(_count_matrix([window], keys), _count_matrix(refs, keys), measure)
+    best = int(_best(scores, measure)[0])
+    return labels[best], float(scores[0, best])
+
+
+def classify_windows(ms: SymbolStream, size: int,
+                     references: Mapping[str, FrequencyDict], measure: str = "l1",
+                     exclude: Iterable[str] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """`classify_operation` of each window [s, s + size) of `ms` (the last
+    one cut at the end), with the `exclude` keys dropped from the windows
+    and the references: each window's label, as an index into
+    `sorted(references)`, and its score, equal to the per-window result.
+    """
+    if not references:
+        raise NoReferencesError("no reference histograms given")
+    drop = set(exclude)
+    refs = [exclude_symbols(references[label], drop) for label in sorted(references)]
+    keys = sorted(set(ms.table).union(*(r.counts for r in refs)) - drop)
+    n, width = len(ms), len(ms.table)
+    windows = -(-n // size)
+    counts = np.bincount(np.arange(n) // size * width + ms.codes,
+                         minlength=windows * width).reshape(windows, width)
+    column = {k: i for i, k in enumerate(keys)}
+    a = np.zeros((windows, len(keys)), dtype=np.int64)
+    kept = [i for i, k in enumerate(ms.table) if k in column]
+    a[:, [column[ms.table[i]] for i in kept]] = counts[:, kept]
+    scores = _scores(a, _count_matrix(refs, keys), measure)
+    best = _best(scores, measure)
+    return best, scores[np.arange(windows), best]

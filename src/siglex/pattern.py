@@ -19,23 +19,40 @@ alternation of those, as in ``u{3,}``, ``.{0,40}`` or ``(u|d){2,5}``)
 compiles to one count instruction whatever its bounds, after the
 counting-set automata of Turonova et al. (OOPSLA 2020): the threads inside
 it form a set of (count, end) entries that one shared offset counts, with
-dominated entries pruned.  Other counted bodies are unrolled, so a pattern
-whose program would exceed `MAX_PROGRAM` (10 000) instructions is rejected;
-unrolling stops at the limit, so a huge bound is rejected as fast.  A step
-costs O(pcs + live counter entries), not O(unrolled copies).  Inside a run
-the automaton stops stepping once its state map and counting sets repeat,
-so a run costs a few steps whatever its length: the tests count at most
-(states + 2) * runs + matches steps on ``s|s.*u`` over ``sdsd...`` and on
-``u{3,}d+`` over runs of 1e5, and (states + 2 + 40) * runs + matches on
-``d.{0,40}u``, whose set may change for up to 40 steps.  A map that cycles
-with a period above 1 (``(uu)+`` inside a long ``u`` run) is still stepped
-sample by sample.
+dominated entries pruned.  Other counted bodies are unrolled, and a
+pattern whose program would exceed `MAX_PROGRAM` (10 000) instructions is
+rejected; unrolling stops at the limit, so a huge bound is rejected as
+fast.  A pattern nested more than `MAX_NESTING` (100) levels deep, in groups
+or in operators on operators, is rejected too; alternation width is not
+depth, so nothing recurses deeper than that.
+
+The backward state is a shape, the pcs of the live threads in thread
+order, with their end tags.  Which pc takes which tag depends only on the
+shape, the symbol and where each counting-set exit joins the consuming
+threads, so each (shape, symbol, exit signature) walks its epsilon
+closures once per call, and every later step replays it: a step costs
+O(live threads + live counter entries), not O(pcs) or O(unrolled copies).
+The cache lives for one call.  It is cleared once its steps hold more than
+`_CACHE_BUDGET` (2^14) indices, one per pc of each next shape and one per
+exit of each key: at most 2^14 steps of a few hundred bytes, about 10 MB.
+The largest caches that the tests' pattern fuzzes and the benchmark
+workloads build hold 86 steps and 866 indices (a 3000-way alternation:
+9002 indices).
+
+Inside a run the automaton stops stepping once its state map and counting
+sets repeat, so a run costs a few steps whatever its length: the tests
+count at most (states + 2) * runs + matches steps on ``s|s.*u`` over
+``sdsd...`` and on ``u{3,}d+`` over runs of 1e5, and (states + 2 + 40) *
+runs + matches on ``d.{0,40}u``, whose set may change for up to 40 steps.
+A map that cycles with a period above 1 (``(uu)+`` inside a long ``u`` run)
+is still stepped sample by sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,11 +80,15 @@ class Match:
 # parsing
 # ---------------------------------------------------------------------------
 
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, alphabet: Alphabet):
         self.text = text
         self.pos = 0
         self.symbols = set(alphabet.symbols)
+        self.groups = 0  # open groups around `pos`
 
     def error(self, msg: str, pos: Optional[int] = None):
         raise PatternSyntaxError(self.pos if pos is None else pos, msg)
@@ -79,6 +100,8 @@ class _Parser:
         node = self.parse_alt()
         if self.pos != len(self.text):
             self.error(f"unexpected {self.text[self.pos]!r}")
+        if _depth(node) > MAX_NESTING:
+            self.error(f"nested more than {MAX_NESTING} levels deep", 0)
         return node
 
     def parse_alt(self):
@@ -144,11 +167,15 @@ class _Parser:
     def parse_atom(self):
         c = self.peek()
         if c == "(":
+            if self.groups == MAX_NESTING:
+                self.error(f"nested more than {MAX_NESTING} levels deep")
+            self.groups += 1
             self.pos += 1
             node = self.parse_alt()
             if self.peek() != ")":
                 self.error("unbalanced '('")
             self.pos += 1
+            self.groups -= 1
             return node
         if c == ".":
             self.pos += 1
@@ -160,6 +187,19 @@ class _Parser:
                 f"literal {c!r} at position {self.pos} is not in the alphabet")
         self.pos += 1
         return ("char", c)
+
+
+def _depth(node) -> int:
+    """Levels of the AST, counted without recursion."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        if node[0] in ("cat", "alt"):
+            stack.extend((child, d + 1) for child in node[1])
+        elif node[0] in ("star", "plus", "opt", "rep"):
+            stack.append((node[1], d + 1))
+    return deepest
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +290,19 @@ def _check_size(prog: list) -> None:
 
 
 def _compile_alt(branches, prog: list) -> None:
-    if len(branches) == 1:
-        _compile(branches[0], prog)
-        return
-    split = len(prog)
-    prog.append(None)
-    _compile(branches[0], prog)
-    jmp = len(prog)
-    prog.append(None)
-    prog[split] = ("split", split + 1, len(prog))
-    _compile_alt(branches[1:], prog)
-    prog[jmp] = ("jmp", len(prog))
+    """Each branch but the last behind a split to the next one, and a jump
+    past the last."""
+    jumps = []
+    for branch in branches[:-1]:
+        split = len(prog)
+        prog.append(None)
+        _compile(branch, prog)
+        jumps.append(len(prog))
+        prog.append(None)
+        prog[split] = ("split", split + 1, len(prog))
+    _compile(branches[-1], prog)
+    for jmp in jumps:
+        prog[jmp] = ("jmp", len(prog))
 
 
 def _reverse(node):
@@ -446,33 +488,116 @@ class _CountingSet:
                 entries[:] = [(jb - k, e if e >= b else e - k) for jb, e in entries]
 
 
+# indices the cached steps of one call may hold (see the module docstring)
+_CACHE_BUDGET = 1 << 14
+
+
+class _Shape:
+    """An interned shape: its pcs, its cached steps by code or (code, exit
+    signature), and per counting code the movers (set, exit pc, slot) and
+    the consumers' slots."""
+
+    __slots__ = ("pcs", "steps", "counting")
+
+    def __init__(self, pcs: tuple):
+        self.pcs = pcs
+        self.steps: dict = {}
+        self.counting: dict = {}
+
+
+def _gather(index: tuple):
+    """`src -> tuple(src[i] for i in index)`, for any non-empty index."""
+    return itemgetter(*index) if len(index) > 1 else lambda src, i=index[0]: (src[i],)
+
+
+def _replay(eps: list, start: tuple, pcs: tuple, takes: frozenset, sig: tuple):
+    """One backward step on indices: the next shape, and for each of its
+    pcs the index of its tag in [stepped tags..., exit tags..., fresh].
+
+    `sig` holds (pc, rank) per counting-set exit, largest tag first; an exit
+    of rank r joins ahead of the last r consuming threads.
+    """
+    n, k = len(pcs), 0
+    consumers = [i for i, p in enumerate(pcs) if p in takes]
+    nxt: dict = {}
+    seen: set = set()
+    for r, i in enumerate(consumers):
+        while k < len(sig) and sig[k][1] >= len(consumers) - r:
+            _add_thread(eps, nxt, seen, sig[k][0], n + k)
+            k += 1
+        _add_thread(eps, nxt, seen, pcs[i] + 1, i)
+    for k in range(k, len(sig)):
+        _add_thread(eps, nxt, seen, sig[k][0], n + k)
+    for p in start:  # the fresh thread, whose closure is fixed
+        nxt.setdefault(p, n + len(sig))
+    return tuple(nxt), tuple(nxt.values())
+
+
+class _StepCache:
+    """The shapes of one `_find_all_runs` call and their cached steps."""
+
+    def __init__(self, pattern: SymbolPattern):
+        self.eps, self.start = pattern.eps, pattern.start
+        self.match_pc = len(pattern.program) - 1
+        self.root = _Shape(self.start)
+        self.shapes = {self.start: self.root}
+        self.held = 0
+
+    def add(self, shape: _Shape, key, takes: frozenset, sig: tuple) -> tuple:
+        """Walk and cache the step out of `shape` under `key`: the next
+        shape, the gather of its tags, the match pc's slot, and if the next
+        shape permutes this one, the gather of its tags in this order."""
+        pcs, index = _replay(self.eps, self.start, shape.pcs, takes, sig)
+        self.held += len(index) + len(sig)
+        if self.held > _CACHE_BUDGET:
+            for s in self.shapes.values():
+                s.steps.clear()
+            self.shapes = {shape.pcs: shape}
+            self.held = len(index) + len(sig)
+        nxt = self.shapes.get(pcs)
+        if nxt is None:
+            nxt = self.shapes[pcs] = _Shape(pcs)
+        same = None if nxt is shape or sorted(pcs) != sorted(shape.pcs) else \
+            _gather(tuple(map(pcs.index, shape.pcs)))
+        shape.steps[key] = (nxt, _gather(index), pcs.index(self.match_pc)
+                            if self.match_pc in pcs else None, same)
+        return shape.steps[key]
+
+
 def _find_all_runs(pattern: SymbolPattern, runs: Runs,
                    total: int) -> tuple[list[Match], int]:
     """Leftmost-longest matches over valid runs, and the steps taken.
 
     Backward pass: the reversed program runs right to left with a thread
     injected at every boundary j, and each pc keeps the maximal match end;
-    the match pc's end at j is the longest match starting at j.  `states`
-    maps pc -> end tag, largest first.  Within a run [a, b) a tag t >= 0 is
-    absolute (the thread entered at or after b) and t < 0 is `fresh + delta`,
-    the end j + delta of a thread injected inside the run.  A step adds one
-    to the relative tags and adds the fresh thread last, which keeps the
-    order, and it maps tags the same way at every boundary of the run.  A
-    count pc's tag in `states` is a thread arriving there; the threads that
-    have consumed body samples are in its `_CountingSet`, whose exit joins
-    the step's moves in tag order.  Once a step leaves the map and every
-    counting set's key unchanged, the rest of the run is skipped.  A map
-    that cycles with a period above 1 never repeats from one step to the
-    next, so its run is stepped sample by sample.  Longest ends are kept as
-    segments [lo, hi, base, slope] (end at j = base + slope * j), never per
-    sample.  Forward pass: emit the longest match at the first start that
-    has one, resume at its end.  Steps: backward steps plus matches.
+    the match pc's end at j is the longest match starting at j.  The state
+    is a shape, the tuple of its pcs in thread order (largest end first),
+    and `tags`, their end tags in the same order.  Within a run [a, b) a tag
+    t >= 0 is absolute (the thread entered at or after b) and t < 0 is
+    `fresh + delta`, the end j + delta of a thread injected inside the run.
+    A step adds one to the relative tags and adds the fresh thread last,
+    which keeps the order, and it maps tags the same way at every boundary
+    of the run.  A count pc's tag is a thread arriving there; the threads
+    that have consumed body samples are in its `_CountingSet`, whose exit
+    joins the step's moves in tag order.
+
+    The first step from a shape on a code with given exit ranks walks the
+    closures on indices (`_replay`); later ones gather the next tags from
+    [stepped tags, exit tags, fresh] with the cached step.
+
+    Once a step leaves the pc -> tag map and every counting set's key
+    unchanged, the rest of the run is skipped.  A map that cycles with a
+    period above 1 never repeats from one step to the next, so its run is
+    stepped sample by sample.  Longest ends are kept as segments [lo, hi,
+    base, slope] (end at j = base + slope * j), never per sample.  Forward
+    pass: emit the longest match at the first start that has one, resume
+    at its end.  Steps: backward steps plus matches.
     """
-    eps, prog = pattern.eps, pattern.program
-    match_pc = len(prog) - 1
+    prog = pattern.program
     fresh = -(total + 1)
-    start = pattern.start
-    states = dict.fromkeys(start, total)
+    cache = _StepCache(pattern)
+    shape = cache.root
+    tags = (total,) * len(shape.pcs)
     sets = {c: _CountingSet(*prog[c][2:]) for c in pattern.counters}
     segments: list = []  # built right to left
     steps = 0
@@ -483,39 +608,46 @@ def _find_all_runs(pattern: SymbolPattern, runs: Runs,
         takes, counting = take_sets[code]
         while j > a:
             j -= 1
-            exits = ()
+            src = [t + 1 if t < 0 else t for t in tags]
+            key, sig = code, ()
             still = True
             if counting:
+                movers = shape.counting.get(code)
+                if movers is None:
+                    pcs = shape.pcs
+                    movers = shape.counting[code] = (
+                        [(sets[c], c + 1, pcs.index(c) if c in pcs else None)
+                         for c in counting],
+                        [i for i, p in enumerate(pcs) if p in takes])
                 exits = []
-                for c in counting:
-                    cs = sets[c]
-                    arrival = states.get(c)
-                    if arrival is not None or cs.at == j + 1 and (cs.waiting or cs.ready):
-                        t = cs.step(j, b, fresh, arrival)
-                        still = still and cs.still
+                for cs, q, slot in movers[0]:
+                    if slot is not None or cs.at == j + 1 and (cs.waiting or cs.ready):
+                        t = cs.step(j, b, fresh, None if slot is None else tags[slot])
+                        if not cs.still:
+                            still = False
                         if t is not None:
-                            exits.append((t, c + 1))
-                exits.sort()
-            nxt: dict = {}
-            seen: set = set()
-            for p, t in states.items():
-                if p in takes:
-                    t = t + 1 if t < 0 else t
-                    while exits and exits[-1][0] >= t:
-                        end, q = exits.pop()
-                        _add_thread(eps, nxt, seen, q, end)
-                    if p + 1 not in seen:
-                        _add_thread(eps, nxt, seen, p + 1, t)
-            if exits:
-                for end, q in reversed(exits):
-                    _add_thread(eps, nxt, seen, q, end)
-            for p in start:  # the fresh thread, whose closure is fixed
-                if p not in nxt:
-                    nxt[p] = fresh
-            fixed = still and nxt == states
-            states = nxt
-            t = states.get(match_pc)
-            if t is not None and t != fresh:
+                            exits.append((t, q))
+                if exits:
+                    if len(exits) > 1:
+                        exits.sort(reverse=True)
+                    consumers, i, sig = movers[1], 0, []
+                    for t, q in exits:
+                        while i < len(consumers) and src[consumers[i]] > t:
+                            i += 1
+                        sig.append((q, len(consumers) - i))
+                        src.append(t)
+                    sig = tuple(sig)
+                    key = (code, sig)
+            src.append(fresh)
+            nxt, gather, match_slot, same = \
+                shape.steps.get(key) or cache.add(shape, key, takes, sig)
+            new = gather(src)
+            # the same pc -> tag map, in this order or in another
+            fixed = still and (new == tags if nxt is shape else
+                               same is not None and same(new) == tags)
+            shape, tags = nxt, new
+            if match_slot is not None and tags[match_slot] != fresh:
+                t = tags[match_slot]
                 base, slope = (t, 0) if t >= 0 else (t - fresh, 1)
                 lo = a if fixed else j
                 last = segments[-1] if segments else None
@@ -528,7 +660,7 @@ def _find_all_runs(pattern: SymbolPattern, runs: Runs,
                     cs.shift(j, a, b)
                 break
         steps += b - j
-        states = {p: t if t >= 0 else a + t - fresh for p, t in states.items()}
+        tags = tuple([t if t >= 0 else a + t - fresh for t in tags])
 
     matches = []
     pos = 0

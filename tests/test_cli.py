@@ -690,6 +690,53 @@ def test_cli_oversized_pattern_exits_1_before_reading_the_log(tmp_path, capsys):
             assert not (tmp_path / "out").exists()
 
 
+def test_cli_deeply_nested_pattern_exits_1_in_one_line(tmp_path, capsys):
+    # deeper than the nesting limit: one error line, not a RecursionError
+    missing = str(tmp_path / "missing.csv")
+    for deep in ("(" * 400 + "u" + ")" * 400, "u" + "?" * 3000):
+        for text, flag in ((deep, None), ("u+", deep)):
+            channel = dict(TWO_CHANNEL_CONFIG["channels"][0], pattern=text)
+            cfg = write(tmp_path / "c.json", json.dumps({"channels": [channel]}))
+            argv = ["match", "--config", str(cfg), "--input", missing,
+                    "--out", str(tmp_path / "out")]
+            assert main(argv + (["--pattern", flag] if flag else [])) == 1, (text[:9], flag)
+            err = capsys.readouterr().err
+            assert (len(err.splitlines()) == 1
+                    and "nested more than 100 levels deep" in err), err
+    # a wide alternation is not deep: it compiles without recursing per
+    # branch, and matches what one branch does
+    outputs = []
+    for text, flag in (("u", None), ("|".join(["u"] * 3000), None),
+                       ("d", "|".join(["u"] * 3000))):
+        channel = dict(TWO_CHANNEL_CONFIG["channels"][0], pattern=text)
+        cfg = write(tmp_path / "c.json", json.dumps({"channels": [channel]}))
+        out = tmp_path / f"wide{len(outputs)}"
+        argv = ["match", "--config", str(cfg), "--input", str(two_channel_csv(tmp_path)),
+                "--out", str(out)]
+        assert main(argv + (["--pattern", flag] if flag else [])) == 0, flag
+        outputs.append((out / "ramp.matches.csv").read_bytes())
+    assert outputs[0].count(b"\n") > 10 and outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("what", ["config", "references"])
+def test_cli_deeply_nested_json_is_a_usage_error(tmp_path, capsys, what):
+    # json.loads raises RecursionError on deep nesting, not JSONDecodeError
+    depth = 100_000
+    config = json.dumps(TWO_CHANNEL_CONFIG)
+    refs = json.dumps({"big": {"us": 1, "ds": 1}})
+    if what == "config":
+        config = "[" * depth
+    else:
+        refs = '{"a": ' * depth + "1" + "}" * depth
+    code = main(["classify", "--config", str(write(tmp_path / "c.json", config)),
+                 "--input", str(two_channel_csv(tmp_path)),
+                 "--references", str(write(tmp_path / "r.json", refs)),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1, err[:300]
+    assert f"usage error: {what} is not valid JSON: " in err, err
+
+
 def _run_subprocess(tmp_path, command, config, log_text):
     """Run the CLI in a fresh interpreter, so its stderr holds any warning."""
     cfg = write(tmp_path / "c.json", json.dumps(config))

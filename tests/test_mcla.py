@@ -10,6 +10,7 @@ from siglex import (
     Grid,
     align_and_combine,
     classify_operation,
+    classify_windows,
     compare_histograms,
     exclude_symbols,
     frequency_dictionary,
@@ -371,3 +372,33 @@ def test_classify_with_exclusion():
 def test_classify_no_references():
     with pytest.raises(NoReferencesError):
         classify_operation(FrequencyDict.from_counts({"a": 1}), {}, "l1")
+
+
+def test_classify_windows_equals_each_window():
+    # bit for bit, also for reference totals past 2^53 (l1) and count
+    # products past int64 (cosine), with keys excluded
+    rng = np.random.default_rng(60)
+    table = ("uu", "ud", "du", "ss", "sd")
+    for trial in range(40):
+        n = int(rng.integers(1, 400))
+        codes = rng.integers(0, len(table), n).astype(np.uint8)
+        ms = SymbolStream(codes, None, None, table)
+        top = 2 ** 52 if trial % 2 else 9
+        # "xx" is never excluded: no reference empties, so cosine is defined
+        refs = {label: FrequencyDict.from_counts(
+                    {k: int(rng.integers(1, top)) for k in (*rng.choice(table, 2), "xx")})
+                for label in ("c", "a", "b")}
+        exclude = set(rng.choice(table, size=int(rng.integers(0, 3))).tolist())
+        kept = {label: exclude_symbols(fd, exclude) for label, fd in refs.items()}
+        size = int(rng.integers(1, n + 1))
+        for measure in ("l1", "cosine"):
+            labels, scores = classify_windows(ms, size, refs, measure, exclude)
+            starts = range(0, n, size)
+            assert len(labels) == len(scores) == len(starts)
+            for start, label, score in zip(starts, labels.tolist(), scores.tolist()):
+                stop = min(start + size, n)
+                window = exclude_symbols(histogram(ms, (start, stop)), exclude)
+                assert (sorted(refs)[label], score) == \
+                    classify_operation(window, kept, measure), (trial, measure, start)
+    with pytest.raises(NoReferencesError):
+        classify_windows(ms, 1, {})

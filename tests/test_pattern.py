@@ -20,7 +20,8 @@ from siglex.errors import (
     PatternSyntaxError,
     UnknownSymbolError,
 )
-from siglex.pattern import MAX_PROGRAM, _find_all_runs
+import siglex.pattern as pattern_module
+from siglex.pattern import MAX_NESTING, MAX_PROGRAM, _find_all_runs
 from siglex.scla import SymbolStream
 
 from naive_match import match_ends, naive_find_all, random_pattern, render
@@ -64,6 +65,20 @@ def test_compile_syntax_errors():
             compile_pattern(text, ALPHA)
     with pytest.raises(PatternSyntaxError, match="expected '}'"):
         compile_pattern("u{2", ALPHA)
+
+
+def test_nesting_limit():
+    # nesting deeper than MAX_NESTING is refused before anything recurses
+    assert MAX_NESTING == 100
+    for text in ("(" * 400 + "u" + ")" * 400, "(" * 101 + "u" + ")" * 101,
+                 "u" + "?" * 3000, "u" + "?" * 100, "(u|" * 60 + "d" + ")*" * 60):
+        with pytest.raises(PatternSyntaxError, match="nested more than 100 levels deep"):
+            compile_pattern(text, ALPHA)
+    for text in ("(" * 100 + "u" + ")" * 100, "u" + "?" * 99):
+        assert compile_pattern(text, ALPHA).n_states <= 200
+    # width is not depth: a 3000-way alternation compiles and matches
+    wide = compile_pattern("|".join(["u"] * 3000), ALPHA)
+    assert find_all(wide, s("uudu")) == [Match(0, 1), Match(1, 2), Match(3, 4)]
 
 
 def test_compile_unknown_symbol():
@@ -336,6 +351,75 @@ def test_steps_linear_for_a_bounded_counter():
         naive_find_all(("cat", [D, ("rep", ("dot",), 0, 40), U]), stream)
     assert len(matches) > 50
     assert steps <= (p.n_states + 2 + 40) * len(toks) + len(matches), steps
+
+
+# ---------------------------------------------------------------------------
+# cached transitions
+# ---------------------------------------------------------------------------
+
+def _counting(monkeypatch, name):
+    """Count the calls of a `siglex.pattern` function from now on."""
+    calls = [0]
+    inner = getattr(pattern_module, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(pattern_module, name, wrapper)
+    return calls
+
+
+def test_closure_walks_do_not_grow_with_the_stream(monkeypatch):
+    # each (shape, symbol, exit signature) is walked once per call, so ten
+    # copies of a stream walk no more closures than one
+    rng = np.random.default_rng(50)
+    stream = decompress(_chatter(rng, 600, [0.3, 0.4, 0.3], 3)).symbols
+    stream = stream.rstrip(stream[0])  # copies join without merging runs
+    patterns = [compile_pattern(text, ALPHA) for text in
+                ("(ud|du|sd|ds){2,}", "d.{0,40}u", ".{3,7}|d.{0,}", "d+(s.*u)?")]
+    calls = _counting(monkeypatch, "_add_thread")
+    for p in patterns:
+        walks = []
+        for copies in (1, 10):
+            calls[0] = 0
+            find_all(p, s(stream * copies))
+            walks.append(calls[0])
+        assert 0 < walks[0] == walks[1], (p.source, walks)
+
+
+def test_exit_rank_is_part_of_the_cache_key():
+    # two counters under one alternation: in the same shape, on the same
+    # symbol, the exit of `.{3,7}` joins ahead of the consuming threads or
+    # behind them depending on its end, and the next map differs
+    text = ".{3,7}|d.{0,}"
+    ast = ("alt", [("rep", ("dot",), 3, 7), ("cat", [D, ("rep", ("dot",), 0, None)])])
+    assert render(ast) == text
+    p = compile_pattern(text, ALPHA)
+    rng = np.random.default_rng(51)
+    for stream in ["ddsddduuddussddduusssudddssuuu"] + [
+            decompress(_chatter(rng, 200, [0.4, 0.2, 0.4], 3)).symbols for _ in range(20)]:
+        assert [(m.start, m.end) for m in find_all(p, s(stream))] == \
+            naive_find_all(ast, stream), stream
+
+
+def test_cache_over_its_budget_still_matches(monkeypatch):
+    rng = np.random.default_rng(52)
+    text = "(ud|du|sd|ds){2,}"
+    ast = ("rep", ("alt", [("cat", [U, D]), ("cat", [D, U]), ("cat", [S, D]),
+                           ("cat", [D, S])]), 2, None)
+    assert render(ast) == text
+    p = compile_pattern(text, ALPHA)
+    stream = decompress(_chatter(rng, 3000, [0.3, 0.4, 0.3], 3)).symbols
+    want = naive_find_all(ast, stream)
+    walks = []
+    for budget in (pattern_module._CACHE_BUDGET, 16):
+        monkeypatch.setattr(pattern_module, "_CACHE_BUDGET", budget)
+        calls = _counting(monkeypatch, "_replay")
+        assert [(m.start, m.end) for m in find_all(p, s(stream))] == want
+        walks.append(calls[0])
+        monkeypatch.undo()
+    assert walks[1] > 2 * walks[0], walks  # the small budget was overrun
 
 
 # ---------------------------------------------------------------------------
