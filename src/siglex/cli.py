@@ -638,13 +638,15 @@ def _cmd_classify(bundle: PipelineBundle, outdir: Path, args) -> None:
     ms = _combined(bundle)
     total = len(ms)
     size = total if args.window is None else min(args.window, total)
-    starts = np.arange(0, total, size)
-    labels, scores = mcla.classify_windows(ms, size, args.references, args.measure,
-                                           excluded)
+    classify = mcla.window_classifier(ms, size, args.references, args.measure, excluded)
     table = sorted(args.references)
-    write_csv(outdir / "classify.csv", "start,end,label,score\n", len(starts),
-              lambda a, b: (starts[a:b], np.minimum(starts[a:b] + size, total),
-                            Text(labels[a:b], table), scores[a:b]))
+
+    def block(a: int, b: int) -> tuple:
+        labels, scores = classify(a, b)
+        starts = np.arange(a, b) * size
+        return starts, np.minimum(starts + size, total), Text(labels, table), scores
+
+    write_csv(outdir / "classify.csv", "start,end,label,score\n", -(-total // size), block)
 
 
 def _cmd_match(bundle: PipelineBundle, outdir: Path, args) -> None:

@@ -32,6 +32,10 @@ class GridTooShortError(DataError):
     """Grid has too few samples to host the requested stencil."""
 
 
+class StepOutOfRangeError(DataError):
+    """Time step whose power of the derivative order over- or underflows."""
+
+
 class CoefficientLengthMismatchError(SiglexError):
     """Coefficient sampling does not match the expected length."""
 

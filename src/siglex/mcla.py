@@ -66,15 +66,21 @@ def align_and_combine(streams: Sequence[SymbolStream]) -> SymbolStream:
     codes, table = np.zeros(len(t), dtype=np.uint8), ("",)
     for s, g in zip(streams, grids):
         radix = len(s.table)
-        key = (codes.astype(np.min_scalar_type(len(table) * radix)) * radix
+        span = len(table) * radix
+        key = (codes.astype(np.min_scalar_type(span)) * radix
                + s.codes[g.index_at_or_before(t)])
-        keys = np.unique(key)
-        codes = np.searchsorted(keys, key).astype(np.min_scalar_type(len(keys) - 1))
+        if span <= len(key):  # a count per key value costs no more than a sort
+            present = np.bincount(key, minlength=span) > 0
+            keys = np.flatnonzero(present)
+            codes = (np.cumsum(present) - 1).astype(np.min_scalar_type(len(keys) - 1)).take(key)
+        else:
+            keys = np.unique(key)
+            codes = np.searchsorted(keys, key).astype(np.min_scalar_type(len(keys) - 1))
         table = tuple(table[k // radix] + s.table[k % radix] for k in keys.tolist())
     # tables with entries longer than one character (a combined stream as an
     # input) can spell one combination two ways: give each string one code
     first: dict = {}
-    codes = np.array([first.setdefault(c, len(first)) for c in table], codes.dtype)[codes]
+    codes = np.array([first.setdefault(c, len(first)) for c in table], codes.dtype).take(codes)
     table = tuple(first)
     # a degenerate single-sample overlap has no representable grid
     out_grid = Grid(len(t), coarse.h, coarse.time_at(k_lo)) if len(t) >= 2 else None
@@ -230,27 +236,51 @@ def classify_operation(window: FrequencyDict,
     return labels[best], float(scores[0, best])
 
 
-def classify_windows(ms: SymbolStream, size: int,
-                     references: Mapping[str, FrequencyDict], measure: str = "l1",
-                     exclude: Iterable[str] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """`classify_operation` of each window [s, s + size) of `ms` (the last
+def window_classifier(ms: SymbolStream, size: int,
+                      references: Mapping[str, FrequencyDict], measure: str = "l1",
+                      exclude: Iterable[str] = ()):
+    """`classify_operation` of the windows [s, s + size) of `ms` (the last
     one cut at the end), with the `exclude` keys dropped from the windows
-    and the references: each window's label, as an index into
-    `sorted(references)`, and its score, equal to the per-window result.
+    and the references, a block of windows at a time.
+
+    Returns `classify(first, stop)`: the label, as an index into
+    `sorted(references)`, and the score of windows first..stop-1, equal to
+    the per-window result.  Each window is scored on its own row, so blocks
+    give the bits of one whole call, in memory that grows with the block.
+    Every error is raised here, before any block is scored.
     """
     if not references:
         raise NoReferencesError("no reference histograms given")
     drop = set(exclude)
     refs = [exclude_symbols(references[label], drop) for label in sorted(references)]
     keys = sorted(set(ms.table).union(*(r.counts for r in refs)) - drop)
+    b = _count_matrix(refs, keys)
     n, width = len(ms), len(ms.table)
-    windows = -(-n // size)
-    counts = np.bincount(np.arange(n) // size * width + ms.codes,
-                         minlength=windows * width).reshape(windows, width)
     column = {k: i for i, k in enumerate(keys)}
-    a = np.zeros((windows, len(keys)), dtype=np.int64)
     kept = [i for i, k in enumerate(ms.table) if k in column]
-    a[:, [column[ms.table[i]] for i in kept]] = counts[:, kept]
-    scores = _scores(a, _count_matrix(refs, keys), measure)
-    best = _best(scores, measure)
-    return best, scores[np.arange(windows), best]
+    if measure == "cosine" and not all(r.total for r in refs):
+        # an empty window against an empty reference has no cosine: find one
+        # before any block is scored
+        dropped = np.ones(width, dtype=bool)
+        dropped[kept] = False
+        if np.logical_and.reduceat(dropped[ms.codes], np.arange(0, n, size)).any():
+            raise BothEmptyError("cosine similarity undefined for two empty histograms")
+
+    def classify(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi, windows = first * size, min(stop * size, n), stop - first
+        counts = np.bincount((np.arange(lo, hi) // size - first) * width + ms.codes[lo:hi],
+                             minlength=windows * width).reshape(windows, width)
+        a = np.zeros((windows, len(keys)), dtype=np.int64)
+        a[:, [column[ms.table[i]] for i in kept]] = counts[:, kept]
+        scores = _scores(a, b, measure)
+        best = _best(scores, measure)
+        return best, scores[np.arange(windows), best]
+
+    return classify
+
+
+def classify_windows(ms: SymbolStream, size: int,
+                     references: Mapping[str, FrequencyDict], measure: str = "l1",
+                     exclude: Iterable[str] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and scores of every window of `window_classifier`, at once."""
+    return window_classifier(ms, size, references, measure, exclude)(0, -(-len(ms) // size))

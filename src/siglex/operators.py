@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial, inf
+from math import ceil, factorial, inf, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +49,7 @@ from .errors import (
     OrderExceedsAccuracyError,
     SiglexError,
     SingularConstraintSystemError,
+    StepOutOfRangeError,
 )
 from .grid import Grid
 
@@ -97,8 +98,16 @@ def _rational_stencil(offsets: tuple, degree: int, order: int) -> tuple:
 def _stencil(offsets: Sequence[int], degree: int, order: int, h: float) -> np.ndarray:
     if order == 0:  # the order-0 operator is the identity, not an LS smoother
         return np.array([1.0 if o == 0 else 0.0 for o in offsets])
+    try:
+        scale = float(h) ** order
+    except OverflowError:
+        scale = inf
+    if scale == 0.0 or not isfinite(scale):
+        raise StepOutOfRangeError(
+            f"time step {float(h)!r} to the power {order} (the derivative order) "
+            "is not a finite nonzero float64")
     exact = _rational_stencil(tuple(int(o) for o in offsets), degree, order)
-    return np.array([float(x) for x in exact]) / h ** order
+    return np.array([float(x) for x in exact]) / scale
 
 
 MAX_ACCURACY = 12

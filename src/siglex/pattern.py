@@ -27,7 +27,9 @@ or in operators on operators, is rejected too; alternation width is not
 depth, so nothing recurses deeper than that.
 
 The backward state is a shape, the pcs of the live threads in thread
-order, with their end tags.  Which pc takes which tag depends only on the
+order, with their end tags: the absolute end of each thread's match, which
+no step rewrites (tags never change as they move, as in Laurikari's tagged
+automata, SPIRE 2000).  Which pc takes which tag depends only on the
 shape, the symbol and where each counting-set exit joins the consuming
 threads, so each (shape, symbol, exit signature) walks its epsilon
 closures once per call, and every later step replays it: a step costs
@@ -398,17 +400,17 @@ class _CountingSet:
 
     An entry came in at boundary jb, so at boundary j it has consumed
     jb - j body samples: the boundary is the one offset that counts every
-    entry.  `end` is the entry's match end.  Entries below `lo` wait, oldest
-    first.  With a bound `hi`, ready entries leave once past it, oldest
-    first, so a ready entry with a larger count and an end no larger than
-    another's is dominated: it is pruned, the ready ends fall from oldest
-    to newest, and the oldest is the exit.  Without a bound nothing leaves,
-    so an older entry dominates a newer one with an end no larger: a new
-    entry is kept only if its end beats every older one, and the one ready
-    entry is the newest to reach `lo` (counts saturate there).
+    entry.  `end` is the entry's absolute match end.  Entries below `lo`
+    wait, oldest first.  With a bound `hi`, ready entries leave once past
+    it, oldest first, so a ready entry with a larger count and an end no
+    larger than another's is dominated: it is pruned, the ready ends fall
+    from oldest to newest, and the oldest is the exit.  Without a bound
+    nothing leaves, so an older entry dominates a newer one with an end no
+    larger: a new entry is kept only if its end beats every older one, and
+    the one ready entry is the newest to reach `lo` (counts saturate there).
 
     `still` tells whether the last step left the set's key unchanged: the
-    (count, tag) of each entry, with ends inside the run taken relative to
+    (count, end) of each entry, with ends inside the run taken relative to
     the boundary.  Equal keys at two boundaries of a run act the same from
     there on, which is what lets `_find_all_runs` skip the rest of a run.
 
@@ -428,10 +430,10 @@ class _CountingSet:
         self.last = self.still = self.at = None
         self.size = 0
 
-    def step(self, j: int, b: int, fresh: int, arrival: Optional[int]) -> Optional[int]:
+    def step(self, j: int, b: int, arrival: Optional[int]) -> Optional[int]:
         """Consume one body sample, reaching boundary j of a run ending at b.
-        `arrival` is the tag of a thread that came in at j + 1; return the
-        exit's tag, if any (tags as in `_find_all_runs`)."""
+        `arrival` is the end of a thread that came in at j + 1; return the
+        exit's end, if any."""
         waiting, ready = self.waiting, self.ready
         if self.at != j + 1:
             waiting.clear()
@@ -441,8 +443,6 @@ class _CountingSet:
         elif j + 1 == b:
             self.last = None  # a key relative to the last run
         self.at = j
-        if arrival is not None and arrival < 0:
-            arrival += j + 1 - fresh
         if self.hi is None:
             older = waiting or ready
             if arrival is not None and not (older and older[-1][1] >= arrival):
@@ -470,10 +470,7 @@ class _CountingSet:
                 [(jb - j, e if e >= b else e - j) for q in (waiting, ready) for jb, e in q]
         self.still = key is not None and key == self.last
         self.last = key
-        if not ready:
-            return None
-        end = ready[0][1]
-        return end if end >= b else end - j + fresh
+        return ready[0][1] if ready else None
 
     def shift(self, j: int, a: int, b: int) -> None:
         """Move a set that reached boundary j on to a, as j - a steps that
@@ -512,7 +509,7 @@ def _gather(index: tuple):
 
 def _replay(eps: list, start: tuple, pcs: tuple, takes: frozenset, sig: tuple):
     """One backward step on indices: the next shape, and for each of its
-    pcs the index of its tag in [stepped tags..., exit tags..., fresh].
+    pcs the index of its tag in [tags..., exit tags..., injected tag].
 
     `sig` holds (pc, rank) per counting-set exit, largest tag first; an exit
     of rank r joins ahead of the last r consuming threads.
@@ -571,30 +568,35 @@ def _find_all_runs(pattern: SymbolPattern, runs: Runs,
     Backward pass: the reversed program runs right to left with a thread
     injected at every boundary j, and each pc keeps the maximal match end;
     the match pc's end at j is the longest match starting at j.  The state
-    is a shape, the tuple of its pcs in thread order (largest end first),
-    and `tags`, their end tags in the same order.  Within a run [a, b) a tag
-    t >= 0 is absolute (the thread entered at or after b) and t < 0 is
-    `fresh + delta`, the end j + delta of a thread injected inside the run.
-    A step adds one to the relative tags and adds the fresh thread last,
-    which keeps the order, and it maps tags the same way at every boundary
-    of the run.  A count pc's tag is a thread arriving there; the threads
-    that have consumed body samples are in its `_CountingSet`, whose exit
-    joins the step's moves in tag order.
+    is a shape, the tuple of its pcs in thread order, and `tags`, their
+    match ends in the same order: absolute sample indices, largest first.
+    The step to boundary j gathers the next tags from `tags + (j,)`, the
+    thread injected at j last, with any counter exits inserted before j in
+    tag order; so a tag never changes once set, and a pc whose tag is j
+    holds a zero-length match.  Inside a run [a, b) a tag t >= b came from
+    a thread that entered at or after b, and t < b from one injected inside
+    the run, whose end stays t - j samples ahead of the boundary.  A count
+    pc's tag is a thread arriving there; the threads that have consumed
+    body samples are in its `_CountingSet`, whose exit joins the step's
+    moves in tag order.
 
     The first step from a shape on a code with given exit ranks walks the
-    closures on indices (`_replay`); later ones gather the next tags from
-    [stepped tags, exit tags, fresh] with the cached step.
+    closures on indices (`_replay`); later ones gather the next tags with
+    the cached step.
 
-    Once a step leaves the pc -> tag map and every counting set's key
-    unchanged, the rest of the run is skipped.  A map that cycles with a
-    period above 1 never repeats from one step to the next, so its run is
-    stepped sample by sample.  Longest ends are kept as segments [lo, hi,
-    base, slope] (end at j = base + slope * j), never per sample.  Forward
-    pass: emit the longest match at the first start that has one, resume
-    at its end.  Steps: backward steps plus matches.
+    The map at j repeats the map at j + 1 when, pc by pc in the same shape
+    or a permutation of it, every tag below b is one lower and every other
+    tag equal.  Once a step repeats the map and leaves every counting set's
+    key unchanged, every later step of the run would too, so the rest of
+    the run is skipped and the tags inside it move down to boundary a.  A
+    map that cycles with a period above 1 never repeats from one step to
+    the next, so its run is stepped sample by sample.  Longest ends are
+    kept as segments [lo, hi, base, slope] (end at j = base + slope * j),
+    never per sample.  Forward pass: emit the longest match at the first
+    start that has one, resume at its end.  Steps: backward steps plus
+    matches.
     """
     prog = pattern.program
-    fresh = -(total + 1)
     cache = _StepCache(pattern)
     shape = cache.root
     tags = (total,) * len(shape.pcs)
@@ -608,8 +610,7 @@ def _find_all_runs(pattern: SymbolPattern, runs: Runs,
         takes, counting = take_sets[code]
         while j > a:
             j -= 1
-            src = [t + 1 if t < 0 else t for t in tags]
-            key, sig = code, ()
+            key, sig, src = code, (), None
             still = True
             if counting:
                 movers = shape.counting.get(code)
@@ -622,33 +623,45 @@ def _find_all_runs(pattern: SymbolPattern, runs: Runs,
                 exits = []
                 for cs, q, slot in movers[0]:
                     if slot is not None or cs.at == j + 1 and (cs.waiting or cs.ready):
-                        t = cs.step(j, b, fresh, None if slot is None else tags[slot])
+                        t = cs.step(j, b, None if slot is None else tags[slot])
                         if not cs.still:
                             still = False
                         if t is not None:
                             exits.append((t, q))
                 if exits:
-                    if len(exits) > 1:
-                        exits.sort(reverse=True)
-                    consumers, i, sig = movers[1], 0, []
-                    for t, q in exits:
-                        while i < len(consumers) and src[consumers[i]] > t:
+                    consumers, i = movers[1], 0
+                    if len(exits) == 1:
+                        (t, q), = exits
+                        while i < len(consumers) and tags[consumers[i]] > t:
                             i += 1
-                        sig.append((q, len(consumers) - i))
-                        src.append(t)
-                    sig = tuple(sig)
+                        sig = ((q, len(consumers) - i),)
+                        src = tags + (t, j)
+                    else:
+                        exits.sort(reverse=True)
+                        sig = []
+                        for t, q in exits:
+                            while i < len(consumers) and tags[consumers[i]] > t:
+                                i += 1
+                            sig.append((q, len(consumers) - i))
+                        sig = tuple(sig)
+                        src = tags + tuple([t for t, _ in exits]) + (j,)
                     key = (code, sig)
-            src.append(fresh)
+            if src is None:
+                src = tags + (j,)
             nxt, gather, match_slot, same = \
                 shape.steps.get(key) or cache.add(shape, key, takes, sig)
             new = gather(src)
-            # the same pc -> tag map, in this order or in another
-            fixed = still and (new == tags if nxt is shape else
-                               same is not None and same(new) == tags)
+            # the same pc -> tag map, in this order or in another, as at j + 1:
+            # ends inside the run one lower there (ends fall from first to
+            # last, so the last tells whether any is inside), the others equal
+            fixed = False
+            if still and (nxt is shape or same is not None):
+                prev = tags if tags[-1] >= b else tuple([t - 1 if t < b else t for t in tags])
+                fixed = (new if nxt is shape else same(new)) == prev
             shape, tags = nxt, new
-            if match_slot is not None and tags[match_slot] != fresh:
+            if match_slot is not None and tags[match_slot] != j:
                 t = tags[match_slot]
-                base, slope = (t, 0) if t >= 0 else (t - fresh, 1)
+                base, slope = (t, 0) if t >= b else (t - j, 1)
                 lo = a if fixed else j
                 last = segments[-1] if segments else None
                 if last and last[0] == j + 1 and last[2] == base and last[3] == slope:
@@ -658,9 +671,11 @@ def _find_all_runs(pattern: SymbolPattern, runs: Runs,
             if fixed:
                 for cs in sets.values():
                     cs.shift(j, a, b)
+                if j > a:
+                    k = j - a
+                    tags = tuple([t - k if t < b else t for t in tags])
                 break
         steps += b - j
-        tags = tuple([t if t >= 0 else a + t - fresh for t in tags])
 
     matches = []
     pos = 0

@@ -150,15 +150,31 @@ class SymbolStream:
         return np.array(self.table, dtype="<U")[self.codes].tobytes().decode("utf-32-le")
 
 
+# a comparison per boundary is a pass over the samples; past this many
+# boundaries a binary search bounds the work at log2(k) compares a sample
+_COMPARE_BOUNDARIES = 32
+
+
+def _interval_codes(bounds: tuple, vals: np.ndarray, dtype) -> np.ndarray:
+    """`searchsorted(bounds, vals, side="right")` as `dtype`: the number of
+    boundaries at or below each value, a NaN's being all of them."""
+    if len(bounds) > _COMPARE_BOUNDARIES:
+        return np.searchsorted(bounds, vals, side="right").astype(dtype)
+    # a NaN is below no boundary
+    codes = np.full(len(vals), len(bounds), dtype)
+    for b in bounds:
+        codes -= vals < b
+    return codes
+
+
 def quantize(values, alphabet: Alphabet, grid: Optional[Grid] = None) -> SymbolStream:
-    """Map each sample to its interval's code (binary search on boundaries)."""
+    """Map each sample to its interval's code."""
     vals = np.asarray(values, dtype=np.float64)
     bad = ~np.isfinite(vals)
     if alphabet.nan_policy == "reject" and bad.any():
         raise NonFiniteSampleError(f"non-finite sample at index {int(np.argmax(bad))}")
     table = alphabet.table
-    codes = np.searchsorted(alphabet.boundaries, vals, side="right").astype(
-        np.min_scalar_type(len(table)))
+    codes = _interval_codes(alphabet.boundaries, vals, np.min_scalar_type(len(table)))
     if alphabet.valid_range is not None:
         lo, hi = alphabet.valid_range
         outside = ((vals < lo) | (vals >= hi)) & ~bad

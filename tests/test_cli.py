@@ -586,7 +586,7 @@ EXIT_CODES = {
         "MalformedTokensError", "NoOverlapError", "EmptyInputError",
         "InvalidWindowError", "NoReferencesError", "AlphabetMismatchError",
         "MalformedCsvError", "NonMonotoneTimeError", "NonUniformGridError",
-        "NullSpaceTooLargeError"), 2),
+        "NullSpaceTooLargeError", "StepOutOfRangeError"), 2),
     **dict.fromkeys((
         "OrderExceedsAccuracyError", "AccuracyTooHighError",
         "CoefficientLengthMismatchError", "LeadingCoefficientZeroError",
@@ -819,6 +819,25 @@ def test_cli_tiny_or_huge_coefficients_exit_3_naming_the_stage(tmp_path, coeffic
     assert "overflows float64" in res.stderr, res.stderr
 
 
+@pytest.mark.parametrize("step", [1e200, 1e-200])
+@pytest.mark.parametrize("kind, stage", [("operator", "operator"), ("ldo", "ldo")])
+def test_cli_step_whose_power_overflows_is_a_data_error(tmp_path, capsys, step, kind,
+                                                       stage):
+    # h ** 2 raised OverflowError at step 1e200; at 1e-200 it was 0.0, which
+    # warned twice and failed later with a misleading stage error
+    channel = {"name": "y", "csv_column": "g", "alphabet": {"kind": "usd", "epsilon": 0.5},
+               "operator": {"order": 2, "accuracy": 2}}
+    if kind == "ldo":
+        del channel["operator"]
+        channel["ldo"] = {"degree": 2, "coefficients": [0.0, 0.0, 1.0], "accuracy": 2,
+                          "constraints": [[0, 0.0], [49, 1.0]]}
+    log = "t,g\n" + "".join(f"{k * step:.17g},{(k % 7) / 10}\n" for k in range(50))
+    code, _ = run_cli(tmp_path, "symbolize", {"channels": [channel]}, log, "o")
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1, err
+    assert f"channel 'y', stage '{stage}': time step {step!r} to the power 2" in err, err
+
+
 @pytest.mark.parametrize("policy, code, lines", [("gap", 0, 0), ("reject", 2, 1)])
 def test_cli_inf_cell_in_an_operator_channel_warns_nothing(tmp_path, policy, code,
                                                           lines):
@@ -908,6 +927,79 @@ def test_cli_solve_memory_is_linear_in_n(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 4 * 8 * n * (w + k + b), f"traced peak {peak} bytes"
+
+
+@pytest.mark.parametrize("measure", ["l1", "cosine"])
+def test_cli_classify_in_blocks_writes_the_bytes_of_one_block(tmp_path, monkeypatch,
+                                                             measure):
+    # 167 windows scored and written 7 at a time, and all in one block
+    n = 500
+    rng = np.random.default_rng(62)
+    log = "t,x,y\n" + "".join(f"{k},{x - 1},{y - 1}\n"
+                              for k, (x, y) in enumerate(rng.integers(0, 3, (n, 2))))
+    config = {"channels": [{"name": name, "csv_column": name,
+                            "alphabet": {"symbols": "lmh", "boundaries": [-0.5, 0.5]}}
+                           for name in ("x", "y")], "combine": ["x", "y"]}
+    refs = write(tmp_path / "r.json", json.dumps(
+        {"a": {"ll": 5, "mh": 2}, "b": {"hh": 4, "lm": 1, "mm": 3}, "c": {"ml": 1}}))
+    outputs = []
+    for rows in (csvout.BLOCK_ROWS, 7):
+        monkeypatch.setattr(csvout, "BLOCK_ROWS", rows)
+        code, out = run_cli(tmp_path, "classify", config, log, f"o{rows}",
+                            ["--references", str(refs), "--window", "3",
+                             "--measure", measure, "--exclude", "mm,hl"])
+        assert code == 0
+        outputs.append((out / "classify.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 1 + 167
+
+
+def test_cli_cosine_of_an_empty_window_and_reference_fails_before_writing(tmp_path,
+                                                                         capsys):
+    # ramp windows of 3 hold only "us"; excluding it empties all of them
+    refs = write(tmp_path / "r.json", json.dumps({"empty": {}, "ramp": {"us": 2}}))
+    for exclude, code in (("ds", 0), ("us", 3)):
+        out = tmp_path / exclude
+        assert main(["classify", "--config", str(write(tmp_path / "c.json",
+                                                       json.dumps(TWO_CHANNEL_CONFIG))),
+                     "--input", str(write(tmp_path / "d.csv", ramp_csv_text())),
+                     "--out", str(out), "--references", str(refs), "--window", "3",
+                     "--measure", "cosine", "--exclude", exclude]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == (code != 0), err
+        assert (out / "classify.csv").exists() == (code == 0)
+    assert "cosine similarity undefined for two empty histograms" in err, err
+
+
+@pytest.mark.parametrize("measure", ["l1", "cosine"])
+def test_cli_classify_memory_does_not_grow_with_the_window_count(tmp_path, measure):
+    # windows are scored and written a block at a time: scored at once,
+    # --window 1 peaked at 7.4x (l1) and 5.8x (cosine) the --window 600 peak
+    n = 200_000
+    rng = np.random.default_rng(61)
+    x, y = rng.integers(0, 3, (2, n)) - 1.0
+    cfg = write(tmp_path / "c.json", json.dumps({
+        "channels": [{"name": name, "csv_column": name,
+                      "alphabet": {"symbols": "lmh", "boundaries": [-0.5, 0.5]}}
+                     for name in ("x", "y")],
+        "combine": ["x", "y"]}))
+    data = tmp_path / "log.csv"
+    np.savetxt(data, np.column_stack([np.arange(n), x, y]), fmt="%d", delimiter=",",
+               header="t,x,y", comments="")
+    refs = write(tmp_path / "r.json", json.dumps(
+        {"a": {"ll": 5, "mh": 2}, "b": {"hh": 4, "lm": 1, "mm": 3}}))
+    peaks = {}
+    for window in ("1", "600"):
+        tracemalloc.start()
+        try:
+            code = main(["classify", "--config", str(cfg), "--input", str(data),
+                         "--out", str(tmp_path / window), "--references", str(refs),
+                         "--window", window, "--measure", measure])
+            peaks[window] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks["1"] <= 1.25 * peaks["600"], peaks
 
 
 def test_cli_solve_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 
@@ -24,6 +25,7 @@ import siglex.pattern as pattern_module
 from siglex.pattern import MAX_NESTING, MAX_PROGRAM, _find_all_runs
 from siglex.scla import SymbolStream
 
+from frozen_tables import MATCHER_WORK
 from naive_match import match_ends, naive_find_all, random_pattern, render
 
 ALPHA = usd_alphabet(0.5)
@@ -351,6 +353,38 @@ def test_steps_linear_for_a_bounded_counter():
         naive_find_all(("cat", [D, ("rep", ("dot",), 0, 40), U]), stream)
     assert len(matches) > 50
     assert steps <= (p.n_states + 2 + 40) * len(toks) + len(matches), steps
+
+
+# the patterns of the benchmark workloads: stream_symbolic's two, then
+# match_chatter's four
+BENCHMARK_PATTERNS = ("u{3,}d+", "s+(u|d)", "d.{0,40}u", "(ud|du|sd|ds){2,}",
+                      "u{2,}d+", "d+(s.*u)?")
+
+
+def _matcher_work():
+    """{(pattern, stream): (steps, matches, digest of the matches)} over
+    seeded chatter, as in match_chatter (runs of 1-3 with u on a tenth of
+    them, runs of 1-6 without u), and over long runs."""
+    rng = np.random.default_rng(70)
+    streams = {"chatter3": _chatter(rng, 6000, [0.1, 0.45, 0.45], 3),
+               "chatter6": _chatter(rng, 6000, [0.0, 0.5, 0.5], 6),
+               "long": _chatter(rng, 100000, [0.4, 0.2, 0.4], 2000)}
+    work = {}
+    for text in BENCHMARK_PATTERNS:
+        p = compile_pattern(text, ALPHA)
+        for name, toks in streams.items():
+            matches, steps = _find_all_runs(p, toks, int(toks.lengths.sum()))
+            ends = np.array([(m.start, m.end) for m in matches], dtype=np.int64)
+            work[text, name] = (steps, len(matches),
+                                hashlib.sha256(ends.tobytes()).hexdigest()[:16])
+    return work
+
+
+def test_matcher_work_is_pinned():
+    # matches and step counts frozen from an earlier, independently written
+    # version of the run skip: a skip that fires late, early or never moves
+    # a step count even where the matches stay right
+    assert _matcher_work() == MATCHER_WORK
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from siglex.errors import (
     OutOfRangeError,
     UnknownSymbolError,
 )
-from siglex.scla import tokens_to_csv
+from siglex.scla import _COMPARE_BOUNDARIES, _interval_codes, tokens_to_csv
 
 
 def make_runs(table, codes, lengths, starts):
@@ -97,6 +97,23 @@ def test_quantize_matches_linear_scan():
 
     want = "".join(scan(v) for v in vals)
     assert got == want
+
+
+def test_interval_codes_equal_searchsorted():
+    # comparisons up to _COMPARE_BOUNDARIES boundaries, a binary search past
+    # them; values on a boundary, either side of one, signed zeros, +-inf, NaN
+    rng = np.random.default_rng(12)
+    for k in (0, 1, 2, 7, _COMPARE_BOUNDARIES, _COMPARE_BOUNDARIES + 1, 60):
+        for zero in (0.0, -0.0):
+            bounds = np.unique(np.append(rng.uniform(-4, 4, k - 1), zero)) if k else \
+                np.empty(0)
+            vals = np.concatenate([
+                bounds, np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf),
+                [0.0, -0.0, np.inf, -np.inf, np.nan], rng.uniform(-6, 6, 500)])
+            rng.shuffle(vals)
+            want = np.searchsorted(bounds, vals, side="right")
+            got = _interval_codes(tuple(bounds.tolist()), vals, np.uint8)
+            assert got.dtype == np.uint8 and got.tolist() == want.tolist(), (k, zero)
 
 
 def test_quantize_length_preserved():
