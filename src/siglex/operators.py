@@ -102,12 +102,16 @@ def _stencil(offsets: Sequence[int], degree: int, order: int, h: float) -> np.nd
         scale = float(h) ** order
     except OverflowError:
         scale = inf
-    if scale == 0.0 or not isfinite(scale):
-        raise StepOutOfRangeError(
-            f"time step {float(h)!r} to the power {order} (the derivative order) "
-            "is not a finite nonzero float64")
-    exact = _rational_stencil(tuple(int(o) for o in offsets), degree, order)
-    return np.array([float(x) for x in exact]) / scale
+    if scale != 0.0 and isfinite(scale):
+        exact = _rational_stencil(tuple(int(o) for o in offsets), degree, order)
+        # a subnormal or near-subnormal scale overflows the division
+        with np.errstate(over="ignore"):
+            weights = np.array([float(x) for x in exact]) / scale
+        if np.isfinite(weights).all():
+            return weights
+    raise StepOutOfRangeError(
+        f"time step {float(h)!r} to the power {order} (the derivative order) "
+        "does not give finite float64 stencil weights")
 
 
 MAX_ACCURACY = 12

@@ -630,7 +630,7 @@ def _find_all_runs(pattern: SymbolPattern, runs: Runs,
                             exits.append((t, q))
                 if exits:
                     consumers, i = movers[1], 0
-                    if len(exits) == 1:
+                    if len(exits) == 1:  # the common case, without the sort
                         (t, q), = exits
                         while i < len(consumers) and tags[consumers[i]] > t:
                             i += 1

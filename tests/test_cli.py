@@ -819,12 +819,14 @@ def test_cli_tiny_or_huge_coefficients_exit_3_naming_the_stage(tmp_path, coeffic
     assert "overflows float64" in res.stderr, res.stderr
 
 
-@pytest.mark.parametrize("step", [1e200, 1e-200])
+@pytest.mark.parametrize("step", [1e200, 1e-200, 1e-160, 1e-155])
 @pytest.mark.parametrize("kind, stage", [("operator", "operator"), ("ldo", "ldo")])
 def test_cli_step_whose_power_overflows_is_a_data_error(tmp_path, capsys, step, kind,
                                                        stage):
     # h ** 2 raised OverflowError at step 1e200; at 1e-200 it was 0.0, which
-    # warned twice and failed later with a misleading stage error
+    # warned twice and failed later with a misleading stage error; at 1e-160 it
+    # is subnormal and at 1e-155 just above, and dividing the weights by it
+    # overflowed
     channel = {"name": "y", "csv_column": "g", "alphabet": {"kind": "usd", "epsilon": 0.5},
                "operator": {"order": 2, "accuracy": 2}}
     if kind == "ldo":
