@@ -12,13 +12,11 @@ from .grid import Grid
 from .mcla import (
     FrequencyDict,
     align_and_combine,
-    classify_operation,
-    classify_windows,
-    compare_histograms,
     exclude_symbols,
     frequency_dictionary,
     histogram,
     multi_tokens,
+    window_classifier,
 )
 from .operators import (
     DiffOperatorMatrix,
@@ -77,9 +75,6 @@ __all__ = [
     "apply_streaming",
     "assemble_ldo",
     "build_diff_operator",
-    "classify_operation",
-    "classify_windows",
-    "compare_histograms",
     "compile_pattern",
     "compress_runs",
     "confidence_band",
@@ -99,4 +94,5 @@ __all__ = [
     "student_t_cdf",
     "student_t_quantile",
     "usd_alphabet",
+    "window_classifier",
 ]

@@ -1,12 +1,19 @@
 """Exception hierarchy for siglex.
 
-Every error raised by the library derives from :class:`SiglexError`.  The
-CLI maps a failure to its exit code by base class alone: :class:`ConfigError`
-exits 1, :class:`DataError` (malformed or unsuitable input data) exits 2,
-any other :class:`SiglexError` exits 3 (numerical failure), and a
-:class:`PipelineError`, which wraps a stage's library error, exits 2 or 3
-as its cause would.  A new class is therefore a data error exactly when it
-derives from :class:`DataError`.
+Every error raised by the library derives from :class:`SiglexError`, except
+the plain ``ValueError`` of an argument check that no CLI run lets through:
+`Grid` with n < 2 or h <= 0, a negative count in `FrequencyDict.from_counts`
+(and a bad count in `FrequencyDict.from_json_obj`, which the CLI reports as
+a :class:`ConfigError`), an unknown `StreamingKernel` boundary policy or
+`window_classifier` measure, and a NUL in a `csvout.Text` entry or an
+integer CSV column outside [0, 2**63).
+
+The CLI maps a failure to its exit code by base class alone:
+:class:`ConfigError` exits 1, :class:`DataError` (malformed or unsuitable
+input data) exits 2, any other :class:`SiglexError` exits 3 (numerical
+failure), and a :class:`PipelineError`, which wraps a stage's library
+error, exits 2 or 3 as its cause would.  A new class is therefore a data
+error exactly when it derives from :class:`DataError`.
 """
 
 

@@ -110,10 +110,6 @@ class FrequencyDict:
             raise ValueError(f"negative count in {counts}")
         return cls(clean, sum(clean.values()))
 
-    @classmethod
-    def from_samples(cls, samples: Iterable[str]) -> "FrequencyDict":
-        return histogram(SymbolStream(list(samples)))
-
     def to_json(self) -> str:
         """`{"<key>": count, ..., "total": N}`, keys sorted, two-space indent."""
         obj = dict(sorted(self.counts.items()))
@@ -164,107 +160,52 @@ def exclude_symbols(fd: FrequencyDict, keys: Iterable[str]) -> FrequencyDict:
         {k: v for k, v in fd.counts.items() if k not in drop})
 
 
-def _count_matrix(hists: Sequence[FrequencyDict], keys: list) -> np.ndarray:
-    """Counts over `keys`, one row per histogram, as exact Python ints."""
-    return np.array([[h.counts.get(k, 0) for k in keys] for h in hists],
-                    dtype=object).reshape(len(hists), len(keys))
-
-
-def _scores(a: np.ndarray, b: np.ndarray, measure: str) -> np.ndarray:
-    """Similarity of every row of `a` to every row of `b`, shape (len(a), len(b)).
-
-    Rows are counts over one sorted key list: Python ints, or int64 rows
-    summing below 2^53.  l1 adds |p_a - p_b| in key order, a running sum
-    (the last column of `np.cumsum`, not numpy's pairwise sum); keys that
-    neither row holds add 0.0, which changes no sum.  cosine takes its dot
-    products and norms on exact Python ints, whose products int64 would
-    overflow.  Both give `compare_histograms` of each pair bit for bit.
-    """
-    if measure == "l1":
-        if a.shape[1] == 0:
-            return np.zeros((len(a), len(b)))
-        pa, pb = ((m / np.maximum(m.sum(axis=1), 1)[:, None]).astype(float) for m in (a, b))
-        return np.cumsum(np.abs(pa[:, None, :] - pb[None, :, :]), axis=2)[:, :, -1]
-    if measure == "cosine":
-        if (a.sum(axis=1) == 0).any() and (b.sum(axis=1) == 0).any():
-            raise BothEmptyError("cosine similarity undefined for two empty histograms")
-        a, b = a.astype(object), b.astype(object)
-        na, nb = (np.array([math.sqrt(v) for v in (m * m).sum(axis=1)], dtype=object)
-                  for m in (a, b))
-        norms = np.multiply.outer(na, nb)
-        norms[norms == 0] = 1.0  # an empty side has a zero dot product
-        return (a @ b.T / norms).astype(float)
-    raise ValueError(f"unknown measure {measure!r}")
-
-
-def compare_histograms(a: FrequencyDict, b: FrequencyDict,
-                       measure: str = "l1") -> float:
-    """Histogram similarity.
-
-    l1: sum |p_a - p_b| of normalized frequencies over the key union, in
-    [0, 2] (0 identical, 2 disjoint).  cosine: normalized count dot product
-    in [0, 1] (1 identical, 0 disjoint); undefined for two empty histograms.
-    Keys are summed in sorted order, so the result does not depend on string
-    hashing.
-    """
-    keys = sorted(set(a.counts) | set(b.counts))
-    return float(_scores(_count_matrix([a], keys), _count_matrix([b], keys), measure)[0, 0])
-
-
-def _best(scores: np.ndarray, measure: str) -> np.ndarray:
-    """Per row, the first column with the least l1 distance or the largest
-    cosine similarity."""
-    return (np.argmin if measure == "l1" else np.argmax)(scores, axis=1)
-
-
-def classify_operation(window: FrequencyDict,
-                       references: Mapping[str, FrequencyDict],
-                       measure: str = "l1") -> tuple[str, float]:
-    """Best-matching reference label for a window histogram.
-
-    To mask keys out of the scoring, pass the window and the references
-    through `exclude_symbols` first.  l1 picks the minimum distance, cosine
-    the maximum similarity; ties go to the lexicographically first label.
-    """
-    if not references:
-        raise NoReferencesError("no reference histograms given")
-    labels = sorted(references)
-    refs = [references[label] for label in labels]
-    keys = sorted(set(window.counts).union(*(r.counts for r in refs)))
-    scores = _scores(_count_matrix([window], keys), _count_matrix(refs, keys), measure)
-    best = int(_best(scores, measure)[0])
-    return labels[best], float(scores[0, best])
-
-
 def window_classifier(ms: SymbolStream, size: int,
                       references: Mapping[str, FrequencyDict], measure: str = "l1",
                       exclude: Iterable[str] = ()):
-    """`classify_operation` of the windows [s, s + size) of `ms` (the last
-    one cut at the end), with the `exclude` keys dropped from the windows
-    and the references, a block of windows at a time.
+    """Label the windows [s, s + size) of `ms` (the last one cut at the end)
+    with their best-matching reference histograms, a block at a time.
+
+    The `exclude` keys (e.g. the dominant stationary bins) are dropped from
+    the windows and the references, and each window is scored against each
+    reference over the sorted union of the keys left.  l1 adds |p_w - p_r|
+    of the normalized frequencies in key order, a running sum, in [0, 2]
+    (0 identical, 2 disjoint).  cosine divides the count dot product by the
+    product of the `math.sqrt` norms, on exact Python ints, whose products
+    int64 would overflow; it lies in [0, 1] (1 identical, 0 disjoint) and
+    is undefined for an empty window against an empty reference.  l1 picks
+    the least distance, cosine the largest similarity; ties go to the
+    lexicographically first label.
 
     Returns `classify(first, stop)`: the label, as an index into
-    `sorted(references)`, and the score of windows first..stop-1, equal to
-    the per-window result.  Each window is scored on its own row, so blocks
-    give the bits of one whole call, in memory that grows with the block.
-    Every error is raised here, before any block is scored.
+    `sorted(references)`, and the score of windows first..stop-1.  Each
+    window is scored on its own row, so blocks give the bits of one whole
+    call, in memory that grows with the block.  Every error is raised
+    here, before any block is scored.
     """
     if not references:
         raise NoReferencesError("no reference histograms given")
+    if measure not in ("l1", "cosine"):
+        raise ValueError(f"unknown measure {measure!r}")
     drop = set(exclude)
-    refs = [exclude_symbols(references[label], drop) for label in sorted(references)]
-    keys = sorted(set(ms.table).union(*(r.counts for r in refs)) - drop)
-    b = _count_matrix(refs, keys)
+    labels = sorted(references)
+    keys = sorted(set(ms.table).union(*(references[r].counts for r in labels)) - drop)
+    # reference counts over `keys` as exact Python ints, one row per label
+    b = np.array([[references[r].counts.get(k, 0) for k in keys] for r in labels],
+                 dtype=object)
     n, width = len(ms), len(ms.table)
     column = {k: i for i, k in enumerate(keys)}
     kept = [i for i, k in enumerate(ms.table) if k in column]
-    if measure == "cosine" and not all(r.total for r in refs):
-        # an empty window against an empty reference has no cosine: find one
-        # before any block is scored
-        dropped = np.ones(width, dtype=bool)
-        dropped[kept] = False
-        if np.logical_and.reduceat(dropped[ms.codes], np.arange(0, n, size)).any():
-            raise BothEmptyError("cosine similarity undefined for two empty histograms")
+    if measure == "l1":
+        pb = (b / np.maximum(b.sum(axis=1), 1)[:, None]).astype(float)
+    else:
+        if (b.sum(axis=1) == 0).any():
+            # an empty window against an empty reference has no cosine
+            dropped = np.ones(width, dtype=bool)
+            dropped[kept] = False
+            if np.logical_and.reduceat(dropped[ms.codes], np.arange(0, n, size)).any():
+                raise BothEmptyError("cosine similarity undefined for two empty histograms")
+        nb = np.array([math.sqrt(v) for v in (b * b).sum(axis=1)], dtype=object)
 
     def classify(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi, windows = first * size, min(stop * size, n), stop - first
@@ -272,15 +213,19 @@ def window_classifier(ms: SymbolStream, size: int,
                              minlength=windows * width).reshape(windows, width)
         a = np.zeros((windows, len(keys)), dtype=np.int64)
         a[:, [column[ms.table[i]] for i in kept]] = counts[:, kept]
-        scores = _scores(a, b, measure)
-        best = _best(scores, measure)
+        if measure == "l1":
+            pa = a / np.maximum(a.sum(axis=1), 1)[:, None]
+            # a running sum in key order, not numpy's pairwise sum
+            scores = sum((np.abs(pa[:, None, j] - pb[:, j]) for j in range(len(keys))),
+                         np.zeros((windows, len(labels))))
+            best = scores.argmin(axis=1)
+        else:
+            a = a.astype(object)
+            na = np.array([math.sqrt(v) for v in (a * a).sum(axis=1)], dtype=object)
+            norms = np.multiply.outer(na, nb)
+            norms[norms == 0] = 1.0  # an empty side has a zero dot product
+            scores = (a @ b.T / norms).astype(float)
+            best = scores.argmax(axis=1)
         return best, scores[np.arange(windows), best]
 
     return classify
-
-
-def classify_windows(ms: SymbolStream, size: int,
-                     references: Mapping[str, FrequencyDict], measure: str = "l1",
-                     exclude: Iterable[str] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and scores of every window of `window_classifier`, at once."""
-    return window_classifier(ms, size, references, measure, exclude)(0, -(-len(ms) // size))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .csvout import write_csv
 from .errors import (
+    CoefficientLengthMismatchError,
     DimensionMismatchError,
     HorizonTooLargeError,
     InsufficientDofError,
@@ -275,7 +276,7 @@ def prediction_band(solution: InverseSolution, op: LdoMatrix,
     n = op.grid.n
     for i, c in enumerate(op.spec.coefficients):
         if np.asarray(c).ndim != 0:
-            raise ValueError(
+            raise CoefficientLengthMismatchError(
                 f"prediction needs constant coefficients, coefficient {i} is a vector")
 
     m = min(max(int(round(_TAIL_FRACTION * n)), op.null_dim + 1, 2), n)

@@ -3,23 +3,31 @@
 These are the straightforward loops the vectorized code replaced: the
 per-row ``np.dot`` dense apply, the deque-based per-sample streaming kernel,
 the per-sample quantize and LOCF alignment, the ``itertools.groupby``
-run-length compress, the ``Counter`` histogram, the ``csv.reader`` /
-``float()`` CSV ingest and the per-row ``str.format`` CSV writer.  They are slow and are used only to check the
-production code.  ``np.dot`` does not fix its summation order, so the
-stencil oracles agree with the stencil engine to rounding, not bitwise;
-`stencil_tolerance` gives the bound.
+run-length compress, the ``Counter`` histogram, the per-window classify,
+the ``csv.reader`` / ``float()`` CSV ingest and the per-row ``str.format``
+CSV writer.  They are slow and are used only to check the production code.
+``np.dot`` does not fix its summation order, so the stencil oracles agree
+with the stencil engine to rounding, not bitwise; `stencil_tolerance` gives
+the bound.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter, deque
 from itertools import groupby
 
 import numpy as np
 
 from siglex.csvout import BLOCK_ROWS
-from siglex.errors import MalformedCsvError, NonMonotoneTimeError, NonUniformGridError
+from siglex.errors import (
+    BothEmptyError,
+    MalformedCsvError,
+    NoReferencesError,
+    NonMonotoneTimeError,
+    NonUniformGridError,
+)
 from siglex.grid import Grid
 from siglex.operators import _stencil
 
@@ -152,6 +160,51 @@ def compress_runs_loop(symbols) -> list[tuple]:
 def histogram_loop(samples) -> dict:
     """Occurrence count of each sample value."""
     return dict(Counter(samples))
+
+
+def classify_loop(samples, size: int, references, measure: str = "l1",
+                  exclude=()) -> list[tuple[str, float]]:
+    """(label, score) of each window samples[s:s + size], one at a time.
+
+    A window's `histogram_loop` and each reference's counts are compared
+    over the sorted union of their keys, less `exclude`.  l1 is a running
+    float sum of |p_a - p_b| in key order; cosine is an exact Python-int
+    dot product over the product of the `math.sqrt` norms, 0 if a side is
+    empty.  The label is the first sorted label with the best score.
+    """
+    if not references:
+        raise NoReferencesError("no reference histograms given")
+    if measure not in ("l1", "cosine"):
+        raise ValueError(f"unknown measure {measure!r}")
+    drop = set(exclude)
+    refs = {label: {k: v for k, v in references[label].counts.items() if k not in drop}
+            for label in sorted(references)}
+    out = []
+    for s in range(0, len(samples), size):
+        win = {k: v for k, v in histogram_loop(samples[s:s + size]).items()
+               if k not in drop}
+        best = None
+        for label, ref in refs.items():
+            keys = sorted(set(win) | set(ref))
+            ta, tb = sum(win.values()), sum(ref.values())
+            if measure == "l1":
+                score = 0.0
+                for k in keys:
+                    pa = win.get(k, 0) / ta if ta else 0.0
+                    pb = ref.get(k, 0) / tb if tb else 0.0
+                    score += abs(pa - pb)
+            else:
+                if ta == tb == 0:
+                    raise BothEmptyError("cosine similarity undefined for two empty "
+                                         "histograms")
+                dot = sum(win.get(k, 0) * ref.get(k, 0) for k in keys)
+                norm = (math.sqrt(sum(v * v for v in win.values()))
+                        * math.sqrt(sum(v * v for v in ref.values())))
+                score = dot / norm if norm else 0.0
+            if best is None or (score < best[1] if measure == "l1" else score > best[1]):
+                best = (label, score)
+        out.append(best)
+    return out
 
 
 def ingest_csv_loop(path, time_column: str, value_columns) -> dict:

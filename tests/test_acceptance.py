@@ -39,9 +39,9 @@ from siglex import (
     solve_inverse,
     student_t_quantile,
     usd_alphabet,
+    window_classifier,
 )
 from siglex.cli import main as cli_main
-from siglex.mcla import FrequencyDict, classify_operation
 from siglex.scla import SymbolStream
 
 from dense_ldo import pseudo_inverse, solution_operator
@@ -364,7 +364,7 @@ def _mode_histogram(mode, seg=120):
     s1 = quantize(apply_streaming(k, x1), alpha)
     s2 = quantize(apply_streaming(k, x2), alpha)
     samples = [a + b for a, b in zip(s1.symbols, s2.symbols)]
-    return FrequencyDict.from_samples(samples)
+    return histogram(SymbolStream(samples))
 
 
 def test_criterion_10_mode_recognition_and_determinism(tmp_path):
@@ -376,17 +376,19 @@ def test_criterion_10_mode_recognition_and_determinism(tmp_path):
     s2 = quantize(apply_streaming(kernel, x2), alpha)
     combined = [a + b for a, b in zip(s1.symbols, s2.symbols)]
     total = len(combined)
-    ms = SymbolStream(combined, None, Grid(total, 1.0, 1.0))
 
     references = {SAW: _mode_histogram(SAW), SQR: _mode_histogram(SQR)}
 
-    # combined sample j corresponds to raw sample j+1 (streaming trim)
+    # combined sample j corresponds to raw sample j+1 (streaming trim), so
+    # the first segment is one sample short: score each segment's samples
+    # as a stream of one window
     correct = 0
     for k_seg, want in enumerate(labels):
         lo = max(0, k_seg * seg - 1)
         hi = min(total, (k_seg + 1) * seg - 1)
-        fd = histogram(ms, (lo, hi))
-        label, _ = classify_operation(fd, references, "l1")
+        segment = SymbolStream(combined[lo:hi])
+        best, _ = window_classifier(segment, hi - lo, references, "l1")(0, 1)
+        label = sorted(references)[int(best[0])]
         assert label == want, (k_seg, label, want)
         correct += 1
     assert correct == len(labels)

@@ -1004,6 +1004,65 @@ def test_cli_classify_memory_does_not_grow_with_the_window_count(tmp_path, measu
     assert peaks["1"] <= 1.25 * peaks["600"], peaks
 
 
+# traced peak bytes per row of each command on a three-column log; the
+# README states these bounds
+COMMAND_BYTES_PER_ROW = {
+    ("symbolize",): 85, ("derive",): 85, ("solve",): 1300, ("combine",): 95,
+    ("hist",): 95, ("classify", "--window", "1"): 95, ("classify",): 95, ("match",): 85,
+}
+
+
+def test_cli_memory_per_row_of_every_command(tmp_path):
+    # a drive that switches level every 200 rows and a smooth level whose
+    # derivative is quantized; solve runs y' = g on the level alone
+    def log(n):
+        rng = np.random.default_rng(19)
+        t = 0.01 * np.arange(n)
+        drive = np.repeat(rng.choice([-1.0, 0.0, 1.0], n // 200 + 1), 200)[:n]
+        level = 0.5 + 0.3 * np.sin(t / 5.0) + rng.normal(0.0, 1e-6, n)
+        path = tmp_path / f"log{n}.csv"
+        np.savetxt(path, np.column_stack([t, drive + rng.normal(0.0, 0.02, n), level]),
+                   fmt="%.9g", delimiter=",", header="t,drive,level", comments="")
+        return path
+
+    symbolic = write(tmp_path / "symbolic.json", json.dumps({
+        "channels": [
+            {"name": "drive", "csv_column": "drive",
+             "alphabet": {"kind": "usd", "epsilon": 0.5}, "pattern": "u+d+"},
+            {"name": "level", "csv_column": "level",
+             "alphabet": {"kind": "usd", "epsilon": 0.05},
+             "operator": {"order": 1, "accuracy": 2}, "pattern": "d.{0,40}u"}],
+        "combine": ["drive", "level"]}))
+    inverse = write(tmp_path / "inverse.json", json.dumps({"channels": [
+        {"name": "y", "csv_column": "level",
+         "alphabet": {"symbols": "lmh", "boundaries": [-0.5, 0.5]},
+         "ldo": {"degree": 1, "coefficients": [0.0, 1.0], "accuracy": 2,
+                 "constraints": [[0, 0.0]]}}]}))
+    refs = write(tmp_path / "refs.json", json.dumps(
+        {"a": {"uu": 5, "sd": 2}, "b": {"ss": 4, "ds": 1, "su": 3}}))
+
+    def run(command, data):
+        cfg = inverse if command[0] == "solve" else symbolic
+        extra = ["--references", str(refs)] if command[0] == "classify" else []
+        return main([command[0], "--config", str(cfg), "--input", str(data),
+                     "--out", str(tmp_path / "out" / "-".join(command)),
+                     *command[1:], *extra])
+
+    small = log(1000)  # first calls import lazily; keep that out of the count
+    assert all(run(command, small) == 0 for command in COMMAND_BYTES_PER_ROW)
+    n = 200_000
+    data = log(n)
+    per_row = {}
+    for command in COMMAND_BYTES_PER_ROW:
+        tracemalloc.start()
+        try:
+            assert run(command, data) == 0
+            per_row[command] = tracemalloc.get_traced_memory()[1] / n
+        finally:
+            tracemalloc.stop()
+    assert all(per_row[c] <= bound for c, bound in COMMAND_BYTES_PER_ROW.items()), per_row
+
+
 def test_cli_solve_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # y'' = g at n = 2000 in fresh interpreters with 1 and 2 OpenBLAS threads
     n = 2000

@@ -15,11 +15,10 @@ from functools import cache
 import numpy as np
 import pytest
 
-from loop_oracles import write_csv_loop
+from loop_oracles import classify_loop, write_csv_loop
 from siglex import cli, csvout
 from siglex.csvout import BLOCK_ROWS, Text, write_csv
 from siglex.grid import Grid
-from siglex.mcla import classify_operation, histogram
 from siglex.pattern import Match, matches_to_csv
 from siglex.scla import Runs, tokens_to_csv
 from siglex.uncertainty import ConfidenceBand
@@ -167,12 +166,12 @@ def test_classify_csv_matches_the_loop_writer(tmp_path, rows, window):
                                         cli.ingest_csv(log, "t", ["a", "b"])))
     size = len(ms) if window is None else window
     starts = range(0, len(ms), size)
+    labels, scores = zip(*classify_loop([ms.table[c] for c in ms.codes.tolist()], size,
+                                        references))
 
     def windows(a, b):
         stops = [min(s + size, len(ms)) for s in starts[a:b]]
-        labels, scores = zip(*(classify_operation(histogram(ms, (s, e)), references)
-                               for s, e in zip(starts[a:b], stops)))
-        return starts[a:b], stops, labels, scores
+        return starts[a:b], stops, labels[a:b], scores[a:b]
 
     write_csv_loop(tmp_path / "want.csv", "start,end,label,score\n",
                    "{},{},{},{:.17g}\n", len(starts), windows)

@@ -9,15 +9,13 @@ from siglex import (
     FrequencyDict,
     Grid,
     align_and_combine,
-    classify_operation,
-    classify_windows,
-    compare_histograms,
     exclude_symbols,
     frequency_dictionary,
     histogram,
     multi_tokens,
     quantize,
     usd_alphabet,
+    window_classifier,
 )
 from siglex.errors import (
     BothEmptyError,
@@ -28,7 +26,7 @@ from siglex.errors import (
 )
 from siglex.scla import SymbolStream
 
-from loop_oracles import align_and_combine_loop, histogram_loop
+from loop_oracles import align_and_combine_loop, classify_loop, histogram_loop
 
 ALPHA = usd_alphabet(0.5)
 
@@ -270,17 +268,34 @@ def test_frequency_dict_json_round_trip():
 # similarity and classification
 # ---------------------------------------------------------------------------
 
+def classify(samples, references, measure="l1", exclude=(), size=None):
+    """(label, score) of each window of `window_classifier`, held bit for bit
+    to the loop oracle; one window of all samples by default."""
+    size = size or len(samples)
+    labels, scores = window_classifier(SymbolStream(list(samples)), size, references,
+                                       measure, exclude)(0, -(-len(samples) // size))
+    want = classify_loop(samples, size, references, measure, exclude)
+    assert [label for label, _ in want] == [sorted(references)[i] for i in labels.tolist()]
+    assert np.array([score for _, score in want]).tobytes() == scores.tobytes()
+    return want
+
+
+def similarity(window: dict, reference: dict, measure: str) -> float:
+    """Score of a window holding the `window` counts against one reference."""
+    samples = [k for k, v in sorted(window.items()) for _ in range(v)]
+    [(_, score)] = classify(samples, {"r": FrequencyDict.from_counts(reference)}, measure)
+    return score
+
+
 def test_self_similarity():
-    fd = FrequencyDict.from_counts({"uu": 3, "dd": 1})
-    assert compare_histograms(fd, fd, "l1") == 0.0
-    assert abs(compare_histograms(fd, fd, "cosine") - 1.0) <= 1e-12
+    counts = {"uu": 3, "dd": 1}
+    assert similarity(counts, counts, "l1") == 0.0
+    assert abs(similarity(counts, counts, "cosine") - 1.0) <= 1e-12
 
 
 def test_disjoint_keys():
-    a = FrequencyDict.from_counts({"uu": 3})
-    b = FrequencyDict.from_counts({"dd": 2})
-    assert abs(compare_histograms(a, b, "l1") - 2.0) <= 1e-12
-    assert compare_histograms(a, b, "cosine") == 0.0
+    assert abs(similarity({"uu": 3}, {"dd": 2}, "l1") - 2.0) <= 1e-12
+    assert similarity({"uu": 3}, {"dd": 2}, "cosine") == 0.0
 
 
 def test_measure_matches_direct_summation():
@@ -289,94 +304,95 @@ def test_measure_matches_direct_summation():
     for _ in range(50):
         a = {k: int(rng.integers(0, 20)) for k in keys}
         b = {k: int(rng.integers(0, 20)) for k in keys}
-        fa = FrequencyDict.from_counts(a)
-        fb = FrequencyDict.from_counts(b)
-        if fa.total == 0 or fb.total == 0:
+        ta, tb = sum(a.values()), sum(b.values())
+        if ta == 0 or tb == 0:
             continue
-        l1 = sum(abs(a[k] / fa.total - b[k] / fb.total) for k in keys)
-        assert abs(compare_histograms(fa, fb, "l1") - l1) <= 1e-12
+        l1 = sum(abs(a[k] / ta - b[k] / tb) for k in keys)
+        assert abs(similarity(a, b, "l1") - l1) <= 1e-12
         dot = sum(a[k] * b[k] for k in keys)
         cos = dot / (np.sqrt(sum(v * v for v in a.values()))
                      * np.sqrt(sum(v * v for v in b.values())))
-        assert abs(compare_histograms(fa, fb, "cosine") - cos) <= 1e-12
+        assert abs(similarity(a, b, "cosine") - cos) <= 1e-12
 
 
 def test_l1_symmetry_and_bounds():
     rng = np.random.default_rng(25)
     keys = ["xx", "xy", "yx", "yy"]
     for _ in range(30):
-        fa = FrequencyDict.from_counts(
-            {k: int(rng.integers(0, 9)) for k in keys})
-        fb = FrequencyDict.from_counts(
-            {k: int(rng.integers(0, 9)) for k in keys})
-        l1 = compare_histograms(fa, fb, "l1")
-        assert abs(l1 - compare_histograms(fb, fa, "l1")) <= 1e-15
+        a = {k: int(rng.integers(0, 9)) for k in keys}
+        b = {k: int(rng.integers(0, 9)) for k in keys}
+        if not any(a.values()) or not any(b.values()):
+            continue
+        l1 = similarity(a, b, "l1")
+        assert abs(l1 - similarity(b, a, "l1")) <= 1e-15
         assert 0.0 <= l1 <= 2.0
 
 
-def test_cosine_of_counts_whose_squares_pass_int64():
+def test_cosine_of_reference_counts_whose_squares_pass_int64():
     # a sum of squares of 2^64 or more is a Python int numpy cannot take
     # the root of; math.sqrt rounds it to float first
     for big in (2 ** 32, 2 ** 40, 2 ** 53 - 1):
-        a = FrequencyDict.from_counts({"uu": big, "dd": 3})
-        b = FrequencyDict.from_counts({"uu": 1, "ss": 1})
         want = big / (float(big * big + 9) ** 0.5 * 2 ** 0.5)
-        assert abs(compare_histograms(a, b, "cosine") - want) <= 1e-15
-        assert compare_histograms(a, a, "cosine") == 1.0
+        got = similarity({"uu": 1, "ss": 1}, {"uu": big, "dd": 3}, "cosine")
+        assert abs(got - want) <= 1e-15
+    for big in (2 ** 32, 2 ** 52):
+        assert similarity({"uu": 2}, {"uu": big}, "cosine") == 1.0
 
 
 def test_cosine_both_empty():
-    e = FrequencyDict.from_counts({})
+    # the window's only key is excluded, and the reference is empty
+    empty = {"e": FrequencyDict.from_counts({})}
     with pytest.raises(BothEmptyError):
-        compare_histograms(e, e, "cosine")
-    assert compare_histograms(e, e, "l1") == 0.0
+        window_classifier(SymbolStream(["uu"]), 1, empty, "cosine", {"uu"})
+    with pytest.raises(BothEmptyError):
+        classify_loop(["uu"], 1, empty, "cosine", {"uu"})
+    assert classify(["uu"], empty, "l1", {"uu"}) == [("e", 0.0)]
 
 
 def test_classify_exact_match():
-    w = FrequencyDict.from_counts({"uu": 4, "dd": 1})
-    refs = {"mode1": w, "mode2": FrequencyDict.from_counts({"ss": 5})}
-    label, score = classify_operation(w, refs, "l1")
-    assert label == "mode1" and score == 0.0
+    refs = {"mode1": FrequencyDict.from_counts({"uu": 4, "dd": 1}),
+            "mode2": FrequencyDict.from_counts({"ss": 5})}
+    assert classify(["uu"] * 4 + ["dd"], refs, "l1") == [("mode1", 0.0)]
 
 
 def test_classify_hand_computed():
-    window = FrequencyDict.from_counts({"dd": 5, "ud": 5})
     refs = {
         "mode1": FrequencyDict.from_counts({"uu": 10}),
         "mode2": FrequencyDict.from_counts({"dd": 4, "ud": 6}),
     }
-    label, score = classify_operation(window, refs, "l1")
+    [(label, score)] = classify(["dd", "ud"] * 5, refs, "l1")
     assert label == "mode2"
     assert abs(score - 0.2) <= 1e-12  # |.5-.4| + |.5-.6|
 
 
 def test_classify_tie_break():
     w = FrequencyDict.from_counts({"uu": 2})
-    refs = {"b": w, "a": w}
-    label, _ = classify_operation(w, refs, "l1")
-    assert label == "a"
+    for measure in ("l1", "cosine"):
+        assert classify(["uu", "uu"], {"b": w, "a": w}, measure)[0][0] == "a"
 
 
 def test_classify_with_exclusion():
     # dominant stationary bins masked out before scoring
-    window = FrequencyDict.from_counts({"ss": 90, "ud": 8, "dd": 2})
+    window = ["ss"] * 90 + ["ud"] * 8 + ["dd"] * 2
     refs = {
         "work": FrequencyDict.from_counts({"ss": 5, "ud": 4, "dd": 1}),
         "idle": FrequencyDict.from_counts({"ss": 100, "ud": 1, "dd": 9}),
     }
-    refs = {label: exclude_symbols(fd, {"ss"}) for label, fd in refs.items()}
-    label, _ = classify_operation(exclude_symbols(window, {"ss"}), refs, "l1")
-    assert label == "work"
+    assert classify(window, refs, "l1", {"ss"})[0][0] == "work"
+    assert classify(window, refs, "l1")[0][0] == "idle"
 
 
-def test_classify_no_references():
+def test_classify_errors_are_raised_before_any_block():
+    ms = SymbolStream(["ud", "ss"])
     with pytest.raises(NoReferencesError):
-        classify_operation(FrequencyDict.from_counts({"a": 1}), {}, "l1")
+        window_classifier(ms, 1, {})
+    with pytest.raises(ValueError, match="unknown measure 'foo'"):
+        window_classifier(ms, 1, {"a": FrequencyDict.from_counts({"ud": 1})}, "foo")
 
 
-def test_classify_windows_equals_each_window():
-    # bit for bit, also for reference totals past 2^53 (l1) and count
-    # products past int64 (cosine), with keys excluded
+def test_window_classifier_equals_loop_oracle():
+    # bit for bit, in blocks, also for reference totals past 2^53 (l1) and
+    # count products past int64 (cosine), with keys excluded
     rng = np.random.default_rng(60)
     table = ("uu", "ud", "du", "ss", "sd")
     for trial in range(40):
@@ -389,16 +405,16 @@ def test_classify_windows_equals_each_window():
                     {k: int(rng.integers(1, top)) for k in (*rng.choice(table, 2), "xx")})
                 for label in ("c", "a", "b")}
         exclude = set(rng.choice(table, size=int(rng.integers(0, 3))).tolist())
-        kept = {label: exclude_symbols(fd, exclude) for label, fd in refs.items()}
         size = int(rng.integers(1, n + 1))
+        windows = -(-n // size)
+        cuts = [0, *sorted(rng.integers(0, windows + 1, 2).tolist()), windows]
         for measure in ("l1", "cosine"):
-            labels, scores = classify_windows(ms, size, refs, measure, exclude)
-            starts = range(0, n, size)
-            assert len(labels) == len(scores) == len(starts)
-            for start, label, score in zip(starts, labels.tolist(), scores.tolist()):
-                stop = min(start + size, n)
-                window = exclude_symbols(histogram(ms, (start, stop)), exclude)
-                assert (sorted(refs)[label], score) == \
-                    classify_operation(window, kept, measure), (trial, measure, start)
-    with pytest.raises(NoReferencesError):
-        classify_windows(ms, 1, {})
+            classify_block = window_classifier(ms, size, refs, measure, exclude)
+            labels, scores = (np.concatenate(part) for part in zip(
+                *(classify_block(a, b) for a, b in zip(cuts, cuts[1:]))))
+            want = classify_loop([table[c] for c in codes.tolist()], size, refs,
+                                 measure, exclude)
+            assert [sorted(refs)[i] for i in labels.tolist()] == \
+                [label for label, _ in want], (trial, measure)
+            assert scores.tobytes() == np.array([s for _, s in want]).tobytes(), \
+                (trial, measure)

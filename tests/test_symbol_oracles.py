@@ -17,19 +17,19 @@ from siglex import (
     Grid,
     SymbolStream,
     align_and_combine,
-    classify_operation,
     compress_runs,
     decompress,
-    exclude_symbols,
     histogram,
     multi_tokens,
     quantize,
     usd_alphabet,
+    window_classifier,
 )
 from siglex.errors import NoOverlapError, SiglexError
 
 from loop_oracles import (
     align_and_combine_loop,
+    classify_loop,
     compress_runs_loop,
     histogram_loop,
     quantize_loop,
@@ -67,6 +67,20 @@ def outcome(fn, *args):
         return fn(*args)
     except SiglexError as exc:
         return type(exc)
+
+
+def bits(result):
+    """Windows' (label, score) with the score's exact bits, or an error class."""
+    if isinstance(result, type):
+        return result
+    return [(label, score.hex()) for label, score in result]
+
+
+def classify_all(ms, size, references, measure, exclude) -> list:
+    """(label, score) of every window of `window_classifier`, in one block."""
+    labels, scores = window_classifier(ms, size, references, measure, exclude)(
+        0, -(-len(ms) // size))
+    return [(sorted(references)[i], s) for i, s in zip(labels.tolist(), scores.tolist())]
 
 
 def test_channel_layer_matches_loop_oracles():
@@ -107,20 +121,12 @@ def test_combination_layer_matches_loop_oracles():
                     {k: int(rng.integers(0, 9)) for k in rng.choice(combos, size=3)})
                 for label in ("a", "b", "c")}
         excluded = set(rng.choice(combos, size=int(rng.integers(0, 3))).tolist())
-        refs = {label: exclude_symbols(fd, excluded) for label, fd in refs.items()}
         window = int(rng.integers(1, len(samples) + 1))
         for measure in ("l1", "cosine"):
-            for s in range(0, len(samples), window):
-                e = min(s + window, len(samples))
-                got = outcome(classify_operation,
-                              exclude_symbols(histogram(ms, (s, e)), excluded), refs, measure)
-                want = outcome(classify_operation,
-                               FrequencyDict.from_counts(
-                                   {k: v for k, v in histogram_loop(samples[s:e]).items()
-                                    if k not in excluded}),
-                               refs, measure)
-                assert got == want, (trial, measure, s, e)
-                compared += 1
+            want = outcome(classify_loop, samples, window, refs, measure, excluded)
+            assert bits(outcome(classify_all, ms, window, refs, measure, excluded)) == \
+                bits(want), (trial, measure)
+            compared += 1 if isinstance(want, type) else len(want)
     assert compared > 500
 
 
@@ -129,7 +135,6 @@ def test_short_multistreams_match_loop_oracles():
         ms = SymbolStream(samples)
         assert len(ms) == len(samples)
         assert histogram(ms).counts == histogram_loop(samples)
-        assert FrequencyDict.from_samples(samples).counts == histogram_loop(samples)
         assert tokens(multi_tokens(ms)) == compress_runs_loop(samples)
 
 

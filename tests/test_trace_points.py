@@ -17,7 +17,8 @@ from loop_oracles import align_and_combine_loop, compress_runs_loop
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # removed from the library, still listed by the tracer
-ABSENT = {"operators.solution_operator", "uncertainty.propagate_inverse"}
+ABSENT = {"operators.solution_operator", "uncertainty.propagate_inverse",
+          "mcla.classify_operation"}
 
 
 def _spans():

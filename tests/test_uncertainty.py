@@ -15,6 +15,7 @@ from siglex import (
     student_t_quantile,
 )
 from siglex.errors import (
+    CoefficientLengthMismatchError,
     DimensionMismatchError,
     HorizonTooLargeError,
     InsufficientDofError,
@@ -288,5 +289,5 @@ def test_prediction_rejects_vector_coefficients():
     spec = LdoSpec(1, [0.0, np.ones(30)])
     op = assemble_ldo(spec, grid, 2)
     sol = solve_inverse(op, np.zeros(30), [(0, 0.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(CoefficientLengthMismatchError, match="coefficient 1 is a vector"):
         prediction_band(sol, op, horizon=2, level=0.9)
