@@ -12,10 +12,8 @@ from .grid import Grid
 from .mcla import (
     FrequencyDict,
     align_and_combine,
-    exclude_symbols,
     frequency_dictionary,
     histogram,
-    multi_tokens,
     window_classifier,
 )
 from .operators import (
@@ -24,7 +22,6 @@ from .operators import (
     LdoMatrix,
     LdoSpec,
     LocalKernel,
-    StreamingKernel,
     apply_streaming,
     assemble_ldo,
     build_diff_operator,
@@ -67,7 +64,6 @@ __all__ = [
     "Match",
     "Runs",
     "SiglexError",
-    "StreamingKernel",
     "SymbolPattern",
     "SymbolStream",
     "Token",
@@ -80,13 +76,11 @@ __all__ = [
     "confidence_band",
     "decompress",
     "estimate_residual_variance",
-    "exclude_symbols",
     "extract_local_kernel",
     "find_all",
     "find_all_tokens",
     "frequency_dictionary",
     "histogram",
-    "multi_tokens",
     "prediction_band",
     "propagate_forward",
     "quantize",

@@ -136,7 +136,11 @@ def _check_level(level: float, what: str) -> float:
 
 def _parse_alphabet(a: dict, where: str) -> scla.Alphabet:
     nan_policy = a.get("nan", "reject")
-    if a.get("kind") == "usd":
+    kind = a.get("kind")
+    if kind not in (None, "usd"):
+        raise ConfigError(f"{where}: unknown kind {kind!r}; the one kind is 'usd', "
+                          "an alphabet without 'kind' gives explicit symbols")
+    if kind == "usd":
         return scla.usd_alphabet(_get(a, "epsilon", float, where), nan_policy=nan_policy)
     rng = _get(a, "range", "numbers", where, None)
     return scla.Alphabet(tuple(_get(a, "symbols", (str, list), where)),
@@ -158,6 +162,9 @@ def _parse_ldo(raw: dict, where: str) -> LdoConfig:
                 and _is(pair[0], int) and _is(pair[1], float)):
             raise ConfigError(
                 f"{where}: constraint must be an [index, value] pair, got {pair!r}")
+    indices = [i for i, _ in constraints]
+    if len(set(indices)) != len(indices):
+        raise ConfigError(f"{where}: constraint indices not distinct: {indices}")
     check_order(degree, accuracy)
     return LdoConfig(LdoSpec(degree, coefficients), accuracy,
                      [(i, float(v)) for i, v in constraints])
@@ -623,7 +630,7 @@ def _cmd_symbolize(bundle: PipelineBundle, outdir: Path, args) -> None:
 
 
 def _cmd_combine(bundle: PipelineBundle, outdir: Path, args) -> None:
-    scla.tokens_to_csv(mcla.multi_tokens(_combined(bundle)),
+    scla.tokens_to_csv(scla.compress_runs(_combined(bundle)),
                        outdir / "combined.tokens.csv")
 
 

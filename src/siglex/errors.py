@@ -4,9 +4,8 @@ Every error raised by the library derives from :class:`SiglexError`, except
 the plain ``ValueError`` of an argument check that no CLI run lets through:
 `Grid` with n < 2 or h <= 0, a negative count in `FrequencyDict.from_counts`
 (and a bad count in `FrequencyDict.from_json_obj`, which the CLI reports as
-a :class:`ConfigError`), an unknown `StreamingKernel` boundary policy or
-`window_classifier` measure, and a NUL in a `csvout.Text` entry or an
-integer CSV column outside [0, 2**63).
+a :class:`ConfigError`), an unknown `window_classifier` measure, and a
+NUL in a `csvout.Text` entry or an integer CSV column outside [0, 2**63).
 
 The CLI maps a failure to its exit code by base class alone:
 :class:`ConfigError` exits 1, :class:`DataError` (malformed or unsuitable
@@ -43,7 +42,7 @@ class StepOutOfRangeError(DataError):
     """Time step whose power of the derivative order over- or underflows."""
 
 
-class CoefficientLengthMismatchError(SiglexError):
+class CoefficientLengthMismatchError(DataError):
     """Coefficient sampling does not match the expected length."""
 
 

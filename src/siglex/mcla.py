@@ -26,7 +26,7 @@ from .errors import (
     NoReferencesError,
 )
 from .grid import Grid
-from .scla import Runs, SymbolStream, compress_runs
+from .scla import SymbolStream
 
 
 def align_and_combine(streams: Sequence[SymbolStream]) -> SymbolStream:
@@ -85,11 +85,6 @@ def align_and_combine(streams: Sequence[SymbolStream]) -> SymbolStream:
     # a degenerate single-sample overlap has no representable grid
     out_grid = Grid(len(t), coarse.h, coarse.time_at(k_lo)) if len(t) >= 2 else None
     return SymbolStream(codes, None, out_grid, table)
-
-
-def multi_tokens(ms: SymbolStream) -> Runs:
-    """Run-length tokens over the combined per-sample symbols."""
-    return compress_runs(ms)
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +146,6 @@ def histogram(ms: SymbolStream, window: Optional[tuple] = None) -> FrequencyDict
 def frequency_dictionary(fd: FrequencyDict) -> list[tuple[str, int]]:
     """Entries sorted by decreasing count, ties by key ascending."""
     return sorted(fd.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
-def exclude_symbols(fd: FrequencyDict, keys: Iterable[str]) -> FrequencyDict:
-    """Drop the listed combination keys (e.g. the dominant stationary bins)."""
-    drop = set(keys)
-    return FrequencyDict.from_counts(
-        {k: v for k, v in fd.counts.items() if k not in drop})
 
 
 def window_classifier(ms: SymbolStream, size: int,

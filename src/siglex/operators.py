@@ -9,11 +9,10 @@ rational arithmetic and rounded once, so they are exact on polynomials up to
 the stated degree to within a single float rounding.
 
 Operators are stored as their (n, 2w+1) row bands; the dense n x n matrix
-is built only on request (`entries`).  Band apply, streaming and the
-boundary rows share one stencil engine: each output sums its 2w+1-sample
-window left to right in a fixed order (no ``np.dot``, whose order is not
-fixed), so streaming and band outputs are bitwise-identical, boundary rows
-included.
+is built only on request (`entries`).  Band apply and streaming share
+one stencil engine: each output sums its 2w+1-sample window left to right
+in a fixed order (no ``np.dot``, whose order is not fixed), so a streamed
+output is bitwise-identical to its band row.
 
 The LDO path works on the band alone.  A blocked Householder QR of the
 band (`_qr_sweep`) gives R, banded upper with 2w superdiagonals.  The rank
@@ -685,9 +684,6 @@ class LocalKernel:
     """Central-row stencil of a derivative operator, for convolutional use."""
 
     weights: np.ndarray
-    order: int
-    accuracy: int
-    h: float
 
     @property
     def half_width(self) -> int:
@@ -695,57 +691,25 @@ class LocalKernel:
 
 
 def extract_local_kernel(order: int, accuracy: int, h: float) -> LocalKernel:
-    """Central stencil of build_diff_operator for streaming convolution."""
+    """Central stencil of build_diff_operator, the weights of its interior rows."""
     check_order(order, accuracy)
     w = _half_width(accuracy)
-    weights = _window_stencils(order, accuracy, float(h))[w].copy()
-    return LocalKernel(weights, order, accuracy, float(h))
+    return LocalKernel(_stencil(range(-w, w + 1), accuracy, order, float(h)))
 
 
-class StreamingKernel:
-    """Incremental convolution of a LocalKernel over a sample stream.
+def apply_streaming(kernel: LocalKernel, stream) -> np.ndarray:
+    """The kernel over every full 2w+1-sample window of `stream`, in order.
 
-    Carries the last window of 2w+1 samples between calls; output j is
-    emitted as soon as inputs j-w .. j+w have arrived (latency w).  Single
-    consumer per instance; independent instances are unrelated.
-
-    boundary="valid" emits fully-supported outputs only; "one_sided" also
-    fills the first/last w outputs with the shifted boundary stencils of the
-    equivalent dense matrix (streams shorter than 2w+1 yield no output).
+    Output j is row j + w of build_diff_operator applied to the stream, bit
+    for bit; the first and last w rows, which need one-sided stencils, are
+    the band's alone.  A stream shorter than 2w+1 gives no output.  Each
+    output depends on its own 2w+1 samples only, so a stream may arrive in
+    chunks: when every chunk after the first starts with the last 2w samples
+    of the one before, the chunks' outputs, concatenated, are the whole
+    stream's bytes.
     """
-
-    def __init__(self, kernel: LocalKernel, boundary: str = "valid"):
-        if boundary not in ("valid", "one_sided"):
-            raise ValueError(f"unknown boundary policy {boundary!r}")
-        self.kernel = kernel
-        self.boundary = boundary
-        self._w = kernel.half_width
-        self._window = np.empty(0)
-        self._rows = _window_stencils(kernel.order, kernel.accuracy, kernel.h)
-
-    def push_many(self, chunk) -> np.ndarray:
-        """Feed a 1-D block of samples; returns the outputs it completes, in order."""
-        w, width = self._w, 2 * self._w + 1
-        # a full carried window's output went out with the previous call
-        emitted = len(self._window) == width
-        x = np.concatenate((self._window, np.asarray(chunk, dtype=np.float64)))
-        self._window = x[-width:].copy()
-        if len(x) < width:
-            return np.empty(0)
-        out = _stencil_sum(self.kernel.weights,
-                           sliding_window_view(x, width)[int(emitted):])
-        if self.boundary == "one_sided" and not emitted:
-            out = np.concatenate((_stencil_sum(self._rows[:w], x[None, :width]), out))
-        return out
-
-    def finish(self) -> np.ndarray:
-        """Flush trailing one-sided outputs (empty for boundary="valid")."""
-        if self.boundary != "one_sided" or len(self._window) < 2 * self._w + 1:
-            return np.empty(0)
-        return _stencil_sum(self._rows[self._w + 1:], self._window[None, :])
-
-
-def apply_streaming(kernel: LocalKernel, stream, boundary: str = "valid") -> np.ndarray:
-    """Convolve a kernel over a sample sequence via the streaming path."""
-    sk = StreamingKernel(kernel, boundary)
-    return np.concatenate((sk.push_many(stream), sk.finish()))
+    x = np.asarray(stream, dtype=np.float64)
+    width = len(kernel.weights)
+    if len(x) < width:
+        return np.empty(0)
+    return _stencil_sum(kernel.weights, sliding_window_view(x, width))

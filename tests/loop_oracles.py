@@ -29,7 +29,6 @@ from siglex.errors import (
     NonUniformGridError,
 )
 from siglex.grid import Grid
-from siglex.operators import _stencil
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -72,45 +71,23 @@ def stencil_tolerance(width: int, abs_sum: np.ndarray) -> np.ndarray:
 class DequeStreamingKernel:
     """Per-sample streaming convolution over a 2w+1-sample deque."""
 
-    def __init__(self, kernel, boundary: str = "valid"):
+    def __init__(self, kernel):
         self.kernel = kernel
-        self.boundary = boundary
-        self._w = kernel.half_width
-        self._buf = deque(maxlen=2 * self._w + 1)
-        self._seen = 0
-
-    def _row(self, pos: int) -> np.ndarray:
-        width = 2 * self._w + 1
-        return _stencil([j - pos for j in range(width)], self.kernel.accuracy,
-                        self.kernel.order, self.kernel.h)
+        self._buf = deque(maxlen=len(kernel.weights))
 
     def push(self, sample: float) -> list[float]:
+        """The output whose window `sample` completes, if any."""
         self._buf.append(float(sample))
-        self._seen += 1
-        width = 2 * self._w + 1
-        if self._seen < width:
+        if len(self._buf) < self._buf.maxlen:
             return []
-        window = np.array(self._buf)
-        out = []
-        if self._seen == width and self.boundary == "one_sided":
-            out.extend(float(np.dot(self._row(r), window)) for r in range(self._w))
-        out.append(float(np.dot(self.kernel.weights, window)))
-        return out
-
-    def finish(self) -> list[float]:
-        w = self._w
-        if self.boundary != "one_sided" or self._seen < 2 * w + 1:
-            return []
-        window = np.array(self._buf)
-        return [float(np.dot(self._row(w + 1 + r), window)) for r in range(w)]
+        return [float(np.dot(self.kernel.weights, np.array(self._buf)))]
 
 
-def apply_streaming_loop(kernel, stream, boundary: str = "valid") -> np.ndarray:
-    sk = DequeStreamingKernel(kernel, boundary)
+def apply_streaming_loop(kernel, stream) -> np.ndarray:
+    sk = DequeStreamingKernel(kernel)
     out: list[float] = []
     for sample in stream:
         out.extend(sk.push(sample))
-    out.extend(sk.finish())
     return np.array(out)
 
 

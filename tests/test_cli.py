@@ -478,6 +478,21 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["solve", "--config", str(acfg), "--input", str(data),
                      "--out", str(tmp_path / "e7")]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
+    # usage: an unknown alphabet kind and repeated constraint indices,
+    # rejected before the log is read
+    ldo = {"degree": 1, "coefficients": [0.0, 1.0], "constraints": [[0, 0.0], [0, 0.0]]}
+    for channel, message in (
+            ({"alphabet": {"kind": "foo", "symbols": "lmh", "boundaries": [-0.5, 0.5]}},
+             "unknown kind 'foo'"),
+            ({"alphabet": {"kind": "usd", "epsilon": 0.05}, "ldo": ldo},
+             "constraint indices not distinct: [0, 0]")):
+        kcfg = write(tmp_path / "k.json", json.dumps(
+            {"channels": [dict({"name": "pos", "csv_column": "a"}, **channel)]}))
+        assert main(["solve", "--config", str(kcfg),
+                     "--input", str(tmp_path / "missing.csv"),
+                     "--out", str(tmp_path / "e9")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err, err
     # usage: a classify window below 1, rejected before the log is read
     for window in ("0", "-1"):
         assert main(["classify", "--config", str(cfg),
@@ -586,10 +601,11 @@ EXIT_CODES = {
         "MalformedTokensError", "NoOverlapError", "EmptyInputError",
         "InvalidWindowError", "NoReferencesError", "AlphabetMismatchError",
         "MalformedCsvError", "NonMonotoneTimeError", "NonUniformGridError",
-        "NullSpaceTooLargeError", "StepOutOfRangeError"), 2),
+        "NullSpaceTooLargeError", "StepOutOfRangeError",
+        "CoefficientLengthMismatchError"), 2),
     **dict.fromkeys((
         "OrderExceedsAccuracyError", "AccuracyTooHighError",
-        "CoefficientLengthMismatchError", "LeadingCoefficientZeroError",
+        "LeadingCoefficientZeroError",
         "LengthMismatchError", "ConstraintCountMismatchError",
         "SingularConstraintSystemError", "DimensionMismatchError",
         "NotSymmetricError", "InsufficientDofError", "InvalidProbabilityError",
@@ -866,6 +882,20 @@ def test_cli_error_names_channel_and_stage(tmp_path, capsys):
           "--out", str(tmp_path / "e")])
     err = capsys.readouterr().err
     assert "pos" in err and "solve" in err
+
+
+def test_cli_coefficient_vector_of_the_wrong_length_is_a_data_error(tmp_path, capsys):
+    # the log, not the config, decides the grid a per-point vector must fit
+    config = {"channels": [{"name": "pos", "csv_column": "a",
+                            "alphabet": {"kind": "usd", "epsilon": 0.05},
+                            "ldo": {"degree": 1, "coefficients": [0.0, [1.0] * 10],
+                                    "constraints": [[0, 0.0]]}}]}
+    code, out = run_cli(tmp_path, "solve", config, ramp_csv_text(50), "o")
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1, err
+    assert "channel 'pos', stage 'ldo'" in err and "n=50" in err, err
+    config["channels"][0]["ldo"]["coefficients"][1] = [1.0] * 50
+    assert run_cli(tmp_path, "solve", config, ramp_csv_text(50), "o")[0] == 0
 
 
 def test_cli_short_log_blames_the_operator_stage(tmp_path, capsys):

@@ -9,10 +9,9 @@ from siglex import (
     FrequencyDict,
     Grid,
     align_and_combine,
-    exclude_symbols,
+    compress_runs,
     frequency_dictionary,
     histogram,
-    multi_tokens,
     quantize,
     usd_alphabet,
     window_classifier,
@@ -104,7 +103,7 @@ def test_combine_gives_each_combination_one_code():
     ms = align_and_combine([a, b])
     assert ms.table == ("abc", "abbc") and ms.codes.tolist() == [0, 0, 1]
     assert histogram(ms).counts == {"abc": 2, "abbc": 1}
-    assert [tuple(t) for t in multi_tokens(ms)] == [("abc", 2, 0), ("abbc", 1, 2)]
+    assert [tuple(t) for t in compress_runs(ms)] == [("abc", 2, 0), ("abbc", 1, 2)]
 
 
 def test_combine_needs_two_streams():
@@ -136,10 +135,10 @@ def test_channel_projection_fuzz():
             assert combo[1] == s2[g2.index_at_or_before(t)]
 
 
-def test_multi_tokens():
+def test_combined_stream_tokens():
     ms = ms_from_samples(["ud", "ud", "ss", "ss", "ss"])
     assert ms.table == ("ss", "ud")
-    toks = multi_tokens(ms)
+    toks = compress_runs(ms)
     assert toks.table == ms.table
     assert (toks.codes.tolist(), toks.lengths.tolist(), toks.starts.tolist()) == \
         ([1, 0], [2, 3], [0, 2])
@@ -238,16 +237,6 @@ def test_frequency_dictionary_is_permutation():
         assert dict(out) == counts
         cs = [c for _, c in out]
         assert cs == sorted(cs, reverse=True)
-
-
-def test_exclude_symbols():
-    fd = FrequencyDict.from_counts({"ud": 2, "ss": 5})
-    out = exclude_symbols(fd, {"ss"})
-    assert out.counts == {"ud": 2} and out.total == 2
-    unchanged = exclude_symbols(fd, set())
-    assert unchanged.counts == fd.counts and unchanged.total == 7
-    empty = exclude_symbols(fd, {"ud", "ss"})
-    assert empty.counts == {} and empty.total == 0
 
 
 def test_frequency_dict_json_round_trip():

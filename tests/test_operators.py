@@ -6,7 +6,6 @@ import pytest
 from siglex import (
     Grid,
     LdoSpec,
-    StreamingKernel,
     apply_streaming,
     assemble_ldo,
     build_diff_operator,
@@ -664,21 +663,6 @@ def test_streaming_identity_width_one():
     assert np.array_equal(apply_streaming(k, x), x)
 
 
-def test_streaming_latency():
-    k = extract_local_kernel(1, 4, 1.0)
-    sk = StreamingKernel(k)
-    w = k.half_width
-    emitted = []
-    for j in range(20):
-        out = sk.push_many([float(j * j)])
-        if j < 2 * w:
-            assert out.size == 0
-        else:
-            assert out.size == 1  # output j-w arrives exactly at sample j
-        emitted.extend(out)
-    assert len(emitted) == 20 - 2 * w
-
-
 @pytest.mark.parametrize("order,accuracy", [(0, 2), (1, 2), (2, 2), (1, 4), (3, 6)])
 def test_streaming_matches_dense_interior_bitwise(order, accuracy):
     rng = np.random.default_rng(42 + order)
@@ -694,70 +678,38 @@ def test_streaming_matches_dense_interior_bitwise(order, accuracy):
     assert np.array_equal(stream, full[w:n - w])
 
 
-def test_one_sided_streaming_matches_dense_everywhere_bitwise():
-    rng = np.random.default_rng(77)
-    n = 300
-    x = rng.standard_normal(n)
-    grid = Grid(n, 0.25)
-    for order, accuracy in [(1, 2), (2, 4), (0, 2)]:
-        dense = build_diff_operator(grid, order, accuracy).apply(x)
-        k = extract_local_kernel(order, accuracy, grid.h)
-        out = apply_streaming(k, x, boundary="one_sided")
-        assert out.shape == (n,)
-        assert np.array_equal(out, dense)
-
-
 def test_streaming_short_stream():
     k = extract_local_kernel(1, 4, 1.0)
-    assert apply_streaming(k, [1.0, 2.0]).size == 0
-    assert apply_streaming(k, [1.0, 2.0], boundary="one_sided").size == 0
+    for x in ([], [1.0, 2.0], np.arange(4.0)):
+        out = apply_streaming(k, x)
+        assert out.shape == (0,) and out.dtype == np.float64
+    out = apply_streaming(extract_local_kernel(1, 2, 1.0), [0, 1, 4])
+    assert out.dtype == np.float64 and np.array_equal(out, [2.0])  # (x^2)' at 1
 
 
-def _chunked(k, x, boundary, size):
-    sk = StreamingKernel(k, boundary)
-    parts = [sk.push_many(x[i:i + size]) for i in range(0, len(x), size)]
-    return np.concatenate(parts + [sk.finish()])
+def _overlapped(k, x, size):
+    """`x` streamed in chunks of `size` new samples, each chunk led by the
+    last 2w samples of the one before."""
+    lead = 2 * k.half_width
+    return np.concatenate([apply_streaming(k, x[max(i - lead, 0):i + size])
+                           for i in range(0, len(x), size)])
 
 
-def _per_sample(k, x, boundary):
-    sk = StreamingKernel(k, boundary)
-    return np.concatenate([sk.push_many([sample]) for sample in x] + [sk.finish()])
-
-
-@pytest.mark.parametrize("boundary", ["valid", "one_sided"])
 @pytest.mark.parametrize("order,accuracy", [(0, 2), (1, 2), (2, 4), (3, 4), (3, 6)])
-def test_chunking_and_dense_give_identical_bytes(order, accuracy, boundary):
+def test_chunking_and_dense_give_identical_bytes(order, accuracy):
     rng = np.random.default_rng(10 * order + accuracy)
     k = extract_local_kernel(order, accuracy, 0.3)
     w = k.half_width
     for n in (2 * w, 2 * w + 1, 2 * w + 2, 97):
         x = rng.standard_normal(n)
-        want = apply_streaming(k, x, boundary=boundary)
+        want = apply_streaming(k, x)
         for size in (1, 7, n):
-            assert _chunked(k, x, boundary, size).tobytes() == want.tobytes()
-        assert _per_sample(k, x, boundary).tobytes() == want.tobytes()
+            assert _overlapped(k, x, size).tobytes() == want.tobytes()
         if n < 2 * w + 1:
-            assert want.size == 0
+            assert want.shape == (0,)
             continue
         dense = build_diff_operator(Grid(n, 0.3), order, accuracy).apply(x)
-        if boundary == "valid":
-            dense = dense[w:n - w]
-        assert want.tobytes() == dense.tobytes()
-
-
-def test_push_many_and_finish_return_arrays():
-    k = extract_local_kernel(1, 2, 1.0)
-    sk = StreamingKernel(k)
-    assert sk.push_many([]).shape == (0,)
-    assert sk.push_many([0.0, 1.0]).shape == (0,)
-    out = sk.push_many([4.0])
-    assert out.dtype == np.float64 and np.array_equal(out, [2.0])
-    assert np.array_equal(sk.push_many(np.array([9.0, 16.0])), [4.0, 6.0])
-    assert sk.finish().shape == (0,)
-    sk = StreamingKernel(k, "one_sided")
-    sk.push_many([0.0, 1.0, 4.0])
-    out = sk.finish()
-    assert out.dtype == np.float64 and np.array_equal(out, [4.0])  # (x^2)' at 2
+        assert want.tobytes() == dense[w:n - w].tobytes()
 
 
 def test_engine_matches_loop_oracles():
@@ -772,11 +724,9 @@ def test_engine_matches_loop_oracles():
         tol = stencil_tolerance(2 * w + 1, banded_abs_sum(d.band, x))
         assert np.all(np.abs(d.apply(x) - banded_apply_loop(d.band, x)) <= tol)
         k = extract_local_kernel(order, accuracy, grid.h)
-        for boundary, rows in (("valid", slice(w, n - w)), ("one_sided", slice(None))):
-            got = apply_streaming(k, x, boundary=boundary)
-            want = apply_streaming_loop(k, x, boundary=boundary)
-            assert got.shape == want.shape
-            assert np.all(np.abs(got - want) <= tol[rows])
+        got, want = apply_streaming(k, x), apply_streaming_loop(k, x)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= tol[w:n - w])
     # row-varying LDO coefficients go through the same engine
     t = grid.times()
     op = assemble_ldo(LdoSpec(2, [np.sin(t), 1.0 + t, 2.0 + np.cos(t)]), grid, 4)
@@ -787,19 +737,18 @@ def test_engine_matches_loop_oracles():
 
 def test_streaming_memory_is_linear_in_samples():
     # no n x n and no O(n*w) window matrix: the (n, 2w+1) gather alone would
-    # be 5 * 8n bytes here, the engine peaks at 3 * 8n (input copy, output,
-    # one product temporary)
+    # be 5 * 8n bytes here; the engine reads a strided view of the samples
+    # and peaks at 2 * 8n (output, one product temporary)
     n = 100_000
     x = np.random.default_rng(2).standard_normal(n)
     k = extract_local_kernel(1, 4, 0.01)
-    for boundary in ("valid", "one_sided"):
-        tracemalloc.start()
-        try:
-            apply_streaming(k, x, boundary=boundary)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 8 * n, f"{boundary}: traced peak {peak} bytes"
+    tracemalloc.start()
+    try:
+        apply_streaming(k, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n + 64 * 1024, f"traced peak {peak} bytes"
 
 
 def test_band_apply_memory_is_linear_in_samples():

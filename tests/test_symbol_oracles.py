@@ -20,7 +20,6 @@ from siglex import (
     compress_runs,
     decompress,
     histogram,
-    multi_tokens,
     quantize,
     usd_alphabet,
     window_classifier,
@@ -113,7 +112,7 @@ def test_combination_layer_matches_loop_oracles():
             continue
         samples = align_and_combine_loop(streams, grids)
         assert [ms.table[c] for c in ms.codes.tolist()] == samples
-        assert tokens(multi_tokens(ms)) == compress_runs_loop(samples)
+        assert tokens(compress_runs(ms)) == compress_runs_loop(samples)
         assert histogram(ms).counts == histogram_loop(samples)
 
         combos = sorted(set(samples))
@@ -135,7 +134,7 @@ def test_short_multistreams_match_loop_oracles():
         ms = SymbolStream(samples)
         assert len(ms) == len(samples)
         assert histogram(ms).counts == histogram_loop(samples)
-        assert tokens(multi_tokens(ms)) == compress_runs_loop(samples)
+        assert tokens(compress_runs(ms)) == compress_runs_loop(samples)
 
 
 def _symbol_layer(n: int):
@@ -159,7 +158,7 @@ def _symbol_layer(n: int):
             streams.append(stream)
         ms = align_and_combine(streams)
         histogram(ms)
-        multi_tokens(ms)
+        compress_runs(ms)
     return run
 
 
