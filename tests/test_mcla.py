@@ -338,6 +338,23 @@ def test_cosine_both_empty():
     assert classify(["uu"], empty, "l1", {"uu"}) == [("e", 0.0)]
 
 
+def test_exclude_symbols():
+    # an excluded key scores as if it occurred in no window and no reference
+    refs = {"mode1": FrequencyDict.from_counts({"uu": 4, "dd": 1, "ss": 9}),
+            "mode2": FrequencyDict.from_counts({"dd": 3, "ss": 2})}
+    without = {r: FrequencyDict.from_counts({k: v for k, v in fd.counts.items() if k != "ss"})
+               for r, fd in refs.items()}
+    samples = ["uu", "ss", "dd", "ss", "uu", "ss"]
+    for measure in ("l1", "cosine"):
+        got = classify(samples, refs, measure, {"ss"}, size=3)
+        assert got == classify([s for s in samples if s != "ss"], without, measure, size=2)
+        assert classify(samples, refs, measure, set(), size=3) == \
+            classify(samples, refs, measure, size=3)
+    # every key excluded: each window is empty, and l1 scores it 0 throughout
+    assert classify(samples, refs, "l1", {"uu", "dd", "ss"}, size=3) == \
+        [("mode1", 0.0), ("mode1", 0.0)]
+
+
 def test_classify_exact_match():
     refs = {"mode1": FrequencyDict.from_counts({"uu": 4, "dd": 1}),
             "mode2": FrequencyDict.from_counts({"ss": 5})}

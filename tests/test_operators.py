@@ -663,6 +663,21 @@ def test_streaming_identity_width_one():
     assert np.array_equal(apply_streaming(k, x), x)
 
 
+def test_streaming_latency():
+    # the derivative at sample j - w needs samples up to j and no later one:
+    # streamed over the first j + 1 samples, it is already the last output
+    k = extract_local_kernel(1, 4, 1.0)
+    w = k.half_width
+    x = np.arange(20.0) ** 2
+    whole = apply_streaming(k, x)
+    for j in range(20):
+        out = apply_streaming(k, x[:j + 1])
+        assert out.size == max(0, j + 1 - 2 * w)
+        if out.size:
+            assert out[-1].tobytes() == whole[j - 2 * w].tobytes()
+    assert whole.size == 20 - 2 * w
+
+
 @pytest.mark.parametrize("order,accuracy", [(0, 2), (1, 2), (2, 2), (1, 4), (3, 6)])
 def test_streaming_matches_dense_interior_bitwise(order, accuracy):
     rng = np.random.default_rng(42 + order)
@@ -676,6 +691,29 @@ def test_streaming_matches_dense_interior_bitwise(order, accuracy):
     stream = apply_streaming(k, x)
     assert stream.shape == (n - 2 * w,)
     assert np.array_equal(stream, full[w:n - w])
+
+
+def _one_sided(interior, x, order, accuracy, h):
+    """The streamed `interior` of `x` between the band's first and last w
+    rows, each built from the first or last 2w+1 samples alone."""
+    w = (len(x) - len(interior)) // 2
+    end = build_diff_operator(Grid(2 * w + 1, h), order, accuracy).apply
+    return np.concatenate([end(x[:2 * w + 1])[:w], interior, end(x[-2 * w - 1:])[w + 1:]])
+
+
+def test_one_sided_streaming_matches_dense_everywhere_bitwise():
+    # a boundary row reads only its 2w+1-sample end window, so a stream's
+    # one-sided rows need the band of that window, not of the whole grid
+    rng = np.random.default_rng(77)
+    for order, accuracy in [(1, 2), (2, 4), (0, 2)]:
+        k = extract_local_kernel(order, accuracy, 0.25)
+        w = k.half_width
+        for n in (2 * w + 1, 2 * w + 2, 300):
+            x = rng.standard_normal(n)
+            dense = build_diff_operator(Grid(n, 0.25), order, accuracy).apply(x)
+            out = _one_sided(apply_streaming(k, x), x, order, accuracy, 0.25)
+            assert out.shape == (n,)
+            assert out.tobytes() == dense.tobytes()
 
 
 def test_streaming_short_stream():
@@ -695,8 +733,9 @@ def _overlapped(k, x, size):
                            for i in range(0, len(x), size)])
 
 
+@pytest.mark.parametrize("boundary", ["valid", "one_sided"])
 @pytest.mark.parametrize("order,accuracy", [(0, 2), (1, 2), (2, 4), (3, 4), (3, 6)])
-def test_chunking_and_dense_give_identical_bytes(order, accuracy):
+def test_chunking_and_dense_give_identical_bytes(order, accuracy, boundary):
     rng = np.random.default_rng(10 * order + accuracy)
     k = extract_local_kernel(order, accuracy, 0.3)
     w = k.half_width
@@ -709,7 +748,12 @@ def test_chunking_and_dense_give_identical_bytes(order, accuracy):
             assert want.shape == (0,)
             continue
         dense = build_diff_operator(Grid(n, 0.3), order, accuracy).apply(x)
-        assert want.tobytes() == dense[w:n - w].tobytes()
+        if boundary == "valid":
+            assert want.tobytes() == dense[w:n - w].tobytes()
+            continue
+        for size in (1, 7, n):
+            out = _one_sided(_overlapped(k, x, size), x, order, accuracy, 0.3)
+            assert out.tobytes() == dense.tobytes()
 
 
 def test_engine_matches_loop_oracles():
