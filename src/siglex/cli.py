@@ -101,7 +101,20 @@ class ChannelConfig:
 _KINDS = {int: "an integer", float: "a finite number", str: "a string",
           list: "a list", dict: "an object", (str, list): "a string or a list",
           "numbers": "a list of finite numbers"}
-_REQUIRED = object()
+
+# Each config object's whole schema: (key, JSON kind) for a required field,
+# (key, kind, default) for an optional one; `_fields` refuses any other key.
+_CONFIG = (("channels", list), ("combine", list, ()), ("time_column", str, "t"),
+           ("band", dict, {}))
+_BAND = (("level", float, 0.95),)
+_CHANNEL = (("name", str), ("csv_column", str), ("alphabet", dict),
+            ("operator", dict, None), ("ldo", dict, None), ("pattern", str, None))
+_USD_ALPHABET = (("kind", str), ("epsilon", float), ("nan", str, "reject"))
+_ALPHABET = (("kind", str, None), ("symbols", (str, list)), ("boundaries", "numbers"),
+             ("range", "numbers", None), ("catch_all", str, None), ("nan", str, "reject"))
+_OPERATOR = (("order", int), ("accuracy", int))
+_LDO = (("degree", int), ("coefficients", list), ("accuracy", int, 2),
+        ("constraints", list, ()))
 
 
 def _is(value, kind) -> bool:
@@ -115,17 +128,23 @@ def _is(value, kind) -> bool:
     return not isinstance(value, bool) and isinstance(value, kind)
 
 
-def _get(obj: dict, key: str, kind, where: str, default=_REQUIRED):
-    """obj[key] of the given JSON kind; null counts as absent.  Numbers come
-    back as float."""
-    value = obj.get(key)
-    if value is None:
-        if default is _REQUIRED:
+def _fields(obj, where: str, table) -> list:
+    """Values of a JSON object's fields in table order, numbers as float and
+    null as absent; any other key is refused (`additionalProperties: false`)."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    for key in obj:
+        if key not in (name for name, *_ in table):
+            raise ConfigError(f"{where}: unknown field {key!r}")
+    values = []
+    for key, kind, *default in table:
+        raw = obj.get(key)
+        if raw is None and not default:
             raise ConfigError(f"{where}: missing field '{key}'")
-        return default
-    if not _is(value, kind):
-        raise ConfigError(f"{where}: '{key}' must be {_KINDS[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+        if raw is not None and not _is(raw, kind):
+            raise ConfigError(f"{where}: '{key}' must be {_KINDS[kind]}, got {raw!r}")
+        values.append(default[0] if raw is None else float(raw) if kind is float else raw)
+    return values
 
 
 def _check_level(level: float, what: str) -> float:
@@ -135,28 +154,22 @@ def _check_level(level: float, what: str) -> float:
 
 
 def _parse_alphabet(a: dict, where: str) -> scla.Alphabet:
-    nan_policy = a.get("nan", "reject")
-    kind = a.get("kind")
+    kind = a.get("kind")  # picks the table
     if kind not in (None, "usd"):
         raise ConfigError(f"{where}: unknown kind {kind!r}; the one kind is 'usd', "
                           "an alphabet without 'kind' gives explicit symbols")
     if kind == "usd":
-        return scla.usd_alphabet(_get(a, "epsilon", float, where), nan_policy=nan_policy)
-    rng = _get(a, "range", "numbers", where, None)
-    return scla.Alphabet(tuple(_get(a, "symbols", (str, list), where)),
-                         tuple(_get(a, "boundaries", "numbers", where)),
-                         nan_policy=nan_policy, catch_all=a.get("catch_all"),
-                         valid_range=None if rng is None else tuple(rng))
+        return scla.usd_alphabet(*_fields(a, where, _USD_ALPHABET)[1:])
+    _, symbols, boundaries, rng, catch_all, nan_policy = _fields(a, where, _ALPHABET)
+    return scla.Alphabet(tuple(symbols), tuple(boundaries), nan_policy,
+                         None if rng is None else tuple(rng), catch_all)
 
 
 def _parse_ldo(raw: dict, where: str) -> LdoConfig:
-    degree = _get(raw, "degree", int, where)
-    accuracy = _get(raw, "accuracy", int, where, 2)
-    coefficients = _get(raw, "coefficients", list, where)
+    degree, coefficients, accuracy, constraints = _fields(raw, where, _LDO)
     if not all(_is(c, float) or _is(c, "numbers") for c in coefficients):
         raise ConfigError(f"{where}: each coefficient must be a finite number or a list "
                           f"of them (one per grid point), got {coefficients!r}")
-    constraints = _get(raw, "constraints", list, where, [])
     for pair in constraints:
         if not (isinstance(pair, list) and len(pair) == 2
                 and _is(pair[0], int) and _is(pair[1], float)):
@@ -179,21 +192,15 @@ def _compile_pattern(text: str, alphabet: scla.Alphabet,
 
 
 def _parse_channel(ch, i: int) -> ChannelConfig:
-    if not isinstance(ch, dict):
-        raise ConfigError(f"channel {i} must be an object, got {ch!r}")
-    name = _get(ch, "name", str, f"channel {i}")
+    name, column, raw_alpha, raw_op, raw_ldo, text = _fields(ch, f"channel {i}", _CHANNEL)
     where = f"channel '{name}'"
-    raw_op = _get(ch, "operator", dict, where, None)
-    raw_ldo = _get(ch, "ldo", dict, where, None)
     if raw_op is not None and raw_ldo is not None:
         raise ConfigError(f"{where}: 'operator' and 'ldo' are exclusive")
     try:
-        alphabet = _parse_alphabet(_get(ch, "alphabet", dict, where), f"{where} alphabet")
+        alphabet = _parse_alphabet(raw_alpha, f"{where} alphabet")
         operator = ldo = None
         if raw_op is not None:
-            w = f"{where} operator"
-            operator = OperatorConfig(_get(raw_op, "order", int, w),
-                                      _get(raw_op, "accuracy", int, w))
+            operator = OperatorConfig(*_fields(raw_op, f"{where} operator", _OPERATOR))
             check_order(operator.order, operator.accuracy)
         if raw_ldo is not None:
             ldo = _parse_ldo(raw_ldo, f"{where} ldo")
@@ -201,10 +208,8 @@ def _parse_channel(ch, i: int) -> ChannelConfig:
         raise
     except SiglexError as exc:  # the library's own check of a parsed value
         raise ConfigError(f"{where}: {exc}") from exc
-    text = _get(ch, "pattern", str, where, None)
     compiled = None if text is None else _compile_pattern(text, alphabet, where)
-    return ChannelConfig(name, _get(ch, "csv_column", str, where), alphabet,
-                         operator, ldo, compiled)
+    return ChannelConfig(name, column, alphabet, operator, ldo, compiled)
 
 
 @dataclass
@@ -217,21 +222,16 @@ class PipelineConfig:
     @classmethod
     def from_json_obj(cls, obj) -> "PipelineConfig":
         """Check a loaded config and parse it into typed channel configs."""
-        if not isinstance(obj, dict):
-            raise ConfigError("config must be an object with a 'channels' list")
-        channels = [_parse_channel(ch, i)
-                    for i, ch in enumerate(_get(obj, "channels", list, "config"))]
+        raw_channels, combine, time_column, band = _fields(obj, "config", _CONFIG)
+        channels = [_parse_channel(ch, i) for i, ch in enumerate(raw_channels)]
         names = [c.name for c in channels]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate channel names: {names}")
-        combine = _get(obj, "combine", list, "config", [])
         for name in combine:
             if name not in names:
                 raise ConfigError(f"combine references unknown channel {name!r}")
-        band = _get(obj, "band", dict, "config", {})
-        level = _check_level(_get(band, "level", float, "band", 0.95), "band level")
-        return cls(channels, combine, _get(obj, "time_column", str, "config", "t"),
-                   level)
+        (level,) = _fields(band, "band", _BAND)
+        return cls(channels, list(combine), time_column, _check_level(level, "band level"))
 
 
 def _read_json(path, what: str):

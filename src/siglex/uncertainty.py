@@ -130,8 +130,6 @@ def student_t_cdf(x: float, dof: int) -> float:
     """CDF of the Student-t distribution with `dof` degrees of freedom."""
     if dof < 1:
         raise InvalidDofError(f"dof must be >= 1, got {dof}")
-    if x == 0.0:
-        return 0.5
     t2 = x * x
     if t2 <= dof:
         # central branch keeps precision for small |x|, where

@@ -478,21 +478,6 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["solve", "--config", str(acfg), "--input", str(data),
                      "--out", str(tmp_path / "e7")]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
-    # usage: an unknown alphabet kind and repeated constraint indices,
-    # rejected before the log is read
-    ldo = {"degree": 1, "coefficients": [0.0, 1.0], "constraints": [[0, 0.0], [0, 0.0]]}
-    for channel, message in (
-            ({"alphabet": {"kind": "foo", "symbols": "lmh", "boundaries": [-0.5, 0.5]}},
-             "unknown kind 'foo'"),
-            ({"alphabet": {"kind": "usd", "epsilon": 0.05}, "ldo": ldo},
-             "constraint indices not distinct: [0, 0]")):
-        kcfg = write(tmp_path / "k.json", json.dumps(
-            {"channels": [dict({"name": "pos", "csv_column": "a"}, **channel)]}))
-        assert main(["solve", "--config", str(kcfg),
-                     "--input", str(tmp_path / "missing.csv"),
-                     "--out", str(tmp_path / "e9")]) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and message in err, err
     # usage: a classify window below 1, rejected before the log is read
     for window in ("0", "-1"):
         assert main(["classify", "--config", str(cfg),
@@ -500,6 +485,46 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "e8"), "--window", window]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "--window" in err, err
+
+
+def _pos_config(**fields) -> dict:
+    return {"channels": [dict({"name": "pos", "csv_column": "a",
+                               "alphabet": {"kind": "usd", "epsilon": 0.05}}, **fields)]}
+
+
+# configs refused before the log is read: (config, text of the one stderr line)
+CONFIG_ERRORS = [
+    ([TWO_CHANNEL_CONFIG], "config must be an object, got [{"),
+    ({"channels": _pos_config()["channels"] * 2},
+     "duplicate channel names: ['pos', 'pos']"),
+    (_pos_config(alphabet={"symbols": "l_h", "boundaries": [-0.5, 0.5]}),
+     "channel 'pos': '_' is reserved for gaps"),
+    (_pos_config(alphabet={"kind": "foo", "symbols": "lmh", "boundaries": [-0.5, 0.5]}),
+     "unknown kind 'foo'"),
+    (_pos_config(ldo={"degree": 1, "coefficients": [0.0, 1.0],
+                       "constraints": [[0, 0.0], [0, 0.0]]}),
+     "constraint indices not distinct: [0, 0]"),
+    # a misspelt section, and fields of the other alphabet table, used to be
+    # ignored: derive wrote the raw samples as the derivative
+    (_pos_config(operater={"order": 1, "accuracy": 2}),
+     "channel 0: unknown field 'operater'"),
+    (_pos_config(alphabet={"kind": "usd", "epsilon": 0.05, "symbols": "lmh"}),
+     "channel 'pos' alphabet: unknown field 'symbols'"),
+]
+
+
+@pytest.mark.parametrize("config, message", CONFIG_ERRORS, ids=[
+    "not-an-object", "duplicate-names", "gap-symbol", "unknown-kind", "repeated-index",
+    "misspelt-section", "usd-with-symbols"])
+def test_cli_config_errors_exit_1_before_reading_the_log(tmp_path, capsys, config,
+                                                         message):
+    cfg = write(tmp_path / "c.json", json.dumps(config))
+    out = tmp_path / "o"
+    code = main(["derive", "--config", str(cfg), "--input", str(tmp_path / "missing.csv"),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and len(err.splitlines()) == 1 and message in err, err
+    assert not out.exists()
 
 
 def test_cli_solve_needs_an_ldo_channel(tmp_path, capsys):
@@ -1274,6 +1299,75 @@ def test_cli_rejects_corrupted_inputs(tmp_path, capsys):
         code, err = run(config, csv_body, refs_body)
         assert code in (1, 2), (desc, code, err)
         assert len(err.splitlines()) == 1 and "Traceback" not in err, (desc, err)
+
+
+def _config_objects(config):
+    """(object, the name its errors start with, its field table) for every
+    object of a valid config."""
+    yield config, "config", cli._CONFIG
+    if "band" in config:
+        yield config["band"], "band", cli._BAND
+    for i, channel in enumerate(config["channels"]):
+        yield channel, f"channel {i}", cli._CHANNEL
+        where = f"channel '{channel['name']}'"
+        alphabet = channel["alphabet"]
+        usd = alphabet.get("kind") == "usd"
+        yield alphabet, f"{where} alphabet", cli._USD_ALPHABET if usd else cli._ALPHABET
+        for key, table in (("operator", cli._OPERATOR), ("ldo", cli._LDO)):
+            if key in channel:
+                yield channel[key], f"{where} {key}", table
+
+
+def _mutate(rng, obj: dict, table) -> str:
+    """Apply one mutation to `obj` in place and return the key it concerns."""
+    kinds = {key: kind for key, kind, *_ in table}
+    # deleting a usd alphabet's `kind` makes it an explicit one, refused
+    # for its `epsilon`
+    required = [key for key, _, *default in table if not default and key != "kind"]
+    mutation = rng.choice(["misspell", "add", "retype"] + ["delete"] * bool(required))
+    if mutation == "delete":
+        key = rng.choice(required)
+        del obj[key]
+    elif mutation == "retype":
+        key = rng.choice([key for key in obj if key in kinds])
+        obj[key] = rng.choice([v for v in (True, "", [], {}) if not cli._is(v, kinds[key])])
+    elif mutation == "add":
+        key = rng.choice([k for k in ("comment", "_note", "kind", "symbols", "epsilon",
+                                      "order", "level") if k not in kinds])
+        obj[key] = rng.choice([1, "x", None, [], {}])
+    else:  # a one-letter misspelling, in the key's place
+        old = key = rng.choice(list(obj))
+        while key in kinds:
+            j = rng.choice([j for j, c in enumerate(old) if c.isalpha()])
+            key = old[:j] + rng.choice("abcdefghijklmnopqrstuvwxyz") + old[j + 1:]
+        items = [(key if k == old else k, v) for k, v in obj.items()]
+        obj.clear()
+        obj.update(items)
+    return key
+
+
+def test_cli_config_mutations_name_the_object_and_the_key(tmp_path, capsys):
+    rng = random.Random(20261020)
+    bases = [TWO_CHANNEL_CONFIG, MUTATION_CONFIG]
+    missing = str(tmp_path / "missing.csv")
+
+    def run(config):
+        cfg = write(tmp_path / "c.json", json.dumps(config))
+        code = main(["derive", "--config", str(cfg), "--input", missing,
+                     "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    for config in bases:  # checked, and then the log cannot be read
+        code, err = run(config)
+        assert code == 2 and missing in err, err
+    for draw in range(400):
+        config = json.loads(json.dumps(rng.choice(bases)))
+        obj, where, table = rng.choice(list(_config_objects(config)))
+        key = _mutate(rng, obj, table)
+        code, err = run(config)
+        assert code == 1 and len(err.splitlines()) == 1, (draw, config, err)
+        assert err.startswith(f"siglex: usage error: {where}:"), (draw, where, err)
+        assert f"'{key}'" in err, (draw, key, err)
 
 
 # every numeric config field goes through one finiteness check

@@ -1,12 +1,15 @@
-"""The README's Library section against the package: it names every export
-and nothing else, and its example runs."""
+"""The README against the package: the Library section names every export
+and nothing else, its example runs, and the CLI section lists the fields
+the config reader reads."""
 
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
 
 import siglex
+from siglex import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +36,21 @@ def test_library_example_runs():
     exec(compile(code, str(README), "exec"), namespace)
     assert len(namespace["labels"]) == len(namespace["scores"]) == 5
     assert len(namespace["runs"]) > 0
+
+
+def test_config_field_lists_equal_the_reader_tables():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n* ", text.index("Config fields, one list per object"))
+    documented = []
+    for bullet in text[start + 3:text.index("\n\n", start)].split("\n* "):
+        # the object's label ends at the first ": " outside a JSON literal
+        fields = re.split(r"(?<=[\w`]): ", bullet, maxsplit=1)[1]
+        required, _, optional = ("; " + fields).partition("; optional ")
+        documented.append((re.findall(r"`(\w+)`", required),
+                           re.findall(r"`(\w+)`", optional)))
+    names = re.findall(r"_fields\(.*?, (_[A-Z][A-Z_]*)\)", inspect.getsource(cli))
+    assert len(names) == len(set(names)) == len(documented)
+    read = [([key for key, _, *default in table if not default],
+             [key for key, _, *default in table if default])
+            for table in [getattr(cli, name) for name in names]]
+    assert sorted(documented) == sorted(read)
