@@ -252,6 +252,9 @@ def build_diff_operator(grid: Grid, order: int, accuracy: int) -> DiffOperatorMa
 # its shape, and the work per window, does not depend on n.
 _BLOCK = 64
 
+# Diagonal blocks of R inverted together in `_BlockR.gram_inverse_diagonal`.
+_CHUNK = 16
+
 
 def _staircase(band: np.ndarray, fixed: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The banded matrix without the columns `fixed`, as (weights, starts).
@@ -276,11 +279,14 @@ def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
     """Blocked Householder QR of an m-column staircase matrix A = Q R.
 
     Row i of A holds `weights[i]` from column `starts[i]` on (see
-    `_staircase`).  Window t factors, with ``np.linalg.qr(mode="r")``, the
+    `_staircase`).  Window t factors, with ``np.linalg.qr(mode="raw")``, the
     2w rows carried from window t-1 and the rows starting in columns
     t*b .. t*b+b-1, over columns t*b .. t*b+b+2w-1 and `rhs`.  Its first b
     rows are rows of R, the next 2w are carried, the rest hold only
-    residual.  Returns R and the first m entries of Q^T rhs.
+    residual.  The raw factor holds R on and above the diagonal and the
+    reflectors below it; the carried triangle is masked per window, the
+    blocks once per sweep, so R is the bits mode "r" (`triu` of the same
+    factor) would give.  Returns R and the first m entries of Q^T rhs.
     O(m (b+2w)^2) time, O(m (b+2w)) memory.
     """
     n, width = weights.shape
@@ -290,6 +296,7 @@ def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
     qtr = np.zeros(m)
     bounds = np.searchsorted(starts, b * np.arange(nblocks + 1))
     bounds[-1] = n
+    upper = np.triu(np.ones((w2, w2), dtype=bool))
     carry = np.zeros((0, w2 + 1))  # the carried rows of R, then of Q^T rhs
     for t in range(nblocks):
         j0, lo, hi = t * b, bounds[t], bounds[t + 1]
@@ -301,14 +308,16 @@ def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
         i, d = np.nonzero(cols < ncols)
         win[c + i, cols[i, d]] = weights[lo + i, d]
         win[c:, -1] = rhs[lo:hi]
-        r = np.linalg.qr(win, mode="r")
+        r = np.linalg.qr(win, mode="raw")[0].T
         if len(r) < ncols:  # fewer rows than columns: the missing pivots are 0
             r = np.concatenate((r, np.zeros((ncols - len(r), r.shape[1]))))
         blocks[t, :nb, :ncols] = r[:nb, :ncols]
         qtr[j0:j0 + nb] = r[:nb, -1]
-        carry = np.zeros((ncols - nb, w2 + 1))
-        carry[:, :ncols - nb] = r[nb:ncols, nb:ncols]
+        k = ncols - nb
+        carry = np.zeros((k, w2 + 1))
+        carry[:, :k] = np.where(upper[:k, :k], r[nb:ncols, nb:ncols], 0.0)
         carry[:, -1] = r[nb:ncols, -1]
+    blocks[:, np.tri(b, b + w2, -1, dtype=bool)] = 0.0
     pad = np.arange(m - (nblocks - 1) * b, b)
     blocks[-1, pad, pad] = 1.0
     return _BlockR(blocks, m), qtr
@@ -367,21 +376,29 @@ class _BlockR:
         """diag((R^T R)^-1) by the block form of the Takahashi recursion.
 
         With Z_t = R_tt^-1 R_t,t+1 (block t's 2w coupling columns), the
-        diagonal block of the inverse is S_t = R_tt^-1 R_tt^-T + Z_t C Z_t^T,
-        where C is the leading 2w x 2w corner of S_t+1 (Takahashi, Fagan &
+        diagonal block of the inverse is S_t = R_tt^-1 R_tt^-T + Z_t C_t+1 Z_t^T,
+        where C_t+1 is the leading 2w x 2w corner of S_t+1 (Takahashi, Fagan &
         Chin 1973).  Both terms are semidefinite, so nothing cancels, and
-        R^T R, whose condition is squared, is never formed.
+        R^T R, whose condition is squared, is never formed.  The blocks are
+        inverted, and Z_t and the diagonal formed, `_CHUNK` blocks at a time;
+        only the 2w x 2w corner recursion runs block by block.
         """
         nblocks, b, width = self.blocks.shape
         w2 = width - b
         diag = np.empty((nblocks, b))
         corner = np.zeros((w2, w2))
-        for t in range(nblocks - 1, -1, -1):
-            inv = np.linalg.inv(self.blocks[t, :, :b])
-            z = inv @ self.blocks[t, :, b:]
-            zc = z @ corner
-            diag[t] = np.einsum("ij,ij->i", inv, inv) + np.einsum("ij,ij->i", zc, z)
-            corner = inv[:w2] @ inv[:w2].T + zc[:w2] @ z[:w2].T
+        for hi in range(nblocks, 0, -_CHUNK):
+            lo = max(hi - _CHUNK, 0)
+            inv = np.linalg.inv(self.blocks[lo:hi, :, :b])
+            z = inv @ self.blocks[lo:hi, :, b:]
+            head = inv[:, :w2] @ inv[:, :w2].transpose(0, 2, 1)
+            corners = np.empty((hi - lo, w2, w2))  # C_t+1 for each block t
+            for t in range(hi - lo - 1, -1, -1):
+                corners[t] = corner
+                zc = z[t, :w2] @ corner
+                corner = head[t] + zc @ z[t, :w2].T
+            zc = z @ corners
+            diag[lo:hi] = np.einsum("kij,kij->ki", inv, inv) + np.einsum("kij,kij->ki", zc, z)
         return self._flat(diag)
 
 
@@ -459,6 +476,9 @@ _INVERSE_STEPS = 8
 # is refused: doubling on to n vectors would cost O(n^3) time and n x n
 # memory.
 _MAX_NULL_BLOCK = 64
+
+# Diagonal blocks of R inverted together in `_BlockR.gram_inverse_diagonal`.
+_CHUNK = 16
 
 # The first non-null Ritz value decides the rank.  A Ritz value overestimates
 # its singular value by a factor that falls like (sigma_j / sigma_p+1)^(2 *

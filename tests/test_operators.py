@@ -624,7 +624,7 @@ def _window_shapes(monkeypatch, n):
     qr = np.linalg.qr
 
     def counted(a, mode="reduced"):
-        if mode == "r":
+        if mode == "raw":
             shapes.append(a.shape)
         return qr(a, mode=mode)
 
