@@ -458,8 +458,8 @@ def _read_whole(path, layout: _Layout) -> Optional[tuple]:
     except ValueError:
         return None
     t = rows[f"f{layout.time}"]
-    if (len(rows) + 1 != _line_count(path) or not np.isfinite(t).all()
-            or (t[1:] <= t[:-1]).any()):
+    if (not np.isfinite(t).all() or (t[1:] <= t[:-1]).any()
+            or len(rows) + 1 != _line_count(path)):
         return None
     return [rows], None
 
@@ -474,7 +474,7 @@ def _line_count(path) -> Optional[int]:
                 chunk += fh.read(1)
             if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
                 return None
-            count += chunk.count(b"\n")
+            count += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)  # LFs
             cut = chunk.rfind(b"\n", 0, len(chunk) - 1)
             last = last + chunk if cut < 0 else chunk[cut + 1:]
     if b'"' in last and _open_quote(last.decode("utf-8", "replace")):

@@ -28,6 +28,30 @@ from .errors import (
 from .grid import Grid
 from .scla import SymbolStream
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _codes_at(s: SymbolStream, g: Grid, coarse: Grid, k_lo: int, t: np.ndarray) -> np.ndarray:
+    """`s.codes[g.index_at_or_before(t)]` at the coarse times t = t_k_lo, ...
+
+    When g has the coarse step and its start lies d steps into the coarse
+    grid, that index is k - d: a slice.  The float path floors
+    k - d + 1e-9 - (q - d) for q = (g.t0 - coarse.t0) / h, plus roundings
+    below 8 eps (T / h + 1), T the largest time involved; while the two
+    stay below 5e-10 the floor is k - d for every k, so the slice holds the
+    same codes.  Otherwise (a start off the coarse grid, a jitter near 1e-9
+    steps, or times too large for the step) the float path runs.
+    """
+    if g.h == coarse.h:
+        q = (g.t0 - coarse.t0) / g.h
+        d = round(q)
+        T = max(abs(t[0]), abs(t[-1]), abs(g.t0), abs(coarse.t0))
+        lo = k_lo - d
+        if (abs(q - d) + 8 * _EPS * (T / g.h + 1) < 5e-10
+                and 0 <= lo and lo + len(t) <= g.n):
+            return s.codes[lo:lo + len(t)]
+    return s.codes[g.index_at_or_before(t)]
+
 
 def align_and_combine(streams: Sequence[SymbolStream]) -> SymbolStream:
     """Resample streams onto the coarsest grid (LOCF) and combine them into
@@ -67,8 +91,7 @@ def align_and_combine(streams: Sequence[SymbolStream]) -> SymbolStream:
     for s, g in zip(streams, grids):
         radix = len(s.table)
         span = len(table) * radix
-        key = (codes.astype(np.min_scalar_type(span)) * radix
-               + s.codes[g.index_at_or_before(t)])
+        key = codes.astype(np.min_scalar_type(span)) * radix + _codes_at(s, g, coarse, k_lo, t)
         if span <= len(key):  # a count per key value costs no more than a sort
             present = np.bincount(key, minlength=span) > 0
             keys = np.flatnonzero(present)

@@ -20,7 +20,7 @@ and null space come from inverse subspace iteration with R
 (`assemble_ldo`); the constrained solve and the diagonal of its covariance
 come from the QR of the free columns and the Takahashi recursion on its R
 (`solve_inverse`).  Time is O(n (b + 2w)^2) and memory O(n (b + 2w)) for
-blocks of b = 64 rows; no n x n matrix and no SVD larger than the null
+blocks of b = 32 rows; no n x n matrix and no SVD larger than the null
 space's block are formed.
 """
 
@@ -249,10 +249,15 @@ def build_diff_operator(grid: Grid, order: int, accuracy: int) -> DiffOperatorMa
 
 # Columns per QR window and rows per block of R.  A window holds the 2w rows
 # carried from the previous one and the rows that start in its b columns, so
-# its shape, and the work per window, does not depend on n.
-_BLOCK = 64
+# its shape, and the work per window, does not depend on n.  32 is where the
+# LAPACK flops of the windows and block solves meet their per-call cost for
+# y'' (2w = 2) at n = 2000 on 2 cores; 2w <= 12 under MAX_ACCURACY, so
+# 2w <= b always holds.
+_BLOCK = 32
 
-# Diagonal blocks of R inverted together in `_BlockR.gram_inverse_diagonal`.
+# Blocks per numpy call where the work is batched: the rows placed into their
+# windows by `_qr_sweep`, the blocks inverted by `gram_inverse_diagonal`.
+# Bounds their scratch memory to O(_CHUNK b^2), whatever n.
 _CHUNK = 16
 
 
@@ -300,14 +305,19 @@ def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
     carry = np.zeros((0, w2 + 1))  # the carried rows of R, then of Q^T rhs
     for t in range(nblocks):
         j0, lo, hi = t * b, bounds[t], bounds[t + 1]
+        if t % _CHUNK == 0:  # the next windows' rows at their columns, rhs last
+            first = lo
+            last = bounds[min(t + _CHUNK, nblocks)]
+            rows = np.zeros((last - first, b + width))
+            rows[np.arange(last - first)[:, None],
+                 (starts[first:last] % b)[:, None] + np.arange(width)] = weights[first:last]
+            rows[:, -1] = rhs[first:last]
         nb, ncols, c = min(b, m - j0), min(b + w2, m - j0), len(carry)
         win = np.zeros((c + hi - lo, ncols + 1))
         win[:c, :min(w2, ncols)] = carry[:, :min(w2, ncols)]
         win[:c, -1] = carry[:, -1]
-        cols = (starts[lo:hi] - j0)[:, None] + np.arange(width)
-        i, d = np.nonzero(cols < ncols)
-        win[c + i, cols[i, d]] = weights[lo + i, d]
-        win[c:, -1] = rhs[lo:hi]
+        win[c:, :ncols] = rows[lo - first:hi - first, :ncols]
+        win[c:, -1] = rows[lo - first:hi - first, -1]
         r = np.linalg.qr(win, mode="raw")[0].T
         if len(r) < ncols:  # fewer rows than columns: the missing pivots are 0
             r = np.concatenate((r, np.zeros((ncols - len(r), r.shape[1]))))
@@ -477,9 +487,6 @@ _INVERSE_STEPS = 8
 # memory.
 _MAX_NULL_BLOCK = 64
 
-# Diagonal blocks of R inverted together in `_BlockR.gram_inverse_diagonal`.
-_CHUNK = 16
-
 # The first non-null Ritz value decides the rank.  A Ritz value overestimates
 # its singular value by a factor that falls like (sigma_j / sigma_p+1)^(2 *
 # steps), so the last vectors of a block converge slowest: on singular values
@@ -552,9 +559,9 @@ def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int) -> LdoMatrix:
     pivoting they do not reveal the rank.  Seeded, so reruns are bitwise
     equal; O(n * w^2) per step, no n x n matrix.  A doubled block makes
     each step a dense QR of n x p: for y'' (h = 0.01, accuracy 2) the first
-    non-null value is 5.6 cutoffs at n = 1e5 (about 2 s, 920 bytes per row
-    traced), but 1.41 at n = 2e5, where the block grows to 64 vectors and
-    the call takes 44-50 s and 5488 bytes per row.
+    non-null value is 5.6 cutoffs at n = 1e5 (about 1.2 s, 664 bytes per
+    row traced), but 1.41 at n = 2e5, where the block grows to 64 vectors
+    and the call took 44-50 s and 5488 bytes per row (at b = 64).
 
     Raises
     ------
@@ -657,7 +664,7 @@ def solve_inverse(op: LdoMatrix, g: np.ndarray,
     back substitution.  The variance is diag((L_f^T L_f)^-1), from the
     Takahashi recursion on R.  Exactly `k = null_dim` constraints with
     distinct in-range indices are required.  O(n * (b + 2w)^2) time and
-    O(n * (b + 2w)) memory for blocks of b = 64 rows.
+    O(n * (b + 2w)) memory for blocks of b = 32 rows.
 
     Raises
     ------

@@ -1062,7 +1062,7 @@ def test_cli_classify_memory_does_not_grow_with_the_window_count(tmp_path, measu
 # traced peak bytes per row of each command on a three-column log; the
 # README states these bounds
 COMMAND_BYTES_PER_ROW = {
-    ("symbolize",): 85, ("derive",): 85, ("solve",): 1300, ("combine",): 95,
+    ("symbolize",): 85, ("derive",): 85, ("solve",): 740, ("combine",): 95,
     ("hist",): 95, ("classify", "--window", "1"): 95, ("classify",): 95, ("match",): 85,
 }
 

@@ -164,6 +164,40 @@ def test_vectorized_locf_matches_loop_oracle():
         assert ms.source_grid.h == coarse.h and ms.source_grid.n == len(want)
 
 
+def test_offset_slice_matches_the_float_path_fuzz():
+    # channels on the coarse step start d steps into the coarse grid, exactly
+    # or jittered: a jitter of 1e-9 steps or 1e-9 s sits on the float path's
+    # own tolerance, where its floor may round either way, so the slice must
+    # give way to it; large start times make its rounding coarse too
+    from siglex import mcla
+    rng = np.random.default_rng(2024)
+    slices = 0
+    for _ in range(400):
+        h = float(rng.choice([0.1, 0.01, 1 / 3, 2.0, 1e-6]))
+        t0 = float(rng.choice([0.0, 0.05, -7.3, 12345.678, 1.7e9])) * rng.choice([0, 1])
+        coarse = Grid(int(rng.integers(2, 60)), h, t0)
+        grids = [coarse]
+        for _ in range(int(rng.integers(1, 3))):
+            d = int(rng.integers(-5, 6))
+            jitter = float(rng.choice([0.0, 0.0, 1e-9 * h, -1e-9 * h, 1e-9, -1e-9,
+                                       4e-10 * h, -4e-10 * h, 1e-15]))
+            grids.append(Grid(int(rng.integers(2, 60)), h, coarse.time_at(d) + jitter))
+        streams = [stream("".join(rng.choice(list("usd"), g.n)), g) for g in grids]
+        try:
+            ms = align_and_combine(streams)
+        except NoOverlapError:
+            continue
+        assert combos(ms) == align_and_combine_loop(streams, grids), grids
+        start = max(g.t0 for g in grids)
+        k_lo = int(np.ceil((start - coarse.t0) / h - 1e-9))
+        t = coarse.time_at(np.arange(k_lo, k_lo + len(ms.codes)))
+        for s, g in zip(streams, grids):
+            got = mcla._codes_at(s, g, coarse, k_lo, t)
+            assert got.tobytes() == s.codes[g.index_at_or_before(t)].tobytes(), (g, coarse)
+            slices += np.shares_memory(got, s.codes)
+    assert slices >= 300, slices
+
+
 # ---------------------------------------------------------------------------
 # histograms
 # ---------------------------------------------------------------------------

@@ -519,11 +519,11 @@ def _solve_calls(monkeypatch, n):
 
 
 def test_assembly_certifies_y2_in_two_inverse_steps(monkeypatch):
-    # a step is two substitutions over ceil(n / 64) blocks; the Ritz-residual
-    # certificate stops y'' after 2 steps (128 and 1252 LAPACK block solves),
-    # where the 8-step cap would take 512 and 5008
+    # a step is two substitutions over ceil(n / b) blocks; the Ritz-residual
+    # certificate stops y'' after 2 steps (252 and 2500 LAPACK block solves
+    # at b = 32), where the 8-step cap would take 1008 and 10000
     for n in (2000, 20000):
-        assert _solve_calls(monkeypatch, n) <= 4 * -(-n // 64)
+        assert _solve_calls(monkeypatch, n) <= 4 * -(-n // operators._BLOCK)
 
 
 def test_deciding_ritz_value_matches_the_oracle(monkeypatch):
@@ -583,7 +583,8 @@ def test_null_space_search_stops_at_the_block_cap():
 
 
 def test_assembly_memory_is_linear_in_n():
-    # R in blocks of 64 x 66, 0.53 kB per row; the rest is O(n (w + p))
+    # R in blocks of 32 x 34, 0.27 kB per row; the rest is O(n (w + p)).
+    # Traced 694 B/row at b = 32; the bound is that + 25%
     n = 20_000
     tracemalloc.start()
     try:
@@ -591,12 +592,13 @@ def test_assembly_memory_is_linear_in_n():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1100 * n, f"traced peak {peak} bytes"
+    assert peak <= 870 * n, f"traced peak {peak} bytes"
 
 
 def test_solve_memory_is_linear_in_n():
-    # R in blocks of 64 x 66 is 0.53 kB per row; the Takahashi recursion
-    # inverts one diagonal block at a time on top of it
+    # R in blocks of 32 x 34 is 0.27 kB per row; the Takahashi recursion
+    # inverts a chunk of diagonal blocks at a time on top of it.  Traced
+    # 378 B/row at b = 32; the bound is that + 25%
     n = 20_000
     grid = Grid(n, 0.01)
     op = assemble_ldo(LdoSpec(2, [0.0, 0.0, 1.0]), grid, 2)
@@ -607,7 +609,7 @@ def test_solve_memory_is_linear_in_n():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 750 * n, f"traced peak {peak} bytes"
+    assert peak <= 475 * n, f"traced peak {peak} bytes"
 
 
 def test_solve_refuses_non_finite_samples():
@@ -644,6 +646,46 @@ def test_solve_factorizes_fixed_size_windows_linear_in_n(monkeypatch):
     assert abs(len(large) - 8 * len(small)) <= 1
     assert max(small) == max(large)
     assert max(max(small)) < 80
+
+
+def _gram_diagonal(op, pins):
+    """`gram_inverse_diagonal` of the R that `solve_inverse` factors for the
+    pinned points `pins`, scaled back to L: diag((L_f^T L_f)^-1)."""
+    e = int(np.frexp(np.abs(op.band).max())[1])
+    weights, starts = operators._staircase(np.ldexp(op.band, -e), pins)
+    r, _ = operators._qr_sweep(weights, starts, op.grid.n - len(pins), np.zeros(op.grid.n))
+    return np.ldexp(r.gram_inverse_diagonal(), -2 * e)
+
+
+def test_gram_inverse_diagonal_does_not_depend_on_the_chunk(monkeypatch):
+    # the chunk only batches the block inverses and the products with them:
+    # chunks of 1 block, 7 blocks and all 32 blocks give the same bytes
+    n = 1000
+    op = assemble_ldo(LdoSpec(2, [0.0, 0.0, 1.0]), Grid(n, 0.01), 2)
+    got = []
+    for chunk in (1, 7, n):
+        monkeypatch.setattr(operators, "_CHUNK", chunk)
+        got.append(_gram_diagonal(op, [0, n - 1]).tobytes())
+    assert got[0] == got[1] == got[2]
+
+
+def test_gram_inverse_diagonal_matches_the_dense_oracle():
+    # with L_f of full column rank the oracle's variance at the free points
+    # is diag((L_f^T L_f)^-1); both round at eps, so they agree to a small
+    # multiple of eps * cond(L_f)^2 (as in the banded-path fuzz).  Grids of
+    # less than one block, exactly one, and several with a partial last one
+    cases = [(LdoSpec(2, [0.0, 0.0, 1.0]), 0.01, 2, n) for n in (20, 34, 97, 300)]
+    cases += [(LdoSpec(1, [1.0, 2.0]), 0.1, 4, 150),
+              (LdoSpec(3, [0.0, 0.5, 0.0, 1.0]), 0.05, 6, 200)]
+    for spec, h, accuracy, n in cases:
+        op = assemble_ldo(spec, Grid(n, h), accuracy)
+        pins = sorted({0, n - 1, n // 2})[:op.null_dim]
+        free = np.setdiff1d(np.arange(n), pins)
+        _, var = DenseLdo(op).solve(np.zeros(n), [(i, 0.0) for i in pins])
+        sf = np.linalg.svd(op.entries[:, free], compute_uv=False)
+        tol = 100 * EPS * (sf[0] / sf[-1]) ** 2
+        got = _gram_diagonal(op, pins)
+        assert np.abs(got - var[free]).max() <= tol * var[free].max(), (spec, n)
 
 
 # ---------------------------------------------------------------------------
