@@ -289,19 +289,21 @@ def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
     t*b .. t*b+b-1, over columns t*b .. t*b+b+2w-1 and `rhs`.  Its first b
     rows are rows of R, the next 2w are carried, the rest hold only
     residual.  The raw factor holds R on and above the diagonal and the
-    reflectors below it; the carried triangle is masked per window, the
-    blocks once per sweep, so R is the bits mode "r" (`triu` of the same
-    factor) would give.  Returns R and the first m entries of Q^T rhs.
-    O(m (b+2w)^2) time, O(m (b+2w)) memory.
+    reflectors below it; R's band is read on and above the diagonal, and
+    the carried triangle is masked, so R is the bits mode "r" (`triu` of
+    the same factor) would give.  Returns R and the first m entries of
+    Q^T rhs.  O(m (b+2w)^2) time, O(m (b+2w)) memory.
     """
     n, width = weights.shape
     b, w2 = _BLOCK, width - 1
     nblocks = -(-m // b)
-    blocks = np.zeros((nblocks, b, b + w2))
+    band = np.zeros((nblocks * b, width))
+    band[m:, 0] = 1.0  # identity rows fill the last block
     qtr = np.zeros(m)
     bounds = np.searchsorted(starts, b * np.arange(nblocks + 1))
     bounds[-1] = n
     upper = np.triu(np.ones((w2, w2), dtype=bool))
+    diagonals = np.arange(b)[:, None] + np.arange(width)  # R[i, i + k] of a window
     carry = np.zeros((0, w2 + 1))  # the carried rows of R, then of Q^T rhs
     for t in range(nblocks):
         j0, lo, hi = t * b, bounds[t], bounds[t + 1]
@@ -321,65 +323,76 @@ def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
         r = np.linalg.qr(win, mode="raw")[0].T
         if len(r) < ncols:  # fewer rows than columns: the missing pivots are 0
             r = np.concatenate((r, np.zeros((ncols - len(r), r.shape[1]))))
-        blocks[t, :nb, :ncols] = r[:nb, :ncols]
+        if ncols < nb + w2:  # the last windows: R is zero past column m
+            r = np.concatenate((r[:, :ncols], np.zeros((len(r), nb + w2 - ncols)), r[:, ncols:]),
+                               axis=1)
+        band[j0:j0 + nb] = r[diagonals[:nb, :1], diagonals[:nb]]
         qtr[j0:j0 + nb] = r[:nb, -1]
         k = ncols - nb
         carry = np.zeros((k, w2 + 1))
         carry[:, :k] = np.where(upper[:k, :k], r[nb:ncols, nb:ncols], 0.0)
         carry[:, -1] = r[nb:ncols, -1]
-    blocks[:, np.tri(b, b + w2, -1, dtype=bool)] = 0.0
-    pad = np.arange(m - (nblocks - 1) * b, b)
-    blocks[-1, pad, pad] = 1.0
-    return _BlockR(blocks, m), qtr
+    return _BlockR(band, m), qtr
 
 
 class _BlockR:
-    """Upper-triangular R of bandwidth 2w <= b, in row blocks of b rows.
+    """Upper-triangular R of bandwidth 2w <= b, held as its band.
 
-    `blocks[t]` holds rows t*b .. t*b+b-1 over columns t*b .. t*b+b+2w-1, so
-    block t couples only to the first 2w unknowns of block t+1.  Rows past
-    the m columns are identity rows.  Pivots below eps * max|pivot| are
-    raised to it, a backward error of the QR's own size, so a singular R
-    (as for an L with a null space) still has nonsingular blocks.  The
-    substitutions solve each block with LAPACK (backward stable, which
-    inverse iteration with a nearly singular R relies on; a product with an
-    explicit block inverse is not), O(m * b^2) per call.
+    Row i of `band` holds R[i, i], ..., R[i, i+2w]; the rows are padded to
+    whole blocks of b with identity rows, so block t, rows t*b .. t*b+b-1,
+    couples only to the first 2w unknowns of block t+1.  Pivots below
+    eps * max|pivot| are raised to it, a backward error of the QR's own
+    size, so a singular R (as for an L with a null space) still has
+    nonsingular blocks.  The substitutions solve each block with LAPACK
+    (backward stable, which inverse iteration with a nearly singular R
+    relies on; a product with an explicit block inverse is not),
+    O(m * b^2) per call.
     """
 
-    def __init__(self, blocks: np.ndarray, m: int):
-        self.blocks, self.m = blocks, m
-        d = np.arange(blocks.shape[1])
-        pivots = blocks[:, d, d]
-        floor = _EPS * np.abs(pivots.ravel()[:m]).max()
-        blocks[:, d, d] = np.where(np.abs(pivots) < floor, floor, pivots)
+    def __init__(self, band: np.ndarray, m: int):
+        self.band, self.m = band, m
+        pivots = band[:, 0]
+        floor = _EPS * np.abs(pivots[:m]).max()
+        band[:, 0] = np.where(np.abs(pivots) < floor, floor, pivots)
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The dense (n/b, b, b+2w) row blocks of R."""
+        b, width = _BLOCK, self.band.shape[1]
+        blocks = np.zeros((len(self.band) // b, b, b + width - 1))
+        i = np.arange(b)[:, None]
+        blocks[:, i, i + np.arange(width)] = self.band.reshape(-1, b, width)
+        return blocks
 
     def _blocked(self, x: np.ndarray) -> np.ndarray:
-        nblocks, b, _ = self.blocks.shape
-        out = np.zeros((nblocks * b,) + x.shape[1:])
+        b = _BLOCK
+        out = np.zeros((len(self.band),) + x.shape[1:])
         out[:self.m] = x
-        return out.reshape((nblocks, b) + x.shape[1:])
+        return out.reshape((-1, b) + x.shape[1:])
 
     def _flat(self, x: np.ndarray) -> np.ndarray:
         return x.reshape((-1,) + x.shape[2:])[:self.m]
 
     def solve(self, c: np.ndarray) -> np.ndarray:
         """x with R x = c: back substitution, one block at a time."""
-        nblocks, b, width = self.blocks.shape
+        blocks = self.blocks
+        nblocks, b, width = blocks.shape
         c = self._blocked(c)
         for t in range(nblocks - 1, -1, -1):
             if t + 1 < nblocks:
-                c[t] -= self.blocks[t, :, b:] @ c[t + 1, :width - b]
-            c[t] = np.linalg.solve(self.blocks[t, :, :b], c[t])
+                c[t] -= blocks[t, :, b:] @ c[t + 1, :width - b]
+            c[t] = np.linalg.solve(blocks[t, :, :b], c[t])
         return self._flat(c)
 
     def solve_transposed(self, c: np.ndarray) -> np.ndarray:
         """z with R^T z = c: forward substitution, one block at a time."""
-        nblocks, b, width = self.blocks.shape
+        blocks = self.blocks
+        nblocks, b, width = blocks.shape
         c = self._blocked(c)
         for t in range(nblocks):
             if t:
-                c[t, :width - b] -= self.blocks[t - 1, :, b:].T @ c[t - 1]
-            c[t] = np.linalg.solve(self.blocks[t, :, :b].T, c[t])
+                c[t, :width - b] -= blocks[t - 1, :, b:].T @ c[t - 1]
+            c[t] = np.linalg.solve(blocks[t, :, :b].T, c[t])
         return self._flat(c)
 
     def gram_inverse_diagonal(self) -> np.ndarray:
@@ -393,14 +406,15 @@ class _BlockR:
         inverted, and Z_t and the diagonal formed, `_CHUNK` blocks at a time;
         only the 2w x 2w corner recursion runs block by block.
         """
-        nblocks, b, width = self.blocks.shape
+        blocks = self.blocks
+        nblocks, b, width = blocks.shape
         w2 = width - b
         diag = np.empty((nblocks, b))
         corner = np.zeros((w2, w2))
         for hi in range(nblocks, 0, -_CHUNK):
             lo = max(hi - _CHUNK, 0)
-            inv = np.linalg.inv(self.blocks[lo:hi, :, :b])
-            z = inv @ self.blocks[lo:hi, :, b:]
+            inv = np.linalg.inv(blocks[lo:hi, :, :b])
+            z = inv @ blocks[lo:hi, :, b:]
             head = inv[:, :w2] @ inv[:, :w2].transpose(0, 2, 1)
             corners = np.empty((hi - lo, w2, w2))  # C_t+1 for each block t
             for t in range(hi - lo - 1, -1, -1):
