@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -678,7 +679,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs several
+    times what one `parse_args` does."""
     p = _Parser(prog="siglex", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("command", choices=sorted(_COMMANDS))

@@ -181,9 +181,10 @@ def window_classifier(ms: SymbolStream, size: int,
     the windows and the references, and each window is scored against each
     reference over the sorted union of the keys left.  l1 adds |p_w - p_r|
     of the normalized frequencies in key order, a running sum, in [0, 2]
-    (0 identical, 2 disjoint).  cosine divides the count dot product by the
-    product of the `math.sqrt` norms, on exact Python ints, whose products
-    int64 would overflow; it lies in [0, 1] (1 identical, 0 disjoint) and
+    (0 identical, 2 disjoint).  cosine divides the exact count dot product
+    by the product of the `math.sqrt` norms, in int64 while the window size
+    times the largest reference count is below 2^63 and on Python ints
+    above, with equal bits; it lies in [0, 1] (1 identical, 0 disjoint) and
     is undefined for an empty window against an empty reference.  l1 picks
     the least distance, cosine the largest similarity; ties go to the
     lexicographically first label.
@@ -217,6 +218,13 @@ def window_classifier(ms: SymbolStream, size: int,
             if np.logical_and.reduceat(dropped[ms.codes], np.arange(0, n, size)).any():
                 raise BothEmptyError("cosine similarity undefined for two empty histograms")
         nb = np.array([math.sqrt(v) for v in (b * b).sum(axis=1)], dtype=object)
+        # a window count is at most `size`, so a dot product or a window's
+        # squared norm is at most size * max(size, largest reference count);
+        # below 2^63 int64 is exact, and its conversions to float round as
+        # Python's do, so the scores keep the object path's bits
+        exact = size * max(size, max(b.flat, default=0)) < 2 ** 63
+        if exact:
+            b, nb = b.astype(np.int64), nb.astype(float)
 
     def classify(first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi, windows = first * size, min(stop * size, n), stop - first
@@ -231,8 +239,11 @@ def window_classifier(ms: SymbolStream, size: int,
                          np.zeros((windows, len(labels))))
             best = scores.argmin(axis=1)
         else:
-            a = a.astype(object)
-            na = np.array([math.sqrt(v) for v in (a * a).sum(axis=1)], dtype=object)
+            if exact:
+                na = np.sqrt((a * a).sum(axis=1).astype(float))
+            else:
+                a = a.astype(object)
+                na = np.array([math.sqrt(v) for v in (a * a).sum(axis=1)], dtype=object)
             norms = np.multiply.outer(na, nb)
             norms[norms == 0] = 1.0  # an empty side has a zero dot product
             scores = (a @ b.T / norms).astype(float)

@@ -15,20 +15,21 @@ in a fixed order (no ``np.dot``, whose order is not fixed), so a streamed
 output is bitwise-identical to its band row.
 
 The LDO path works on the band alone.  A blocked Householder QR of the
-band (`_qr_sweep`) gives R, banded upper with 2w superdiagonals.  The rank
-and null space come from inverse subspace iteration with R
-(`assemble_ldo`); the constrained solve and the diagonal of its covariance
-come from the QR of the free columns and the Takahashi recursion on its R
-(`solve_inverse`).  Time is O(n (b + 2w)^2) and memory O(n (b + 2w)) for
-blocks of b = 32 rows; no n x n matrix and no SVD larger than the null
-space's block are formed.
+band (`_qr_sweep`) gives R, banded upper with 2w superdiagonals, held as
+its band.  The rank and null space come from inverse subspace iteration
+with R (`assemble_ldo`); the constrained solve and the diagonal of its
+covariance come from the QR of the free columns and the Takahashi
+recursion on its R (`solve_inverse`).  The sweep takes O(n (b + 2w)^2)
+time for windows of b = 32 columns, and each substitution with R, numpy
+only, O(n b w); memory is O(n w) beyond the vectors iterated.  No n x n
+matrix and no SVD larger than the null space's block are formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, factorial, inf, isfinite
 from typing import Sequence
 
@@ -250,15 +251,16 @@ def build_diff_operator(grid: Grid, order: int, accuracy: int) -> DiffOperatorMa
 # Columns per QR window and rows per block of R.  A window holds the 2w rows
 # carried from the previous one and the rows that start in its b columns, so
 # its shape, and the work per window, does not depend on n.  32 is where the
-# LAPACK flops of the windows and block solves meet their per-call cost for
-# y'' (2w = 2) at n = 2000 on 2 cores; 2w <= 12 under MAX_ACCURACY, so
-# 2w <= b always holds.
+# LAPACK flops of the windows meet their per-call cost for y'' (2w = 2) at
+# n = 2000 on 2 cores; the substitution engine takes b numpy steps per call
+# and n/b carry steps.  2w <= 12 under MAX_ACCURACY, so 2w <= b always
+# holds.
 _BLOCK = 32
 
 # Blocks per numpy call where the work is batched: the rows placed into their
 # windows by `_qr_sweep`, the blocks inverted by `gram_inverse_diagonal`.
 # Bounds their scratch memory to O(_CHUNK b^2), whatever n.
-_CHUNK = 16
+_CHUNK = 32
 
 
 def _staircase(band: np.ndarray, fixed: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -297,13 +299,12 @@ def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
     n, width = weights.shape
     b, w2 = _BLOCK, width - 1
     nblocks = -(-m // b)
-    band = np.zeros((nblocks * b, width))
-    band[m:, 0] = 1.0  # identity rows fill the last block
+    band = np.empty((nblocks * b, width))
     qtr = np.zeros(m)
     bounds = np.searchsorted(starts, b * np.arange(nblocks + 1))
     bounds[-1] = n
     upper = np.triu(np.ones((w2, w2), dtype=bool))
-    diagonals = np.arange(b)[:, None] + np.arange(width)  # R[i, i + k] of a window
+    diagonals = np.arange(b)[:, None] + np.arange(width)  # R[i, i + k] of a block
     carry = np.zeros((0, w2 + 1))  # the carried rows of R, then of Q^T rhs
     for t in range(nblocks):
         j0, lo, hi = t * b, bounds[t], bounds[t + 1]
@@ -314,6 +315,7 @@ def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
             rows[np.arange(last - first)[:, None],
                  (starts[first:last] % b)[:, None] + np.arange(width)] = weights[first:last]
             rows[:, -1] = rhs[first:last]
+            blocks = np.zeros((_CHUNK, b, b + w2))  # these windows' rows of R
         nb, ncols, c = min(b, m - j0), min(b + w2, m - j0), len(carry)
         win = np.zeros((c + hi - lo, ncols + 1))
         win[:c, :min(w2, ncols)] = carry[:, :min(w2, ncols)]
@@ -323,30 +325,71 @@ def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
         r = np.linalg.qr(win, mode="raw")[0].T
         if len(r) < ncols:  # fewer rows than columns: the missing pivots are 0
             r = np.concatenate((r, np.zeros((ncols - len(r), r.shape[1]))))
-        if ncols < nb + w2:  # the last windows: R is zero past column m
-            r = np.concatenate((r[:, :ncols], np.zeros((len(r), nb + w2 - ncols)), r[:, ncols:]),
-                               axis=1)
-        band[j0:j0 + nb] = r[diagonals[:nb, :1], diagonals[:nb]]
+        blocks[t % _CHUNK, :nb, :ncols] = r[:nb, :ncols]
+        if t % _CHUNK == _CHUNK - 1 or t == nblocks - 1:
+            done = blocks[:t % _CHUNK + 1, diagonals[:, :1], diagonals]
+            band[(t - t % _CHUNK) * b:(t + 1) * b] = done.reshape(-1, width)
         qtr[j0:j0 + nb] = r[:nb, -1]
         k = ncols - nb
         carry = np.zeros((k, w2 + 1))
         carry[:, :k] = np.where(upper[:k, :k], r[nb:ncols, nb:ncols], 0.0)
         carry[:, -1] = r[nb:ncols, -1]
+    band[m:, 0] = 1.0  # identity rows fill the last block
     return _BlockR(band, m), qtr
+
+
+def _substitute(coef: np.ndarray, x: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """Solve U_t y = x_t (U_t^T y = x_t if `transposed`) for a stack of k
+    upper-triangular banded s x s blocks U_t, in place in `x`; returns x.
+
+    `coef[i, j, t, 0]` is U_t[i, i+j]; entries past the block are ignored.
+    `x[i, t]` holds row i of block t's right-hand sides, shape (s, k, p):
+    rows outermost, so each step works on one contiguous (k, p) row.  The
+    substitution runs row by row, s numpy steps of `width - 1`
+    multiply-adds over every block and column at once.  Each step is
+    elementwise, so a block's bits do not depend on the blocks stacked
+    with it, and each row is the exact formula of its own residual row, so
+    (U + dU) y = x with |dU| <= width eps |U| to first order, column by
+    column (Higham, Accuracy and Stability of Numerical Algorithms, 8.1).
+    """
+    s, width = coef.shape[:2]
+    term = np.empty(x.shape[1:])
+    for i in (range(s) if transposed else range(s - 1, -1, -1)):
+        row = x[i]
+        for j in range(1, min(width, i + 1 if transposed else s - i)):
+            if transposed:
+                np.multiply(coef[i - j, j], x[i - j], out=term)
+            else:
+                np.multiply(coef[i, j], x[i + j], out=term)
+            row -= term
+        row /= coef[i, 0]
+    return x
 
 
 class _BlockR:
     """Upper-triangular R of bandwidth 2w <= b, held as its band.
 
     Row i of `band` holds R[i, i], ..., R[i, i+2w]; the rows are padded to
-    whole blocks of b with identity rows, so block t, rows t*b .. t*b+b-1,
-    couples only to the first 2w unknowns of block t+1.  Pivots below
-    eps * max|pivot| are raised to it, a backward error of the QR's own
-    size, so a singular R (as for an L with a null space) still has
-    nonsingular blocks.  The substitutions solve each block with LAPACK
-    (backward stable, which inverse iteration with a nearly singular R
-    relies on; a product with an explicit block inverse is not),
-    O(m * b^2) per call.
+    whole blocks of b with identity rows.  Block t, the diagonal block D_t
+    of rows t*b .. t*b+b-1, couples through C_t only to the first 2w
+    unknowns of block t+1.  Pivots below eps * max|pivot| are raised to
+    it, a backward error of the QR's own size, so a singular R (as for an
+    L with a null space) still has nonsingular blocks.
+
+    Every substitution runs on one engine (the SPIKE scheme; Polizzi &
+    Sameh 2006): `_substitute` solves all diagonal blocks at once, and a
+    2w-wide carry recursion couples them block by block through the
+    spikes V_t = D_t^-1 C_t and W_t = D_t^-T[:, :2w], computed once per R.
+    The spikes are never multiplied across blocks, since with floored
+    pivots such products can overflow.  Where a block is ill conditioned
+    the spike form cancels, so `solve` adds one step of fixed-precision
+    iterative refinement, r = c - R x from the band and x += engine(r),
+    which makes it componentwise backward stable again (Skeel 1980);
+    inverse iteration with a nearly singular R relies on that.
+    `solve_transposed` goes without it: its only caller is the inverse
+    iteration's R^-T half-step, whose error the next, refined R^-1
+    half-step corrects.  Blocked vectors have shape (b, n/b, p), row i of
+    every block together.  O(m * b * 2w) time per call, O(m * 2w) memory.
     """
 
     def __init__(self, band: np.ndarray, m: int):
@@ -354,76 +397,112 @@ class _BlockR:
         pivots = band[:, 0]
         floor = _EPS * np.abs(pivots[:m]).max()
         band[:, 0] = np.where(np.abs(pivots) < floor, floor, pivots)
+        b, w2 = _BLOCK, band.shape[1] - 1
+        blocks = band.reshape(-1, b, w2 + 1)
+        self._coef = np.ascontiguousarray(blocks.transpose(1, 2, 0))[..., None]
+        # C_t's nonzero rows, the last 2w of block t: R[t*b+i, (t+1)*b+j]
+        # lies at band offset b + j - i
+        i, j = np.arange(b - w2, b)[:, None], np.arange(w2)
+        offset = b + j - i
+        self._coupling = np.where(offset <= w2, blocks[:, i, np.minimum(offset, w2)], 0.0)
+        spikes = np.zeros((b, len(blocks), w2))
+        spikes[b - w2:] = self._coupling.transpose(1, 0, 2)
+        self._spikes = _substitute(self._coef, spikes).transpose(1, 0, 2).copy()
 
-    @property
-    def blocks(self) -> np.ndarray:
-        """The dense (n/b, b, b+2w) row blocks of R."""
-        b, width = _BLOCK, self.band.shape[1]
-        blocks = np.zeros((len(self.band) // b, b, b + width - 1))
-        i = np.arange(b)[:, None]
-        blocks[:, i, i + np.arange(width)] = self.band.reshape(-1, b, width)
-        return blocks
+    @cached_property
+    def _transposed_spikes(self) -> tuple[np.ndarray, np.ndarray]:
+        """W_t, and C_t[-2w:]^T W_t[-2w:], which carries block t's correction
+        on to block t+1's."""
+        b, width, nblocks, _ = self._coef.shape
+        w2 = width - 1
+        spikes = np.zeros((b, nblocks, w2))
+        spikes[np.arange(w2), :, np.arange(w2)] = 1.0
+        spikes = _substitute(self._coef, spikes, transposed=True).transpose(1, 0, 2).copy()
+        return spikes, self._coupling.transpose(0, 2, 1) @ spikes[:, b - w2:]
 
     def _blocked(self, x: np.ndarray) -> np.ndarray:
-        b = _BLOCK
-        out = np.zeros((len(self.band),) + x.shape[1:])
-        out[:self.m] = x
-        return out.reshape((-1, b) + x.shape[1:])
+        out = np.zeros((len(self.band), x.size // self.m))
+        out[:self.m] = x.reshape(self.m, -1)
+        return out.reshape(-1, _BLOCK, out.shape[1]).transpose(1, 0, 2).copy()
 
-    def _flat(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape((-1,) + x.shape[2:])[:self.m]
+    def _flat(self, x: np.ndarray, shape: tuple) -> np.ndarray:
+        return x.transpose(1, 0, 2).reshape(-1, x.shape[2])[:self.m].reshape(shape)
+
+    def _back(self, x: np.ndarray) -> np.ndarray:
+        """The engine for R y = x, blocked, in place."""
+        w2 = self.band.shape[1] - 1
+        lead = _substitute(self._coef, x)[:w2].transpose(1, 0, 2).copy()
+        heads = [lead[-1]]  # y_t[:2w], last block first
+        for y, v in zip(lead[-2::-1], self._spikes[-2::-1, :w2]):
+            heads.append(y - v.dot(heads[-1]))
+        heads = np.stack(heads[::-1])
+        x[w2:, :-1] -= (self._spikes[:-1, w2:] @ heads[1:]).transpose(1, 0, 2)
+        x[:w2] = heads.transpose(1, 0, 2)
+        return x
+
+    def _times(self, x: np.ndarray) -> np.ndarray:
+        """R x for blocked x, summed over the band left to right."""
+        b, width = self._coef.shape[:2]
+        out = self._coef[:, 0] * x
+        for j in range(1, width):  # rows past a block's end reach the next block
+            out[:b - j] += self._coef[:b - j, j] * x[j:]
+            out[b - j:, :-1] += self._coef[b - j:, j, :-1] * x[:j, 1:]
+        return out
 
     def solve(self, c: np.ndarray) -> np.ndarray:
-        """x with R x = c: back substitution, one block at a time."""
-        blocks = self.blocks
-        nblocks, b, width = blocks.shape
-        c = self._blocked(c)
-        for t in range(nblocks - 1, -1, -1):
-            if t + 1 < nblocks:
-                c[t] -= blocks[t, :, b:] @ c[t + 1, :width - b]
-            c[t] = np.linalg.solve(blocks[t, :, :b], c[t])
-        return self._flat(c)
+        """x with R x = c: the engine and one refinement step."""
+        blocked = self._blocked(c)
+        x = self._back(blocked.copy())
+        blocked -= self._times(x)
+        x += self._back(blocked)
+        return self._flat(x, c.shape)
 
     def solve_transposed(self, c: np.ndarray) -> np.ndarray:
-        """z with R^T z = c: forward substitution, one block at a time."""
-        blocks = self.blocks
-        nblocks, b, width = blocks.shape
-        c = self._blocked(c)
-        for t in range(nblocks):
-            if t:
-                c[t, :width - b] -= blocks[t - 1, :, b:].T @ c[t - 1]
-            c[t] = np.linalg.solve(blocks[t, :, :b].T, c[t])
-        return self._flat(c)
+        """z with R^T z = c: the engine alone (see the class docstring)."""
+        b, w2 = _BLOCK, self.band.shape[1] - 1
+        z = _substitute(self._coef, self._blocked(c), transposed=True)
+        spikes, carry = self._transposed_spikes
+        tails = self._coupling.transpose(0, 2, 1) @ z[b - w2:].transpose(1, 0, 2)
+        u = [np.zeros(tails.shape[1:])]  # C_t-1^T z_t-1, block t's correction
+        for q, p in zip(tails[:-1], carry[:-1]):
+            u.append(q - p.dot(u[-1]))
+        z -= (spikes @ np.stack(u)).transpose(1, 0, 2)
+        return self._flat(z, c.shape)
 
     def gram_inverse_diagonal(self) -> np.ndarray:
         """diag((R^T R)^-1) by the block form of the Takahashi recursion.
 
-        With Z_t = R_tt^-1 R_t,t+1 (block t's 2w coupling columns), the
-        diagonal block of the inverse is S_t = R_tt^-1 R_tt^-T + Z_t C_t+1 Z_t^T,
-        where C_t+1 is the leading 2w x 2w corner of S_t+1 (Takahashi, Fagan &
-        Chin 1973).  Both terms are semidefinite, so nothing cancels, and
-        R^T R, whose condition is squared, is never formed.  The blocks are
-        inverted, and Z_t and the diagonal formed, `_CHUNK` blocks at a time;
-        only the 2w x 2w corner recursion runs block by block.
+        With Z_t = D_t^-1 C_t, the spike V_t, the diagonal block of the
+        inverse is S_t = D_t^-1 D_t^-T + Z_t K_t+1 Z_t^T, where K_t+1 is the
+        leading 2w x 2w corner of S_t+1 (Takahashi, Fagan & Chin 1973).  Both
+        terms are semidefinite, so nothing cancels, and R^T R, whose
+        condition is squared, is never formed.  The engine inverts `_CHUNK`
+        diagonal blocks at a time, D_t X = I, without the refinement step
+        of `solve`: a substitution leaves |D_t X - I| <= (2w + 1) eps
+        |D_t| |X| to first order, which is as small as LAPACK's inverse
+        leaves it, so there is no error to refine away (and
+        `solve_transposed` goes without it for its own reason, see the
+        class).  The diagonal is formed per chunk; only the 2w x 2w corner
+        recursion runs block by block.
         """
-        blocks = self.blocks
-        nblocks, b, width = blocks.shape
-        w2 = width - b
+        b, width, nblocks, _ = self._coef.shape
+        w2 = width - 1
         diag = np.empty((nblocks, b))
         corner = np.zeros((w2, w2))
         for hi in range(nblocks, 0, -_CHUNK):
             lo = max(hi - _CHUNK, 0)
-            inv = np.linalg.inv(blocks[lo:hi, :, :b])
-            z = inv @ blocks[lo:hi, :, b:]
+            inv = np.zeros((b, hi - lo, b))
+            inv[np.arange(b), :, np.arange(b)] = 1.0
+            inv = _substitute(self._coef[:, :, lo:hi], inv).transpose(1, 0, 2).copy()
+            z = self._spikes[lo:hi]
             head = inv[:, :w2] @ inv[:, :w2].transpose(0, 2, 1)
-            corners = np.empty((hi - lo, w2, w2))  # C_t+1 for each block t
-            for t in range(hi - lo - 1, -1, -1):
-                corners[t] = corner
-                zc = z[t, :w2] @ corner
-                corner = head[t] + zc @ z[t, :w2].T
-            zc = z @ corners
+            corners = []  # K_t+1 for each block t, last first
+            for h, v in zip(head[::-1], z[::-1, :w2]):
+                corners.append(corner)
+                corner = h + v.dot(corner).dot(v.T)
+            zc = z @ np.stack(corners[::-1])
             diag[lo:hi] = np.einsum("kij,kij->ki", inv, inv) + np.einsum("kij,kij->ki", zc, z)
-        return self._flat(diag)
+        return diag.ravel()[:self.m]
 
 
 # ---------------------------------------------------------------------------
@@ -565,17 +644,23 @@ def assemble_ldo(spec: LdoSpec, grid: Grid, accuracy: int) -> LdoMatrix:
     sum.  The rank rule is the SVD's: singular values at or below
     ``max(n * eps, 1e-10) * s_max`` (`rank_tolerance`) are null.  s_max
     comes from power steps with the band.  The smallest singular values and
-    their vectors come from inverse subspace iteration with the banded R of
-    L = QR, on a block of degree + 2 vectors, doubled while every value in
-    it is null or the first non-null one is within `_CLOSE` times the
-    cutoff, up to `_MAX_NULL_BLOCK` vectors; the null ones give
-    `null_basis`.  Tiny pivots of R are not counted: without column
-    pivoting they do not reveal the rank.  Seeded, so reruns are bitwise
-    equal; O(n * w^2) per step, no n x n matrix.  A doubled block makes
-    each step a dense QR of n x p: for y'' (h = 0.01, accuracy 2) the first
-    non-null value is 5.6 cutoffs at n = 1e5 (about 1.2 s, 664 bytes per
+    their vectors come from inverse subspace iteration with R of L = QR,
+    held as its band.  Each step solves R^T z = x, then R x = z, with the
+    numpy substitution engine of `_BlockR`; the R^-1 half-step adds one
+    refinement step, which keeps it backward stable on a nearly singular
+    R, and the R^-T half-step goes without, since the refined R^-1
+    half-step after it corrects its error.  The block holds degree + 2
+    vectors and is doubled while every value in it is null or the first
+    non-null one is within `_CLOSE` times the cutoff, up to
+    `_MAX_NULL_BLOCK` vectors; the null ones give `null_basis`.  Tiny
+    pivots of R are not counted: without column pivoting they do not
+    reveal the rank.  Seeded, so reruns are bitwise equal; O(n (b w + p^2))
+    per step for p vectors, no n x n matrix.  A doubled block makes each
+    step a dense QR of n x p: for y'' (h = 0.01, accuracy 2) the first
+    non-null value is 5.6 cutoffs at n = 1e5 (about 0.7 s, 466 bytes per
     row traced), but 1.41 at n = 2e5, where the block grows to 64 vectors
-    and the call took 44-50 s and 5488 bytes per row (at b = 64).
+    and the call took 44-50 s and 5488 bytes per row (at b = 64, before R
+    was held as its band).
 
     Raises
     ------
@@ -675,10 +760,16 @@ def solve_inverse(op: LdoMatrix, g: np.ndarray,
 
     The pinned values move to the right-hand side, and the free columns L_f
     solve min ||L_f y_f - (g - L_c y_c)|| by one banded QR sweep of L_f and
-    back substitution.  The variance is diag((L_f^T L_f)^-1), from the
-    Takahashi recursion on R.  Exactly `k = null_dim` constraints with
-    distinct in-range indices are required.  O(n * (b + 2w)^2) time and
-    O(n * (b + 2w)) memory for blocks of b = 32 rows.
+    back substitution, one numpy engine pass plus one refinement step
+    (r = c - R y_f from R's band, y_f += engine(r)), which makes it
+    componentwise backward stable; no transposed solve is needed here, and
+    in `assemble_ldo` the unrefined R^-T half-step is corrected by the
+    refined R^-1 one that follows it.  The variance is
+    diag((L_f^T L_f)^-1), from the Takahashi recursion on R's diagonal
+    blocks, inverted by the same engine.  Exactly `k = null_dim`
+    constraints with distinct in-range indices are required.
+    O(n * (b + 2w)^2) time for windows of b = 32 columns and O(n * w)
+    memory beyond g and y.
 
     Raises
     ------

@@ -174,3 +174,22 @@ def test_symbol_layer_memory_per_row():
         tracemalloc.stop()
     # string symbols and per-sample lists peaked at about 122 bytes per row
     assert peak / n <= 60, peak / n
+
+
+def test_cosine_scores_on_either_side_of_the_int64_bound_match_the_oracle():
+    # window size x the largest reference count below 2^63 scores in int64,
+    # at or above it on Python ints; dot products past 2^53 round on both
+    rng = np.random.default_rng(62)
+    alpha = Alphabet(("l", "m", "h"), (-0.5, 0.5), "gap")
+    ms = align_and_combine([quantize(random_values(rng, 300), alpha, Grid(300, 0.1))
+                            for _ in range(2)])
+    combos = sorted(set(ms.table))
+    top = ms.table[int(np.bincount(ms.codes).argmax())]  # windows of it alone reach the bound
+    for size, largest in ((3, 2 ** 61), (2, 2 ** 62), (4, 3 ** 45)):
+        refs = {label: FrequencyDict.from_counts(
+                    {k: largest // int(rng.integers(1, 50)) for k in rng.choice(combos, size=2)})
+                for label in ("a", "b", "c")}
+        refs["a"] = FrequencyDict.from_counts({top: largest, combos[0]: 1})
+        samples = [ms.table[c] for c in ms.codes.tolist()]
+        want = classify_loop(samples, size, refs, "cosine")
+        assert bits(classify_all(ms, size, refs, "cosine", ())) == bits(want), size
