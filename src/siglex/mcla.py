@@ -183,11 +183,11 @@ def window_classifier(ms: SymbolStream, size: int,
     of the normalized frequencies in key order, a running sum, in [0, 2]
     (0 identical, 2 disjoint).  cosine divides the exact count dot product
     by the product of the `math.sqrt` norms, in int64 while the window size
-    times the largest reference count is below 2^63 and on Python ints
-    above, with equal bits; it lies in [0, 1] (1 identical, 0 disjoint) and
-    is undefined for an empty window against an empty reference.  l1 picks
-    the least distance, cosine the largest similarity; ties go to the
-    lexicographically first label.
+    times the larger of it and the largest reference count is below 2^63,
+    else on Python ints, with equal bits; it lies in [0, 1] (1 identical, 0
+    disjoint) and is undefined for an empty window against an empty
+    reference.  l1 picks the least distance, cosine the largest similarity;
+    ties go to the lexicographically first label.
 
     Returns `classify(first, stop)`: the label, as an index into
     `sorted(references)`, and the score of windows first..stop-1.  Each

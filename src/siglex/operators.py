@@ -294,7 +294,8 @@ def _qr_sweep(weights: np.ndarray, starts: np.ndarray, m: int,
     reflectors below it; R's band is read on and above the diagonal, and
     the carried triangle is masked, so R is the bits mode "r" (`triu` of
     the same factor) would give.  Returns R and the first m entries of
-    Q^T rhs.  O(m (b+2w)^2) time, O(m (b+2w)) memory.
+    Q^T rhs.  O(m (b+2w)^2) time, O(m w) memory beyond one chunk of
+    windows.
     """
     n, width = weights.shape
     b, w2 = _BLOCK, width - 1
@@ -477,13 +478,14 @@ class _BlockR:
         leading 2w x 2w corner of S_t+1 (Takahashi, Fagan & Chin 1973).  Both
         terms are semidefinite, so nothing cancels, and R^T R, whose
         condition is squared, is never formed.  The engine inverts `_CHUNK`
-        diagonal blocks at a time, D_t X = I, without the refinement step
-        of `solve`: a substitution leaves |D_t X - I| <= (2w + 1) eps
-        |D_t| |X| to first order, which is as small as LAPACK's inverse
-        leaves it, so there is no error to refine away (and
-        `solve_transposed` goes without it for its own reason, see the
-        class).  The diagonal is formed per chunk; only the 2w x 2w corner
-        recursion runs block by block.
+        diagonal blocks at a time, D_t X = I.  `solve` adds one refinement
+        step (r = c - R x, x += engine(r)) because the spike form can cancel
+        across blocks; a block inverse has no spikes and needs none, since a
+        substitution leaves |D_t X - I| <= (2w + 1) eps |D_t| |X| to first
+        order, as small as LAPACK's inverse leaves it.  `solve_transposed`
+        goes without refinement too: the refined R^-1 half-step after it
+        corrects its error.  The diagonal is formed per chunk; only the
+        2w x 2w corner recursion runs block by block.
         """
         b, width, nblocks, _ = self._coef.shape
         w2 = width - 1
